@@ -156,20 +156,17 @@ func CheckCompiled(c *Compiled, opts Options) (*Report, error) {
 	}
 	costs.EmitNs = homeEmitNs
 	costs.AnalysisNsPerEvent = homeAnalysisNs(opts.Procs, opts.Threads)
-	// Phase 3 runs on the fly: the online detector consumes the event
-	// stream as the program executes (the paper's HOME monitors during
-	// execution); the log keeps the raw records the specification
-	// matcher needs afterwards.
+	// The log is the run's only analysis sink; phase 3 analyzes it once
+	// the run ends.
 	log := trace.NewLog()
-	online := detect.NewOnline(detect.Options{Mode: opts.Mode, Stats: opts.Stats, Explain: opts.Explain})
 	chaosPlan, schedRec, schedSrc := resolveSched(&opts)
 	forced0, orderForced0 := replayForced(&opts)
-	// The flight recorder rides the TeeSink: the per-event Emit cost is
+	// The flight recorder rides a TeeSink: the per-event Emit cost is
 	// charged whether or not a recorder is attached (Sink is always
 	// non-nil here), so attaching one never perturbs virtual time.
-	sink := trace.TeeSink{log, online}
+	var sink trace.Sink = log
 	if fr := lh.Flight(); fr != nil {
-		sink = append(sink, fr)
+		sink = trace.TeeSink{log, fr}
 	}
 	lh.Phase("execute")
 	sp := opts.Profile.Start("execute")
@@ -200,19 +197,21 @@ func CheckCompiled(c *Compiled, opts Options) (*Report, error) {
 	} else if len(run.DeadRanks) > 0 {
 		lh.AutoDump("crash-stop")
 	}
-	// The analyze span covers the report assembly; the per-event
-	// analysis itself ran online during execute, where its virtual
-	// cost (AnalysisNsPerEvent per event) is charged.
+	// Phase 3: lockset + happens-before analysis of the log. The cost
+	// model charged its virtual cost (AnalysisNsPerEvent per event) at
+	// emission during execute, modelling the paper's on-the-fly HOME,
+	// so virtual time does not depend on where the analysis runs; the
+	// span reports that same total.
+	events := log.Events()
 	lh.Phase("analyze")
 	sp = opts.Profile.Start("analyze")
-	rep := online.Report()
+	rep := detect.Analyze(events, detect.Options{Mode: opts.Mode, Stats: opts.Stats, Explain: opts.Explain})
 	sp.SetVirtual(int64(rep.EventsAnalyzed) * costs.AnalysisNsPerEvent)
 	sp.End()
 
 	recordSchedStats(&opts, forced0, orderForced0)
 
 	// Phase 4: specification matching.
-	events := log.Events()
 	lh.Phase("match")
 	sp = opts.Profile.Start("match")
 	violations := spec.Match(events, rep)

@@ -175,7 +175,9 @@ type Options struct {
 	// Threads is the default OpenMP team size (default 2, as in the
 	// paper's experiments).
 	Threads int
-	// Seed drives all deterministic randomness.
+	// Seed identifies the run (telemetry labels, harness configs). The
+	// simulation is deterministic and draws no randomness from it;
+	// fault injection is seeded by the chaos plan.
 	Seed int64
 
 	// Mode selects the dynamic analyses; the zero value is the
@@ -255,7 +257,8 @@ type Options struct {
 }
 
 // HOME's own probe costs (virtual ns). The wrapper write is a fixed
-// probe cost; the online lockset/vector-clock bookkeeping scales with
+// probe cost; the per-event lockset/vector-clock bookkeeping (charged
+// at emission, modelling the paper's on-the-fly analysis) scales with
 // the logarithm of the total thread count, because the analysis's
 // vector clocks carry one component per thread and its shared state
 // grows with the fleet. Calibrated on the NPB-MZ-style workloads so

@@ -91,23 +91,19 @@ type Options struct {
 	// confirmed races).
 	Stats *obs.Registry
 
-	// Explain captures witness material on every reported race: the
-	// full vector clock observed at each access (not just the epoch)
-	// and the access's schedule-stable per-thread event index. It also
-	// canonicalizes each pair's First/Second order and the report's
-	// race order by (rank, tid, index) rather than analysis arrival
-	// order, so explained reports are byte-stable across host
-	// schedules. Costs one clock copy per monitored access.
+	// Explain captures the full vector clock observed at each access of
+	// a reported race (not just the epoch), the witness material
+	// package explain extracts the concurrency certificate from. Costs
+	// one clock copy per monitored access.
 	Explain bool
 
-	// Shards, when > 1, parallelizes the offline pair-checking phase:
+	// Shards, when > 1, parallelizes the pair-checking phase:
 	// locations are partitioned by (rank, variable) and scanned by
 	// that many workers. The clock replay itself stays sequential (it
 	// is inherently ordered), but the O(history²) access-pair scans —
 	// the bulk of the work on access-heavy logs — are independent per
 	// location. Reports, witnesses and stats are identical to the
-	// serial analysis (internal/difftest proves it). Ignored by the
-	// online analyzer, which interleaves checking with arrival.
+	// serial analysis (internal/difftest proves it).
 	Shards int
 }
 
@@ -119,7 +115,6 @@ const (
 
 // Access is one side of a reported race.
 type Access struct {
-	Seq     uint64
 	Rank    int
 	TID     int
 	Time    int64
@@ -128,8 +123,8 @@ type Access struct {
 	Call    *trace.MPICall // the MPI call that performed the access, if any
 
 	// Ix is the 0-based index of this event within its (rank, tid)
-	// lane — a schedule-stable coordinate, unlike Seq (global arrival
-	// order) and Time. Populated only under Options.Explain.
+	// lane — a schedule-stable coordinate, unlike the log's global
+	// arrival order.
 	Ix uint64
 	// Clock is the thread's full vector clock at the access (before
 	// the access's own tick). Populated only under Options.Explain;
@@ -137,8 +132,11 @@ type Access struct {
 	Clock vclock.VC
 }
 
+// String renders the access by its lane coordinate, e.g.
+// "p0.t1[7] Write in MPI_Recv(...)", so race text does not depend on
+// how the host interleaved the threads.
 func (a Access) String() string {
-	s := fmt.Sprintf("#%d p%d.t%d %s", a.Seq, a.Rank, a.TID, a.Op)
+	s := fmt.Sprintf("p%d.t%d[%d] %s", a.Rank, a.TID, a.Ix, a.Op)
 	if a.Call != nil {
 		s += " in " + a.Call.String()
 	}
@@ -199,7 +197,6 @@ type threadState struct {
 
 // accessRec is a retained access with its analysis snapshots.
 type accessRec struct {
-	seq    uint64
 	gid    vclock.TID
 	rank   int
 	tid    int
@@ -209,8 +206,8 @@ type accessRec struct {
 	ev     uint64      // ... and component, pre-tick (FastTrack)
 	locks  map[string]struct{}
 	call   *trace.MPICall
-	pclock *vclock.Packed // O(1) clock snapshot (batch mode only)
-	ix     uint64         // per-lane event index (Explain only)
+	pclock *vclock.Packed // O(1) clock snapshot for the pair scan
+	ix     uint64         // per-lane event index
 	clock  vclock.VC      // full clock snapshot (Explain only)
 }
 
@@ -219,10 +216,6 @@ type analyzer struct {
 	opts    Options
 	space   *vclock.Space
 	threads map[vclock.TID]*threadState
-	// batch defers access-pair checking to a post-replay phase (the
-	// offline Analyze path, where it can shard); the online path
-	// checks incrementally as accesses arrive.
-	batch bool
 	// fork snapshots and join accumulators per sync episode
 	forkClocks map[trace.SyncID]*vclock.Packed
 	joinAccs   map[trace.SyncID]*vclock.Packed
@@ -233,13 +226,12 @@ type analyzer struct {
 	barrierMerge   map[trace.SyncID]*vclock.Packed
 	// lock vector clocks for release->acquire edges
 	lockClocks map[string]*vclock.Packed
-	// per-location access history (bounded incrementally online;
-	// batch mode retains every arrival and applies the bound during
-	// the scan phase)
+	// per-location access history: every arrival is retained, and the
+	// MaxHistoryPerLoc bound is applied during the scan phase
 	history map[trace.Loc][]accessRec
 	races   map[trace.Loc][]Race
-	// per-lane event counters (Explain only): the next index each
-	// (rank, tid) lane will stamp on an access
+	// per-lane event counters: the next index each (rank, tid) lane
+	// will stamp on an event
 	laneIx map[vclock.TID]uint64
 
 	st analyzerStats
@@ -299,7 +291,7 @@ func newAnalyzerStats(reg *obs.Registry) analyzerStats {
 	}
 }
 
-// newAnalyzer builds the shared replay state (opts already defaulted).
+// newAnalyzer builds the replay state (opts already defaulted).
 func newAnalyzer(opts Options) *analyzer {
 	return &analyzer{
 		opts:           opts,
@@ -332,19 +324,16 @@ func (a *analyzer) report() *Report {
 		return locs[i].Name < locs[j].Name
 	})
 	for _, l := range locs {
+		// Arrival order within a location depends on how the host
+		// interleaved the threads; sort by the canonical pair
+		// coordinates so reports are stable.
 		races := a.races[l]
-		if a.opts.Explain {
-			// Arrival order within a location is host-schedule
-			// dependent online; re-sort by the canonical pair
-			// coordinates so explained reports are stable.
-			races = append([]Race(nil), races...)
-			sort.Slice(races, func(i, j int) bool {
-				if !accessEq(races[i].First, races[j].First) {
-					return laneAfter(races[j].First, races[i].First)
-				}
-				return laneAfter(races[j].Second, races[i].Second)
-			})
-		}
+		sort.Slice(races, func(i, j int) bool {
+			if !accessEq(races[i].First, races[j].First) {
+				return laneAfter(races[j].First, races[i].First)
+			}
+			return laneAfter(races[j].Second, races[i].Second)
+		})
 		rep.Races = append(rep.Races, races...)
 	}
 	return rep
@@ -371,7 +360,6 @@ func Analyze(events []trace.Event, opts Options) *Report {
 		opts.Shards = 1
 	}
 	a := newAnalyzer(opts)
-	a.batch = true
 	a.st.shards.Observe(int64(opts.Shards))
 
 	// Pre-pass: barrier participant counts per episode. Every
@@ -410,11 +398,8 @@ func (a *analyzer) thread(rank, tid int) (*threadState, vclock.TID) {
 func (a *analyzer) step(e trace.Event) {
 	a.st.events.Inc()
 	st, gid := a.thread(e.Rank, e.TID)
-	var ix uint64
-	if a.opts.Explain {
-		ix = a.laneIx[gid]
-		a.laneIx[gid] = ix + 1
-	}
+	ix := a.laneIx[gid]
+	a.laneIx[gid] = ix + 1
 	switch e.Op {
 	case trace.OpFork:
 		a.forkClocks[e.Sync] = st.clock.Publish()
@@ -515,43 +500,27 @@ func (a *analyzer) barrier(s trace.SyncID, gid vclock.TID, st *threadState) {
 	}
 }
 
-// access checks the new access against the location history and
-// records it. In batch mode it only records — the pair checks run in
-// the sharded scan phase against the access's O(1) clock snapshot —
-// while the online path checks incrementally against the live clock.
+// access records the access in its location's history with an O(1)
+// clock snapshot; the pair checks run in the sharded scan phase.
 func (a *analyzer) access(e trace.Event, st *threadState, gid vclock.TID, ix uint64) {
 	rec := accessRec{
-		seq:   e.Seq,
-		gid:   gid,
-		rank:  e.Rank,
-		tid:   e.TID,
-		time:  e.Time,
-		op:    e.Op,
-		eslot: st.clock.OwnSlot(),
-		ev:    st.clock.OwnV(),
-		locks: copyLocks(st.locks),
-		call:  e.Call,
+		gid:    gid,
+		rank:   e.Rank,
+		tid:    e.TID,
+		time:   e.Time,
+		op:     e.Op,
+		eslot:  st.clock.OwnSlot(),
+		ev:     st.clock.OwnV(),
+		locks:  copyLocks(st.locks),
+		call:   e.Call,
+		pclock: st.clock.Snapshot(),
+		ix:     ix,
 	}
 	if a.opts.Explain {
-		rec.ix = ix
 		rec.clock = st.clock.ToVC()
 	}
 	a.st.locksetSize.Observe(int64(len(rec.locks)))
-	if a.batch {
-		rec.pclock = st.clock.Snapshot()
-		a.history[e.Loc] = append(a.history[e.Loc], rec)
-		return
-	}
-	hist := a.history[e.Loc]
-	var tally pairTally
-	races := a.checkPairs(e.Loc, hist, &rec, st.clock, a.races[e.Loc], &tally)
-	if len(races) > 0 {
-		a.races[e.Loc] = races
-	}
-	tally.add(&a.st)
-	if len(hist) < a.opts.MaxHistoryPerLoc {
-		a.history[e.Loc] = append(hist, rec)
-	}
+	a.history[e.Loc] = append(a.history[e.Loc], rec)
 }
 
 // pairTally accumulates the pair-scan counters locally so the sharded
@@ -570,10 +539,8 @@ func (t *pairTally) add(st *analyzerStats) {
 
 // checkPairs tests one access against the prior history of its
 // location, appending reported races (bounded by MaxRacesPerLoc) and
-// tallying the pair counters. clock is the accessor's clock at the
-// access — the live thread clock online, the access's snapshot in the
-// scan phase.
-func (a *analyzer) checkPairs(loc trace.Loc, hist []accessRec, rec *accessRec, clock *vclock.Packed, races []Race, tally *pairTally) []Race {
+// tallying the pair counters.
+func (a *analyzer) checkPairs(loc trace.Loc, hist []accessRec, rec *accessRec, races []Race, tally *pairTally) []Race {
 	for i := range hist {
 		prev := &hist[i]
 		if prev.gid == rec.gid {
@@ -588,7 +555,7 @@ func (a *analyzer) checkPairs(loc trace.Loc, hist []accessRec, rec *accessRec, c
 		// current thread's clock (FastTrack's epoch test) — one O(1)
 		// slot read on the packed clock.
 		tally.vcCompares++
-		hbRace := prev.ev > clock.AtSlot(prev.eslot)
+		hbRace := prev.ev > rec.pclock.AtSlot(prev.eslot)
 		if lsRace {
 			tally.lsCandid++
 		}
@@ -610,11 +577,10 @@ func (a *analyzer) checkPairs(loc trace.Loc, hist []accessRec, rec *accessRec, c
 		}
 		if reported && len(races) < a.opts.MaxRacesPerLoc {
 			first, second := prev.toAccess(), rec.toAccess()
-			// Under Explain the pair order is canonical — by
-			// schedule-stable lane coordinate rather than analysis
-			// arrival order — so witness output does not depend on the
-			// host schedule.
-			if a.opts.Explain && laneAfter(first, second) {
+			// The pair order is canonical — by schedule-stable lane
+			// coordinate rather than log arrival order — so reports do
+			// not depend on the host schedule.
+			if laneAfter(first, second) {
 				first, second = second, first
 			}
 			races = append(races, Race{
@@ -629,12 +595,10 @@ func (a *analyzer) checkPairs(loc trace.Loc, hist []accessRec, rec *accessRec, c
 	return races
 }
 
-// scanAll runs the batch pair-checking phase: locations are
-// partitioned across opts.Shards workers and scanned independently.
-// Each location's scan replays the incremental semantics exactly —
-// the j-th arrival is checked against the first min(j,
-// MaxHistoryPerLoc) arrivals, in arrival order — so reports and
-// counters match the online analyzer's.
+// scanAll runs the pair-checking phase: locations are partitioned
+// across opts.Shards workers and scanned independently. The j-th
+// arrival at a location is checked against the first min(j,
+// MaxHistoryPerLoc) arrivals, in arrival order.
 func (a *analyzer) scanAll() {
 	locs := make([]trace.Loc, 0, len(a.history))
 	for l := range a.history {
@@ -697,7 +661,7 @@ func (a *analyzer) scanLoc(loc trace.Loc, tally *pairTally) []Race {
 		if n > a.opts.MaxHistoryPerLoc {
 			n = a.opts.MaxHistoryPerLoc
 		}
-		races = a.checkPairs(loc, arr[:n], &arr[j], arr[j].pclock, races, tally)
+		races = a.checkPairs(loc, arr[:n], &arr[j], races, tally)
 	}
 	return races
 }
@@ -720,7 +684,7 @@ func (r accessRec) toAccess() Access {
 	}
 	sort.Strings(names)
 	return Access{
-		Seq: r.seq, Rank: r.rank, TID: r.tid, Time: r.time,
+		Rank: r.rank, TID: r.tid, Time: r.time,
 		Op: r.op, Lockset: names, Call: r.call,
 		Ix: r.ix, Clock: r.clock,
 	}

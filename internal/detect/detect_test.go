@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"strings"
 	"testing"
 
 	"home/internal/trace"
@@ -336,5 +337,68 @@ func TestMultiRankAnalysisIndependent(t *testing.T) {
 	}
 	if rep.Concurrent(1, trace.VarSrc) {
 		t.Fatal("rank 1 false positive")
+	}
+}
+
+// TestRaceOutputIndependentOfInterleaving analyzes two global
+// interleavings of one racy trace. Both keep every lane's program
+// order and the same fork causality; only the global order of the
+// racing lanes — and hence every event's log Seq — differs. The
+// rendered race lists must be byte-identical, in identical order.
+func TestRaceOutputIndependentOfInterleaving(t *testing.T) {
+	interleave := func(reverse bool) []trace.Event {
+		b := &eb{}
+		type lane struct {
+			rank, tid int
+			evs       []trace.Event
+		}
+		var lanes []lane
+		for rank := 0; rank < 2; rank++ {
+			s := b.newSync(rank)
+			b.op(rank, 0, trace.OpFork, s)
+			b.op(rank, 1, trace.OpBegin, s)
+			for tid := 0; tid < 2; tid++ {
+				l := lane{rank: rank, tid: tid}
+				for i := 0; i < 3; i++ {
+					op := trace.OpWrite
+					if (tid+i)%2 == 1 {
+						op = trace.OpRead
+					}
+					call := &trace.MPICall{Kind: trace.CallRecv, Peer: 1 - rank, Tag: i, Line: 10*tid + i}
+					for _, name := range []string{trace.VarSrc, trace.VarTag} {
+						l.evs = append(l.evs, trace.Event{Rank: rank, TID: tid, Op: op,
+							Loc: trace.Loc{Rank: rank, Name: name}, Call: call})
+					}
+				}
+				lanes = append(lanes, l)
+			}
+		}
+		if reverse {
+			for i, j := 0, len(lanes)-1; i < j; i, j = i+1, j-1 {
+				lanes[i], lanes[j] = lanes[j], lanes[i]
+			}
+		}
+		for i := range lanes[0].evs {
+			for _, l := range lanes {
+				b.add(l.evs[i])
+			}
+		}
+		return b.events
+	}
+	render := func(rep *Report) []string {
+		var out []string
+		for _, r := range rep.Races {
+			out = append(out, r.String())
+		}
+		return out
+	}
+	a := render(Analyze(interleave(false), Options{Mode: ModeCombined}))
+	b := render(Analyze(interleave(true), Options{Mode: ModeCombined}))
+	if len(a) == 0 {
+		t.Fatal("the trace is meant to race")
+	}
+	if strings.Join(a, "\n") != strings.Join(b, "\n") {
+		t.Fatalf("race output depends on the interleaving:\n%s\n--- vs ---\n%s",
+			strings.Join(a, "\n"), strings.Join(b, "\n"))
 	}
 }

@@ -70,8 +70,18 @@ func TestMetaGlobalLockSilencesEverything(t *testing.T) {
 // TestMetaCombinedIsIntersection: the combined mode's races are
 // exactly those reported by BOTH single-analysis modes.
 func TestMetaCombinedIsIntersection(t *testing.T) {
-	key := func(r Race) [3]uint64 {
-		return [3]uint64{r.First.Seq, r.Second.Seq, uint64(len(r.Loc.Name))}
+	type lane struct {
+		rank, tid int
+		ix        uint64
+	}
+	type raceKey struct {
+		loc           trace.Loc
+		first, second lane
+	}
+	key := func(r Race) raceKey {
+		return raceKey{r.Loc,
+			lane{r.First.Rank, r.First.TID, r.First.Ix},
+			lane{r.Second.Rank, r.Second.TID, r.Second.Ix}}
 	}
 	for seed := int64(0); seed < 20; seed++ {
 		events := randomTrace(seed, 4, 30, false)
@@ -79,11 +89,11 @@ func TestMetaCombinedIsIntersection(t *testing.T) {
 		lockset := Analyze(events, Options{Mode: ModeLocksetOnly, MaxRacesPerLoc: 1 << 20})
 		hb := Analyze(events, Options{Mode: ModeHappensBeforeOnly, MaxRacesPerLoc: 1 << 20})
 
-		ls := map[[3]uint64]bool{}
+		ls := map[raceKey]bool{}
 		for _, r := range lockset.Races {
 			ls[key(r)] = true
 		}
-		hbSet := map[[3]uint64]bool{}
+		hbSet := map[raceKey]bool{}
 		for _, r := range hb.Races {
 			hbSet[key(r)] = true
 		}
@@ -114,9 +124,8 @@ func TestMetaAnalysisDeterministic(t *testing.T) {
 		t.Fatalf("nondeterministic: %d vs %d races", len(a.Races), len(b.Races))
 	}
 	for i := range a.Races {
-		if a.Races[i].First.Seq != b.Races[i].First.Seq ||
-			a.Races[i].Second.Seq != b.Races[i].Second.Seq {
-			t.Fatalf("race %d differs", i)
+		if a.Races[i].String() != b.Races[i].String() {
+			t.Fatalf("race %d differs: %v vs %v", i, a.Races[i], b.Races[i])
 		}
 	}
 }

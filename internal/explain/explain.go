@@ -114,7 +114,7 @@ func renderHolds(holds []Hold) string {
 // (in the violations' order) followed by one per concurrency report
 // no violation claimed (in the report's order). The race report must
 // have been produced with detect.Options.Explain so accesses carry
-// their clock snapshots and canonical ordering.
+// their clock snapshots.
 func Extract(events []trace.Event, rep *detect.Report, violations []spec.Violation) []Witness {
 	idx := newIndex(events)
 	var out []Witness
@@ -259,11 +259,8 @@ func (idx *index) accessSite(a detect.Access, loc trace.Loc) Site {
 	s := Site{
 		Rank: a.Rank,
 		TID:  a.TID,
-		// The analyzer's lane index, NOT ixOf[a.Seq]: the detector and
-		// the trace log assign global Seq by their own arrival orders,
-		// which need not agree — only the per-lane index is stable.
-		Ix: a.Ix,
-		Op: fmt.Sprintf("%s %s", a.Op, loc.Name),
+		Ix:   a.Ix,
+		Op:   fmt.Sprintf("%s %s", a.Op, loc.Name),
 	}
 	if a.Call != nil {
 		s.Call = a.Call.String()

@@ -24,7 +24,6 @@ import (
 //
 // Schema history:
 //
-//	1  camelCase detector-counter keys (vcComparisons, vcJoins)
 //	2  detector counters keyed by their registry names
 //	   (detect.vc_comparisons, detect.vc_joins), so a baseline row and
 //	   the stats snapshot it came from agree on spelling
@@ -48,28 +47,6 @@ type BenchWorkload struct {
 	// Advisory metrics: host-dependent, never gate the comparison.
 	WallNs       int64   `json:"wallNs"`
 	EventsPerSec float64 `json:"eventsPerSec"`
-}
-
-// UnmarshalJSON accepts both the schema-2 dotted counter keys and the
-// schema-1 camelCase spellings, so frozen schema-1 baselines stay
-// readable.
-func (w *BenchWorkload) UnmarshalJSON(data []byte) error {
-	type alias BenchWorkload
-	aux := struct {
-		*alias
-		LegacyComparisons *int64 `json:"vcComparisons"`
-		LegacyJoins       *int64 `json:"vcJoins"`
-	}{alias: (*alias)(w)}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	if aux.LegacyComparisons != nil && w.VCComparisons == 0 {
-		w.VCComparisons = *aux.LegacyComparisons
-	}
-	if aux.LegacyJoins != nil && w.VCJoins == 0 {
-		w.VCJoins = *aux.LegacyJoins
-	}
-	return nil
 }
 
 // BenchBaseline is the committed perf baseline. The config header
@@ -234,8 +211,8 @@ func ReadBenchFile(path string) (*BenchBaseline, error) {
 	if b.Format != BenchFormat {
 		return nil, fmt.Errorf("harness: %s is not a bench baseline (format %q)", path, b.Format)
 	}
-	if b.Schema > BenchSchema {
-		return nil, fmt.Errorf("harness: bench schema %d is newer than supported %d", b.Schema, BenchSchema)
+	if b.Schema != BenchSchema {
+		return nil, fmt.Errorf("harness: bench schema %d is not the supported %d", b.Schema, BenchSchema)
 	}
 	return &b, nil
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -100,6 +101,15 @@ func TestBenchFileRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadBenchFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("reading a missing baseline succeeded")
+	}
+	// An older schema spells the counters differently; decoding it
+	// would silently zero them, so it must be refused.
+	old := filepath.Join(t.TempDir(), "schema1.json")
+	if err := os.WriteFile(old, []byte(`{"format":"home-bench","schema":1,"workloads":[{"benchmark":"LU-MZ","procs":2,"vcJoins":84}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBenchFile(old); err == nil {
+		t.Error("reading a schema-1 baseline succeeded")
 	}
 }
 

@@ -41,7 +41,9 @@ type Config struct {
 	// Threads seeds omp_set_num_threads before main (programs may
 	// override); default 2 matches the paper's experiments.
 	Threads int
-	// Seed drives deterministic randomness.
+	// Seed identifies the run. The simulation is deterministic and
+	// draws no randomness from it; fault injection is seeded by the
+	// Chaos plan.
 	Seed int64
 	// Costs overrides the virtual-time cost model (zero value =
 	// sim.DefaultCostModel plus the tool's own terms).
@@ -212,7 +214,6 @@ func Run(prog *minic.Program, conf Config) *Result {
 	}
 	world := mpi.NewWorld(mpi.Config{
 		Procs:              conf.Procs,
-		Seed:               conf.Seed,
 		Costs:              conf.Costs,
 		EnforceThreadLevel: conf.EnforceThreadLevel,
 		Stats:              conf.Stats,
@@ -232,7 +233,7 @@ func Run(prog *minic.Program, conf Config) *Result {
 			prog:    prog,
 			conf:    &conf,
 			proc:    p,
-			rt:      omp.NewRuntime(p.Rank(), world.Activity(), conf.Seed),
+			rt:      omp.NewRuntime(p.Rank(), world.Activity()),
 			world:   world,
 			globals: newEnv(nil),
 			out:     out,

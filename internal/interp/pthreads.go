@@ -110,7 +110,7 @@ func (tc *threadCtx) pthreadCreate(c *minic.Call) (Value, error) {
 
 	child := &threadCtx{
 		in:     tc.in,
-		ctx:    tc.ctx.Child(tid, tc.in.conf.Seed),
+		ctx:    tc.ctx.Child(tid),
 		member: nil, // pthread functions are outside any omp team
 		env:    newEnv(tc.in.globals),
 	}

@@ -9,7 +9,7 @@ import (
 func BenchmarkPingPong(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w := NewWorld(Config{Procs: 2, Seed: 1})
+		w := NewWorld(Config{Procs: 2})
 		res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 			if _, err := p.InitThread(ctx, ThreadMultiple); err != nil {
 				return err
@@ -43,7 +43,7 @@ func BenchmarkPingPong(b *testing.B) {
 func BenchmarkAllreduce16Ranks(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w := NewWorld(Config{Procs: 16, Seed: 1})
+		w := NewWorld(Config{Procs: 16})
 		res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 			if _, err := p.InitThread(ctx, ThreadMultiple); err != nil {
 				return err
@@ -65,7 +65,7 @@ func BenchmarkAllreduce16Ranks(b *testing.B) {
 func BenchmarkWorldSpawn64Ranks(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w := NewWorld(Config{Procs: 64, Seed: 1})
+		w := NewWorld(Config{Procs: 64})
 		res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 			_, err := p.InitThread(ctx, ThreadMultiple)
 			return err

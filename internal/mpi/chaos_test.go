@@ -11,7 +11,7 @@ import (
 // runChaosWorld is runWorld with a fault plan attached.
 func runChaosWorld(t *testing.T, n int, plan *chaos.Plan, body func(p *Proc, ctx *sim.Ctx) error) *RunResult {
 	t.Helper()
-	w := NewWorld(Config{Procs: n, Seed: 42, Chaos: plan})
+	w := NewWorld(Config{Procs: n, Chaos: plan})
 	return w.Run(func(p *Proc, ctx *sim.Ctx) error {
 		if _, err := p.InitThread(ctx, ThreadMultiple); err != nil {
 			return err
@@ -144,7 +144,7 @@ func TestChaosReorderKeepsSameSourceOrder(t *testing.T) {
 // genuine hang for them (MPI semantics: the message may never come);
 // the watchdog, not the failure propagation, must end the run.
 func TestChaosCrashWithWildcardWaiterTripsWatchdog(t *testing.T) {
-	w := NewWorld(Config{Procs: 2, Seed: 1, Chaos: chaos.Crash(1, 1, 1)})
+	w := NewWorld(Config{Procs: 2, Chaos: chaos.Crash(1, 1, 1)})
 	res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 		if _, err := p.InitThread(ctx, ThreadMultiple); err != nil {
 			return err

@@ -88,7 +88,7 @@ func TestDeadlockErrorRendersWildcards(t *testing.T) {
 // run whose traffic is known exactly.
 func TestWorldStatsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	w := NewWorld(Config{Procs: 2, Seed: 1, Stats: reg})
+	w := NewWorld(Config{Procs: 2, Stats: reg})
 	res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 		if _, err := p.InitThread(ctx, ThreadMultiple); err != nil {
 			return err

@@ -54,7 +54,7 @@ func TestCollectiveOnInvalidComm(t *testing.T) {
 }
 
 func TestDoubleInitRejected(t *testing.T) {
-	w := NewWorld(Config{Procs: 1, Seed: 1})
+	w := NewWorld(Config{Procs: 1})
 	res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 		if _, err := p.InitThread(ctx, ThreadMultiple); err != nil {
 			return err
@@ -68,7 +68,7 @@ func TestDoubleInitRejected(t *testing.T) {
 }
 
 func TestDoubleFinalizeRejected(t *testing.T) {
-	w := NewWorld(Config{Procs: 1, Seed: 1})
+	w := NewWorld(Config{Procs: 1})
 	res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 		if _, err := p.InitThread(ctx, ThreadMultiple); err != nil {
 			return err
@@ -111,7 +111,7 @@ func TestTestOnSendRequestCompletesImmediately(t *testing.T) {
 }
 
 func TestIsThreadMainTracksInitializer(t *testing.T) {
-	w := NewWorld(Config{Procs: 1, Seed: 1})
+	w := NewWorld(Config{Procs: 1})
 	res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 		if p.IsThreadMain(ctx) {
 			t.Error("before init nobody is the main thread")
@@ -122,7 +122,7 @@ func TestIsThreadMainTracksInitializer(t *testing.T) {
 		if !p.IsThreadMain(ctx) {
 			t.Error("initializer should be the main thread")
 		}
-		worker := ctx.Child(3, 1)
+		worker := ctx.Child(3)
 		if p.IsThreadMain(worker) {
 			t.Error("worker must not be the main thread")
 		}
@@ -206,7 +206,7 @@ func TestRunResultFirstError(t *testing.T) {
 }
 
 func TestWorldAccessors(t *testing.T) {
-	w := NewWorld(Config{Procs: 3, Seed: 1})
+	w := NewWorld(Config{Procs: 3})
 	if w.Size() != 3 || w.Proc(1).Rank() != 1 {
 		t.Fatal("accessors broken")
 	}

@@ -133,9 +133,6 @@ type Config struct {
 	// Procs is the number of MPI ranks.
 	Procs int
 
-	// Seed drives all deterministic randomness.
-	Seed int64
-
 	// Costs is the virtual-time cost model; zero value means
 	// sim.DefaultCostModel.
 	Costs sim.CostModel
@@ -438,7 +435,7 @@ func (w *World) Run(body func(p *Proc, ctx *sim.Ctx) error) *RunResult {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			ctx := sim.NewCtx(rank, 0, w.cfg.Seed, &w.costs)
+			ctx := sim.NewCtx(rank, 0, &w.costs)
 			ctx.Keeper = w.keeper
 			p := w.procs[rank]
 			p.mainCtx = ctx

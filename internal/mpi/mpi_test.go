@@ -12,7 +12,7 @@ import (
 // thread level pre-initialized inside body via InitThread.
 func runWorld(t *testing.T, n int, body func(p *Proc, ctx *sim.Ctx) error) *RunResult {
 	t.Helper()
-	w := NewWorld(Config{Procs: n, Seed: 42})
+	w := NewWorld(Config{Procs: n})
 	return w.Run(func(p *Proc, ctx *sim.Ctx) error {
 		if _, err := p.InitThread(ctx, ThreadMultiple); err != nil {
 			return err
@@ -467,14 +467,14 @@ func TestSendRecvCycleDeadlockFreeWithEagerSends(t *testing.T) {
 }
 
 func TestThreadLevelEnforcementDropsNonMainSend(t *testing.T) {
-	w := NewWorld(Config{Procs: 2, Seed: 1, EnforceThreadLevel: true})
+	w := NewWorld(Config{Procs: 2, EnforceThreadLevel: true})
 	res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 		if _, err := p.InitThread(ctx, ThreadSingle); err != nil {
 			return err
 		}
 		if p.Rank() == 0 {
 			// Simulate a second thread issuing the send under SINGLE.
-			tctx := ctx.Child(1, 99)
+			tctx := ctx.Child(1)
 			if err := p.Send(tctx, []float64{1}, 1, 0, CommWorld); err != nil {
 				return err
 			}
@@ -490,12 +490,12 @@ func TestThreadLevelEnforcementDropsNonMainSend(t *testing.T) {
 }
 
 func TestThreadLevelMultipleAllowsWorkerCalls(t *testing.T) {
-	w := NewWorld(Config{Procs: 2, Seed: 1, EnforceThreadLevel: true})
+	w := NewWorld(Config{Procs: 2, EnforceThreadLevel: true})
 	res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 		if _, err := p.InitThread(ctx, ThreadMultiple); err != nil {
 			return err
 		}
-		tctx := ctx.Child(1, 99)
+		tctx := ctx.Child(1)
 		if p.Rank() == 0 {
 			return p.Send(tctx, []float64{1}, 1, 0, CommWorld)
 		}
@@ -508,7 +508,7 @@ func TestThreadLevelMultipleAllowsWorkerCalls(t *testing.T) {
 }
 
 func TestCallBeforeInitFails(t *testing.T) {
-	w := NewWorld(Config{Procs: 1, Seed: 1})
+	w := NewWorld(Config{Procs: 1})
 	res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 		return p.Send(ctx, nil, 0, 0, CommWorld)
 	})
@@ -518,7 +518,7 @@ func TestCallBeforeInitFails(t *testing.T) {
 }
 
 func TestCallAfterFinalizeFails(t *testing.T) {
-	w := NewWorld(Config{Procs: 1, Seed: 1})
+	w := NewWorld(Config{Procs: 1})
 	res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 		if _, err := p.InitThread(ctx, ThreadMultiple); err != nil {
 			return err
@@ -552,7 +552,7 @@ func TestInvalidRankAndComm(t *testing.T) {
 }
 
 func TestVirtualTimeMessageLatency(t *testing.T) {
-	w := NewWorld(Config{Procs: 2, Seed: 1})
+	w := NewWorld(Config{Procs: 2})
 	var recvTime int64
 	res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 		if _, err := p.InitThread(ctx, ThreadMultiple); err != nil {
@@ -577,7 +577,7 @@ func TestVirtualTimeMessageLatency(t *testing.T) {
 
 func TestMakespanDeterministicForFixedSeedSequentialProgram(t *testing.T) {
 	run := func() int64 {
-		w := NewWorld(Config{Procs: 2, Seed: 7})
+		w := NewWorld(Config{Procs: 2})
 		res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 			if _, err := p.InitThread(ctx, ThreadMultiple); err != nil {
 				return err
@@ -632,7 +632,7 @@ func TestStatusOnConcurrentCollectivesFromTwoThreads(t *testing.T) {
 	// complete instances, so everything terminates (the hazard is
 	// nondeterministic pairing, which the checker flags — the runtime
 	// itself stays live).
-	w := NewWorld(Config{Procs: 2, Seed: 3})
+	w := NewWorld(Config{Procs: 2})
 	res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 		if _, err := p.InitThread(ctx, ThreadMultiple); err != nil {
 			return err
@@ -641,7 +641,7 @@ func TestStatusOnConcurrentCollectivesFromTwoThreads(t *testing.T) {
 		w.Activity().AddThreads(2)
 		for tid := 1; tid <= 2; tid++ {
 			go func(tid int) {
-				tctx := ctx.Child(tid, int64(tid))
+				tctx := ctx.Child(tid)
 				errCh <- p.Barrier(tctx, CommWorld)
 				w.Activity().DoneThread()
 			}(tid)

@@ -29,7 +29,7 @@ func TestPropMessageConservation(t *testing.T) {
 		received := map[float64]int{}
 		sent := map[float64]bool{}
 
-		w := NewWorld(Config{Procs: n, Seed: int64(trial)})
+		w := NewWorld(Config{Procs: n})
 		res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 			if _, err := p.InitThread(ctx, ThreadMultiple); err != nil {
 				return err
@@ -134,7 +134,7 @@ func TestPropCollectiveAgainstReference(t *testing.T) {
 			op.apply(want, inputs[i])
 		}
 
-		w := NewWorld(Config{Procs: n, Seed: int64(trial)})
+		w := NewWorld(Config{Procs: n})
 		res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 			if _, err := p.InitThread(ctx, ThreadMultiple); err != nil {
 				return err

@@ -110,7 +110,7 @@ func TestRMAFencesDoNotMixWithBarriers(t *testing.T) {
 }
 
 func TestWindowLookup(t *testing.T) {
-	w := NewWorld(Config{Procs: 1, Seed: 1})
+	w := NewWorld(Config{Procs: 1})
 	res := w.Run(func(p *Proc, ctx *sim.Ctx) error {
 		if _, err := p.InitThread(ctx, ThreadMultiple); err != nil {
 			return err

@@ -54,7 +54,6 @@ const (
 // Runtime is the per-process OpenMP runtime state.
 type Runtime struct {
 	activity *sim.Activity
-	seed     int64
 	rank     int
 	st       rtStats
 	chaos    *chaos.Injector
@@ -69,14 +68,13 @@ type Runtime struct {
 // NewRuntime builds a runtime for the given rank, registering blocking
 // constructs with the activity tracker (may be nil in pure-OpenMP
 // tests, in which case a private tracker is used).
-func NewRuntime(rank int, activity *sim.Activity, seed int64) *Runtime {
+func NewRuntime(rank int, activity *sim.Activity) *Runtime {
 	if activity == nil {
 		activity = sim.NewActivity()
 		activity.AddThreads(1) // the calling thread
 	}
 	return &Runtime{
 		activity:   activity,
-		seed:       seed,
 		rank:       rank,
 		numThreads: 2,
 		locks:      make(map[string]*lockState),
@@ -233,7 +231,7 @@ func (rt *Runtime) Parallel(ctx *sim.Ctx, n int, body func(m *Member) error) err
 
 	rt.activity.AddThreads(n - 1)
 	for tid := 1; tid < n; tid++ {
-		tctx := ctx.Child(tid, rt.seed)
+		tctx := ctx.Child(tid)
 		go func(tctx *sim.Ctx, tid int) {
 			tctx.Emit(trace.Event{Op: trace.OpBegin, Sync: forkSync})
 			m := &Member{Ctx: tctx, TID: tid, team: t}

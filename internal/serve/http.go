@@ -5,17 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"regexp"
-	"sort"
 
 	"home"
 	"home/internal/obs/live"
 )
-
-// volatileSeq matches the "#N " global-event-index prefix inside a
-// rendered race access (see detect's access String) — the one
-// host-schedule-dependent token in an otherwise deterministic report.
-var volatileSeq = regexp.MustCompile(`#\d+ `)
 
 // apiError is a structured rejection: HTTP status, a machine-readable
 // kind, and the underlying message. Serialized as
@@ -151,7 +144,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // Report is the job report document GET /jobs/{id}/report serves. It
 // carries the check's deterministic surfaces only — verdict, summary,
-// diagnostics, violations, sorted races, virtual makespan, coverage —
+// diagnostics, violations, races, virtual makespan, coverage —
 // so byte-identical submissions produce byte-identical report bytes
 // whether the front-end was cold or cache-resident. Host-dependent
 // surfaces (interleaved program output, wall-clock span timings,
@@ -191,17 +184,9 @@ func renderReport(rep *home.Report) []byte {
 	for _, v := range rep.Violations {
 		out.Violations = append(out.Violations, v.String())
 	}
-	// Race strings embed each access's global event sequence number
-	// ("#N"), assigned in detector arrival order across concurrently
-	// running rank goroutines — host interleaving decides which rank
-	// draws the low numbers. Everything else in the string (variable,
-	// rank, thread, op, call site) is virtual-time-deterministic, so
-	// strip the volatile tokens and sort to make the rendered list
-	// canonical.
 	for _, rc := range rep.Races {
-		out.Races = append(out.Races, volatileSeq.ReplaceAllString(rc.String(), ""))
+		out.Races = append(out.Races, rc.String())
 	}
-	sort.Strings(out.Races)
 	for _, wn := range rep.Warnings {
 		out.Warnings = append(out.Warnings, wn.String())
 	}

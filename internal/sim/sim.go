@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"math/rand"
 	"sync"
 
 	"home/internal/trace"
@@ -47,9 +46,10 @@ type CostModel struct {
 	// uninstrumented (Base) runs.
 	EmitNs int64
 
-	// AnalysisNsPerEvent models the online lockset/vector-clock
-	// bookkeeping a tool performs per observed event (charged together
-	// with EmitNs at emission).
+	// AnalysisNsPerEvent models the lockset/vector-clock bookkeeping a
+	// tool performs per observed event. It is charged together with
+	// EmitNs at emission, modelling the paper's on-the-fly HOME, even
+	// though the reproduction analyzes the recorded log after the run.
 	AnalysisNsPerEvent int64
 }
 
@@ -81,19 +81,15 @@ func RankTID(g vclock.TID) (rank, tid int) {
 	return int(g / MaxThreadsPerRank), int(g % MaxThreadsPerRank)
 }
 
-// Ctx is the per-thread execution context: identity, virtual clock,
-// deterministic randomness, and the instrumentation sink. A Ctx is
-// owned by exactly one goroutine; it is not safe for concurrent use.
+// Ctx is the per-thread execution context: identity, virtual clock
+// and the instrumentation sink. A Ctx is owned by exactly one
+// goroutine; it is not safe for concurrent use.
 type Ctx struct {
 	Rank int
 	TID  int
 
 	// Now is the thread's virtual clock in nanoseconds.
 	Now int64
-
-	// Rand is the thread's deterministic random stream, derived from
-	// the world seed and the thread identity.
-	Rand *rand.Rand
 
 	// Sink receives instrumentation events; nil means uninstrumented.
 	Sink trace.Sink
@@ -152,24 +148,9 @@ func (c *Ctx) NextMsgSeq() uint64 {
 	return c.MsgSeq
 }
 
-// NewCtx builds a context for (rank, tid) with a seed-derived random
-// stream.
-func NewCtx(rank, tid int, seed int64, costs *CostModel) *Ctx {
-	return &Ctx{
-		Rank:  rank,
-		TID:   tid,
-		Rand:  rand.New(rand.NewSource(mix(seed, int64(GID(rank, tid))))),
-		Costs: costs,
-	}
-}
-
-// mix combines a world seed with a thread identity into a stream seed
-// (splitmix64 finalizer).
-func mix(seed, id int64) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(id+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+// NewCtx builds a context for (rank, tid).
+func NewCtx(rank, tid int, costs *CostModel) *Ctx {
+	return &Ctx{Rank: rank, TID: tid, Costs: costs}
 }
 
 // GID returns the global thread identity of the context.
@@ -222,14 +203,12 @@ func (c *Ctx) EmitAccess(op trace.Op, name string) {
 }
 
 // Child derives a context for an OpenMP worker thread forked from c:
-// it inherits the clock, cost model, sink and keeper, with its own
-// deterministic random stream.
-func (c *Ctx) Child(tid int, seed int64) *Ctx {
+// it inherits the clock, cost model, sink and keeper.
+func (c *Ctx) Child(tid int) *Ctx {
 	return &Ctx{
 		Rank:   c.Rank,
 		TID:    tid,
 		Now:    c.Now,
-		Rand:   rand.New(rand.NewSource(mix(seed, int64(GID(c.Rank, tid))+7919))),
 		Sink:   c.Sink,
 		Costs:  c.Costs,
 		Keeper: c.Keeper,

@@ -35,7 +35,7 @@ func TestGIDDistinct(t *testing.T) {
 
 func TestCtxAdvanceAndSyncTo(t *testing.T) {
 	costs := DefaultCostModel()
-	c := NewCtx(0, 0, 1, &costs)
+	c := NewCtx(0, 0, &costs)
 	c.Advance(100)
 	if c.Now != 100 {
 		t.Fatalf("Now = %d", c.Now)
@@ -56,7 +56,7 @@ func TestCtxAdvanceAndSyncTo(t *testing.T) {
 
 func TestCtxComputeUsesCostModel(t *testing.T) {
 	costs := DefaultCostModel()
-	c := NewCtx(0, 0, 1, &costs)
+	c := NewCtx(0, 0, &costs)
 	c.Compute(10)
 	if c.Now != 10*costs.ComputeNsPerUnit {
 		t.Fatalf("Now = %d", c.Now)
@@ -66,7 +66,7 @@ func TestCtxComputeUsesCostModel(t *testing.T) {
 func TestCtxEmitNoSinkIsFree(t *testing.T) {
 	costs := DefaultCostModel()
 	costs.EmitNs = 1000
-	c := NewCtx(0, 0, 1, &costs)
+	c := NewCtx(0, 0, &costs)
 	c.Emit(trace.Event{Op: trace.OpRead})
 	if c.Now != 0 {
 		t.Fatalf("uninstrumented emit charged time: %d", c.Now)
@@ -78,7 +78,7 @@ func TestCtxEmitStampsAndCharges(t *testing.T) {
 	costs.EmitNs = 30
 	costs.AnalysisNsPerEvent = 70
 	log := trace.NewLog()
-	c := NewCtx(3, 1, 1, &costs)
+	c := NewCtx(3, 1, &costs)
 	c.Sink = log
 	c.Advance(500)
 	c.EmitAccess(trace.OpWrite, "x")
@@ -99,17 +99,13 @@ func TestChildInheritsClockAndSink(t *testing.T) {
 	costs := DefaultCostModel()
 	log := trace.NewLog()
 	k := &TimeKeeper{}
-	c := NewCtx(0, 0, 1, &costs)
+	c := NewCtx(0, 0, &costs)
 	c.Sink = log
 	c.Keeper = k
 	c.Advance(123)
-	ch := c.Child(2, 1)
+	ch := c.Child(2)
 	if ch.Now != 123 || ch.TID != 2 || ch.Rank != 0 || ch.Sink == nil || ch.Keeper != k {
 		t.Fatalf("child = %+v", ch)
-	}
-	// Deterministic but distinct random streams.
-	if c.Rand.Int63() == ch.Rand.Int63() {
-		t.Log("parent/child random streams coincide on first draw (allowed but unexpected)")
 	}
 }
 
@@ -132,7 +128,7 @@ func TestTimeKeeperMax(t *testing.T) {
 func TestFinishReportsToKeeper(t *testing.T) {
 	costs := DefaultCostModel()
 	k := &TimeKeeper{}
-	c := NewCtx(0, 0, 1, &costs)
+	c := NewCtx(0, 0, &costs)
 	c.Keeper = k
 	c.Advance(42)
 	c.Finish()
@@ -147,15 +143,6 @@ func TestLog2Ceil(t *testing.T) {
 		if got := Log2Ceil(n); got != want {
 			t.Errorf("Log2Ceil(%d) = %d, want %d", n, got, want)
 		}
-	}
-}
-
-func TestMixDeterministic(t *testing.T) {
-	if mix(1, 2) != mix(1, 2) {
-		t.Fatal("mix not deterministic")
-	}
-	if mix(1, 2) == mix(1, 3) || mix(1, 2) == mix(2, 2) {
-		t.Fatal("mix collides on adjacent inputs")
 	}
 }
 
