@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -520,7 +519,7 @@ func HomeTrace(args []string, stdout, stderr io.Writer) int {
 func traceUsage(stderr io.Writer) {
 	fmt.Fprintln(stderr, `usage:
   hometrace record [-procs N] [-threads N] [-seed S] [-all] [-spans out.json] program.c > trace.jsonl
-  hometrace analyze [-mode combined|lockset|hb] [-ignore-locks] [-shards N] trace.jsonl
+  hometrace analyze [-mode combined|lockset|hb] [-ignore-locks] trace.jsonl
   hometrace replay [-procs N] [-threads N] [-seed S] [-mode M] sched.jsonl program.c
   hometrace timeline [-procs N] [-threads N] [-seed S] [-o out.json] trace.jsonl
   hometrace timeline [-procs N] [-threads N] [-seed S] [-o out.json] sched.jsonl program.c
@@ -805,7 +804,6 @@ func traceAnalyze(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	mode := fs.String("mode", "combined", "analysis: combined, lockset, or hb")
 	ignoreLocks := fs.Bool("ignore-locks", false, "drop lock events (the ITC model)")
-	shards := fs.Int("shards", runtime.GOMAXPROCS(0), "parallel shards for the offline pair scan (1 = serial; output is identical either way)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -831,7 +829,7 @@ func traceAnalyze(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "hometrace: warning: %v; analyzing the salvaged prefix\n", te)
 	}
 
-	opts := detect.Options{IgnoreLocks: *ignoreLocks, Shards: *shards}
+	opts := detect.Options{IgnoreLocks: *ignoreLocks}
 	m, ok := parseMode(*mode)
 	if !ok {
 		traceUsage(stderr)

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"fmt"
 	"testing"
 
 	"home/internal/trace"
@@ -75,17 +76,50 @@ func BenchmarkAnalyzeWidth8(b *testing.B)   { benchAnalyzeWidth(b, 8) }
 func BenchmarkAnalyzeWidth64(b *testing.B)  { benchAnalyzeWidth(b, 64) }
 func BenchmarkAnalyzeWidth256(b *testing.B) { benchAnalyzeWidth(b, 256) }
 
-// BenchmarkAnalyzeSharded measures the sharded offline scan against
-// the serial one on the same wide log.
-func benchAnalyzeSharded(b *testing.B, shards int) {
-	events := syntheticLog(64, 25)
+// allAccessLog builds an Intel Thread Checker-shaped log: a few
+// threads log every shared access, so each location sees several times
+// DefaultMaxHistory accesses and most of the pair scan runs against a
+// saturated history window. Barriers are rare, as in a long parallel
+// loop, so many pairs stay concurrent.
+func allAccessLog(nThreads, rounds int) []trace.Event {
+	var events []trace.Event
+	add := func(e trace.Event) {
+		e.Seq = uint64(len(events))
+		events = append(events, e)
+	}
+	fork := trace.SyncID{Rank: 0, Seq: 1 << 20}
+	add(trace.Event{Rank: 0, TID: 0, Op: trace.OpFork, Sync: fork})
+	for tid := 1; tid < nThreads; tid++ {
+		add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBegin, Sync: fork})
+	}
+	lock := trace.LockID{Rank: 0, Name: "$critical:sum"}
+	for r := 0; r < rounds; r++ {
+		for tid := 0; tid < nThreads; tid++ {
+			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpRead, Loc: trace.Loc{Rank: 0, Name: "u"}})
+			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpWrite, Loc: trace.Loc{Rank: 0, Name: fmt.Sprintf("rhs%d", tid%2)}})
+			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpAcquire, Lock: lock})
+			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpRead, Loc: trace.Loc{Rank: 0, Name: "sum"}})
+			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpWrite, Loc: trace.Loc{Rank: 0, Name: "sum"}})
+			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpRelease, Lock: lock})
+		}
+		if r%64 == 63 {
+			bar := trace.SyncID{Rank: 0, Seq: uint64(r)}
+			for tid := 0; tid < nThreads; tid++ {
+				add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBarrier, Sync: bar})
+			}
+		}
+	}
+	return events
+}
+
+// BenchmarkAnalyzeAllAccess is the ITC baseline's analysis: every
+// access logged, locks ignored.
+func BenchmarkAnalyzeAllAccess(b *testing.B) {
+	events := allAccessLog(4, 1000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Analyze(events, Options{Mode: ModeCombined, Shards: shards})
+		Analyze(events, Options{Mode: ModeCombined, IgnoreLocks: true})
 	}
 	b.ReportMetric(float64(len(events)), "events")
 }
-
-func BenchmarkAnalyzeShards1(b *testing.B) { benchAnalyzeSharded(b, 1) }
-func BenchmarkAnalyzeShards4(b *testing.B) { benchAnalyzeSharded(b, 4) }

@@ -24,15 +24,25 @@
 // violation is reported even when the observed schedule happened to
 // serialize the accesses (the property the paper contrasts with
 // Marmot).
+//
+// Analysis runs in two phases. The replay walks the log once, in
+// order, building the happens-before relation and retaining each
+// access with an O(1) clock snapshot and an interned lockset id. The
+// pair scan then checks each access against its location's bounded
+// history window. It groups the window by epoch class (thread, access
+// kind, lockset): a thread's own clock component never decreases, so
+// within a class the accesses not ordered before a later access are a
+// suffix, found by one binary search, and the lockset test is one
+// cached lookup per class. A saturated window is thus counted rather
+// than re-walked; only an access with a reportable pair, while its
+// location is still under MaxRacesPerLoc, walks the window pair by pair
+// to emit races.
 package detect
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"sort"
-	"sync"
+	"strings"
 
 	"home/internal/obs"
 	"home/internal/sim"
@@ -96,15 +106,6 @@ type Options struct {
 	// package explain extracts the concurrency certificate from. Costs
 	// one clock copy per monitored access.
 	Explain bool
-
-	// Shards, when > 1, parallelizes the pair-checking phase:
-	// locations are partitioned by (rank, variable) and scanned by
-	// that many workers. The clock replay itself stays sequential (it
-	// is inherently ordered), but the O(history²) access-pair scans —
-	// the bulk of the work on access-heavy logs — are independent per
-	// location. Reports, witnesses and stats are identical to the
-	// serial analysis (internal/difftest proves it).
-	Shards int
 }
 
 // Default history/report bounds.
@@ -192,7 +193,7 @@ func (r *Report) RacesOn(rank int, name string) []Race {
 // threadState is the replay state of one logical thread.
 type threadState struct {
 	clock *vclock.Packed
-	locks map[string]struct{}
+	ls    lsID // locks held
 }
 
 // accessRec is a retained access with its analysis snapshots.
@@ -204,7 +205,7 @@ type accessRec struct {
 	op     trace.Op
 	eslot  vclock.Slot // last-write epoch: accessor's slot ...
 	ev     uint64      // ... and component, pre-tick (FastTrack)
-	locks  map[string]struct{}
+	ls     lsID        // locks held
 	call   *trace.MPICall
 	pclock *vclock.Packed // O(1) clock snapshot for the pair scan
 	ix     uint64         // per-lane event index
@@ -224,8 +225,10 @@ type analyzer struct {
 	barrierExpect  map[trace.SyncID]int
 	barrierArrived map[trace.SyncID][]vclock.TID
 	barrierMerge   map[trace.SyncID]*vclock.Packed
-	// lock vector clocks for release->acquire edges
-	lockClocks map[string]*vclock.Packed
+	// lock vector clocks for release->acquire edges; a lock is named
+	// within its rank, so same-named locks of two ranks never hand off
+	lockClocks map[trace.LockID]*vclock.Packed
+	locksets   locksets
 	// per-location access history: every arrival is retained, and the
 	// MaxHistoryPerLoc bound is applied during the scan phase
 	history map[trace.Loc][]accessRec
@@ -233,6 +236,9 @@ type analyzer struct {
 	// per-lane event counters: the next index each (rank, tid) lane
 	// will stamp on an event
 	laneIx map[vclock.TID]uint64
+	// the epoch classes of the location being scanned, reused across
+	// locations so the scan allocates only when a window outgrows it
+	classes []epochClass
 
 	st analyzerStats
 }
@@ -243,19 +249,21 @@ type analyzer struct {
 // Stat names:
 //
 //	detect.events             events consumed by the analyses
-//	detect.vc_comparisons     FastTrack epoch-vs-clock tests performed
+//	detect.vc_comparisons     access pairs decided by the epoch test
 //	detect.vc_joins           full-width vector-clock joins performed
 //	detect.epoch_hits         O(width) joins elided by O(1) epoch adoption
 //	detect.vc_width           vector-clock component high-water mark (gauge)
-//	detect.shards             pair-scan shards of the analysis (gauge)
 //	detect.lockset_size       lockset size per access (histogram)
 //	detect.lockset_candidates access pairs the lockset analysis flagged
 //	detect.hb_candidates      access pairs happens-before found concurrent
 //	detect.confirmed_races    pairs the configured mode reported
 //
-// vc_comparisons are O(1) epoch tests; vc_joins are the O(width)
-// operations — the detector's true vector-clock hot path, which is
-// why the hotspot profile reports both. epoch_hits counts the
+// The four pair counters count access pairs, as a pair-by-pair scan
+// would, but the scan adds them per epoch class: one binary search
+// decides the epoch test for every pair a class forms with an access.
+// vc_comparisons thus cost O(1) each or less; vc_joins are the
+// O(width) operations — the detector's true vector-clock hot path,
+// which is why the hotspot profile reports both. epoch_hits counts the
 // synchronization edges (fork→begin adoption, an episode's first
 // end-contribution, barrier publication and completion) where the
 // packed clock's epoch fast path replaced a full join with an O(1)
@@ -269,7 +277,6 @@ type analyzerStats struct {
 	vcJoins     *obs.Counter
 	epochHits   *obs.Counter
 	vcWidth     *obs.Gauge
-	shards      *obs.Gauge
 	locksetSize *obs.Histogram
 	lsCandid    *obs.Counter
 	hbCandid    *obs.Counter
@@ -283,7 +290,6 @@ func newAnalyzerStats(reg *obs.Registry) analyzerStats {
 		vcJoins:     reg.Counter("detect.vc_joins"),
 		epochHits:   reg.Counter("detect.epoch_hits"),
 		vcWidth:     reg.Gauge("detect.vc_width"),
-		shards:      reg.Gauge("detect.shards"),
 		locksetSize: reg.Histogram("detect.lockset_size"),
 		lsCandid:    reg.Counter("detect.lockset_candidates"),
 		hbCandid:    reg.Counter("detect.hb_candidates"),
@@ -303,7 +309,8 @@ func newAnalyzer(opts Options) *analyzer {
 		barrierExpect:  make(map[trace.SyncID]int),
 		barrierArrived: make(map[trace.SyncID][]vclock.TID),
 		barrierMerge:   make(map[trace.SyncID]*vclock.Packed),
-		lockClocks:     make(map[string]*vclock.Packed),
+		lockClocks:     make(map[trace.LockID]*vclock.Packed),
+		locksets:       newLocksets(),
 		history:        make(map[trace.Loc][]accessRec),
 		races:          make(map[trace.Loc][]Race),
 		laneIx:         make(map[vclock.TID]uint64),
@@ -344,11 +351,7 @@ func accessEq(a, b Access) bool {
 	return a.Rank == b.Rank && a.TID == b.TID && a.Ix == b.Ix
 }
 
-// Analyze replays the event log and returns the race report. The
-// clock replay is sequential (the happens-before relation is built in
-// log order); the access-pair scans run on opts.Shards workers
-// partitioned by location, producing a report identical to the serial
-// scan.
+// Analyze replays the event log and returns the race report.
 func Analyze(events []trace.Event, opts Options) *Report {
 	if opts.MaxHistoryPerLoc <= 0 {
 		opts.MaxHistoryPerLoc = DefaultMaxHistory
@@ -356,11 +359,7 @@ func Analyze(events []trace.Event, opts Options) *Report {
 	if opts.MaxRacesPerLoc <= 0 {
 		opts.MaxRacesPerLoc = DefaultMaxRaces
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = 1
-	}
 	a := newAnalyzer(opts)
-	a.st.shards.Observe(int64(opts.Shards))
 
 	// Pre-pass: barrier participant counts per episode. Every
 	// participant emits exactly one OpBarrier per episode before any
@@ -387,7 +386,7 @@ func (a *analyzer) thread(rank, tid int) (*threadState, vclock.TID) {
 	gid := sim.GID(rank, tid)
 	st, ok := a.threads[gid]
 	if !ok {
-		st = &threadState{clock: a.space.Clock(gid), locks: make(map[string]struct{})}
+		st = &threadState{clock: a.space.Clock(gid)}
 		st.clock.Tick()
 		a.threads[gid] = st
 	}
@@ -431,15 +430,15 @@ func (a *analyzer) step(e trace.Event) {
 		a.barrier(e.Sync, gid, st)
 	case trace.OpAcquire:
 		if !a.opts.IgnoreLocks {
-			if lc, ok := a.lockClocks[e.Lock.Name]; ok {
+			if lc, ok := a.lockClocks[e.Lock]; ok {
 				a.join(st.clock, lc)
 			}
-			st.locks[e.Lock.Name] = struct{}{}
+			st.ls = a.locksets.move(st.ls, e.Lock.Name, true)
 		}
 	case trace.OpRelease:
 		if !a.opts.IgnoreLocks {
-			a.lockClocks[e.Lock.Name] = st.clock.Publish()
-			delete(st.locks, e.Lock.Name)
+			a.lockClocks[e.Lock] = st.clock.Publish()
+			st.ls = a.locksets.move(st.ls, e.Lock.Name, false)
 		}
 	case trace.OpRead, trace.OpWrite:
 		a.access(e, st, gid, ix)
@@ -501,7 +500,7 @@ func (a *analyzer) barrier(s trace.SyncID, gid vclock.TID, st *threadState) {
 }
 
 // access records the access in its location's history with an O(1)
-// clock snapshot; the pair checks run in the sharded scan phase.
+// clock snapshot; the pair checks run in the scan phase.
 func (a *analyzer) access(e trace.Event, st *threadState, gid vclock.TID, ix uint64) {
 	rec := accessRec{
 		gid:    gid,
@@ -511,7 +510,7 @@ func (a *analyzer) access(e trace.Event, st *threadState, gid vclock.TID, ix uin
 		op:     e.Op,
 		eslot:  st.clock.OwnSlot(),
 		ev:     st.clock.OwnV(),
-		locks:  copyLocks(st.locks),
+		ls:     st.ls,
 		call:   e.Call,
 		pclock: st.clock.Snapshot(),
 		ix:     ix,
@@ -519,13 +518,12 @@ func (a *analyzer) access(e trace.Event, st *threadState, gid vclock.TID, ix uin
 	if a.opts.Explain {
 		rec.clock = st.clock.ToVC()
 	}
-	a.st.locksetSize.Observe(int64(len(rec.locks)))
+	a.st.locksetSize.Observe(int64(len(a.locksets.names[st.ls])))
 	a.history[e.Loc] = append(a.history[e.Loc], rec)
 }
 
-// pairTally accumulates the pair-scan counters locally so the sharded
-// scan can fold them into the registry once per shard (counter
-// addition commutes, so totals are identical to serial counting).
+// pairTally accumulates the pair-scan counters locally; they reach the
+// registry once per analysis.
 type pairTally struct {
 	vcCompares, lsCandid, hbCandid, confirmed int64
 }
@@ -537,155 +535,170 @@ func (t *pairTally) add(st *analyzerStats) {
 	st.confirmed.Add(t.confirmed)
 }
 
-// checkPairs tests one access against the prior history of its
-// location, appending reported races (bounded by MaxRacesPerLoc) and
-// tallying the pair counters.
-func (a *analyzer) checkPairs(loc trace.Loc, hist []accessRec, rec *accessRec, races []Race, tally *pairTally) []Race {
-	for i := range hist {
-		prev := &hist[i]
-		if prev.gid == rec.gid {
+// epochClass is the part of a location's history window one thread
+// contributed with one access kind under one lockset. Its epochs are
+// in arrival order, which is sorted order: a thread's own clock
+// component never decreases.
+type epochClass struct {
+	gid   vclock.TID
+	slot  vclock.Slot
+	write bool
+	ls    lsID
+	evs   []uint64
+}
+
+// scanAll runs the pair-checking phase over every location.
+func (a *analyzer) scanAll() {
+	var tally pairTally
+	for l, hist := range a.history {
+		if races := a.scanLoc(l, hist, &tally); len(races) > 0 {
+			a.races[l] = races
+		}
+	}
+	tally.add(&a.st)
+}
+
+// scanLoc checks every access pair of one location: the j-th arrival
+// against the first min(j, MaxHistoryPerLoc) arrivals. The pair
+// counters come from the window's epoch classes; the window is walked
+// pair by pair, in arrival order, only to emit the races of an access
+// that has a reportable pair while the location is under the cap.
+func (a *analyzer) scanLoc(loc trace.Loc, hist []accessRec, tally *pairTally) []Race {
+	a.classes = a.classes[:0]
+	var races []Race
+	for j := 1; j < len(hist); j++ {
+		if j <= a.opts.MaxHistoryPerLoc {
+			a.addToClass(&hist[j-1])
+		}
+		if a.countPairs(&hist[j], tally) && len(races) < a.opts.MaxRacesPerLoc {
+			races = a.reportPairs(loc, hist[:min(j, a.opts.MaxHistoryPerLoc)], &hist[j], races)
+		}
+	}
+	return races
+}
+
+// addToClass enters a record into the history window's epoch classes.
+func (a *analyzer) addToClass(r *accessRec) {
+	write := r.op == trace.OpWrite
+	for i := range a.classes {
+		c := &a.classes[i]
+		if c.gid == r.gid && c.write == write && c.ls == r.ls {
+			c.evs = append(c.evs, r.ev)
+			return
+		}
+	}
+	if len(a.classes) < cap(a.classes) {
+		a.classes = a.classes[:len(a.classes)+1]
+	} else {
+		a.classes = append(a.classes, epochClass{})
+	}
+	c := &a.classes[len(a.classes)-1]
+	c.gid, c.slot, c.write, c.ls = r.gid, r.eslot, write, r.ls
+	c.evs = append(c.evs[:0], r.ev)
+}
+
+// countPairs tallies the pairs rec forms with the history window and
+// reports whether the configured mode reports any of them. Per class,
+// the lockset verdict is shared by every pair, and the pairs not
+// ordered before rec are those whose epoch rec's clock has not
+// observed — a suffix of the sorted epochs.
+func (a *analyzer) countPairs(rec *accessRec, tally *pairTally) (reportable bool) {
+	write := rec.op == trace.OpWrite
+	for i := range a.classes {
+		c := &a.classes[i]
+		if c.gid == rec.gid || (!c.write && !write) {
 			continue
 		}
-		if prev.op != trace.OpWrite && rec.op != trace.OpWrite {
+		n := int64(len(c.evs))
+		hb := n - int64(upperBound(c.evs, rec.pclock.AtSlot(c.slot)))
+		ls := a.locksets.disjoint(c.ls, rec.ls)
+		tally.vcCompares += n
+		tally.hbCandid += hb
+		if ls {
+			tally.lsCandid += n
+		}
+		var confirmed int64
+		if a.reports(ls, true) {
+			confirmed += hb
+		}
+		if a.reports(ls, false) {
+			confirmed += n - hb
+		}
+		tally.confirmed += confirmed
+		reportable = reportable || confirmed > 0
+	}
+	return reportable
+}
+
+// reports applies the configured mode to one pair's verdicts.
+func (a *analyzer) reports(lsRace, hbRace bool) bool {
+	switch a.opts.Mode {
+	case ModeCombined:
+		return lsRace && hbRace
+	case ModeLocksetOnly:
+		return lsRace
+	case ModeHappensBeforeOnly:
+		return hbRace
+	}
+	return false
+}
+
+// upperBound returns the number of epochs in the sorted evs that are
+// <= seen.
+func upperBound(evs []uint64, seen uint64) int {
+	lo, hi := 0, len(evs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if evs[m] <= seen {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// reportPairs walks the window in arrival order and appends the races
+// rec forms with it until the location reaches MaxRacesPerLoc.
+func (a *analyzer) reportPairs(loc trace.Loc, window []accessRec, rec *accessRec, races []Race) []Race {
+	for i := range window {
+		if len(races) >= a.opts.MaxRacesPerLoc {
+			break
+		}
+		prev := &window[i]
+		if prev.gid == rec.gid || (prev.op != trace.OpWrite && rec.op != trace.OpWrite) {
 			continue
 		}
-		lsRace := disjoint(prev.locks, rec.locks)
+		lsRace := a.locksets.disjoint(prev.ls, rec.ls)
 		// prev happened earlier in the log; it is ordered before the
 		// current access iff its epoch has been observed by the
-		// current thread's clock (FastTrack's epoch test) — one O(1)
-		// slot read on the packed clock.
-		tally.vcCompares++
+		// current thread's clock (FastTrack's epoch test).
 		hbRace := prev.ev > rec.pclock.AtSlot(prev.eslot)
-		if lsRace {
-			tally.lsCandid++
+		if !a.reports(lsRace, hbRace) {
+			continue
 		}
-		if hbRace {
-			tally.hbCandid++
+		first, second := a.toAccess(prev), a.toAccess(rec)
+		// The pair order is canonical — by schedule-stable lane
+		// coordinate rather than log arrival order — so reports do
+		// not depend on the host schedule.
+		if laneAfter(first, second) {
+			first, second = second, first
 		}
-
-		reported := false
-		switch a.opts.Mode {
-		case ModeCombined:
-			reported = lsRace && hbRace
-		case ModeLocksetOnly:
-			reported = lsRace
-		case ModeHappensBeforeOnly:
-			reported = hbRace
-		}
-		if reported {
-			tally.confirmed++
-		}
-		if reported && len(races) < a.opts.MaxRacesPerLoc {
-			first, second := prev.toAccess(), rec.toAccess()
-			// The pair order is canonical — by schedule-stable lane
-			// coordinate rather than log arrival order — so reports do
-			// not depend on the host schedule.
-			if laneAfter(first, second) {
-				first, second = second, first
-			}
-			races = append(races, Race{
-				Loc:         loc,
-				First:       first,
-				Second:      second,
-				LocksetRace: lsRace,
-				HBRace:      hbRace,
-			})
-		}
+		races = append(races, Race{
+			Loc:         loc,
+			First:       first,
+			Second:      second,
+			LocksetRace: lsRace,
+			HBRace:      hbRace,
+		})
 	}
 	return races
 }
 
-// scanAll runs the pair-checking phase: locations are partitioned
-// across opts.Shards workers and scanned independently. The j-th
-// arrival at a location is checked against the first min(j,
-// MaxHistoryPerLoc) arrivals, in arrival order.
-func (a *analyzer) scanAll() {
-	locs := make([]trace.Loc, 0, len(a.history))
-	for l := range a.history {
-		locs = append(locs, l)
-	}
-	sort.Slice(locs, func(i, j int) bool {
-		if locs[i].Rank != locs[j].Rank {
-			return locs[i].Rank < locs[j].Rank
-		}
-		return locs[i].Name < locs[j].Name
-	})
-	shards := a.opts.Shards
-	if shards > len(locs) {
-		shards = len(locs)
-	}
-	if shards <= 1 {
-		var tally pairTally
-		for _, l := range locs {
-			if races := a.scanLoc(l, &tally); len(races) > 0 {
-				a.races[l] = races
-			}
-		}
-		tally.add(&a.st)
-		return
-	}
-	var wg sync.WaitGroup
-	results := make([]map[trace.Loc][]Race, shards)
-	tallies := make([]pairTally, shards)
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			out := make(map[trace.Loc][]Race)
-			for _, l := range locs {
-				if locShard(l, shards) != s {
-					continue
-				}
-				out[l] = a.scanLoc(l, &tallies[s])
-			}
-			results[s] = out
-		}(s)
-	}
-	wg.Wait()
-	for s := 0; s < shards; s++ {
-		for l, races := range results[s] {
-			if len(races) > 0 {
-				a.races[l] = races
-			}
-		}
-		tallies[s].add(&a.st)
-	}
-}
-
-// scanLoc checks every access pair of one location.
-func (a *analyzer) scanLoc(loc trace.Loc, tally *pairTally) []Race {
-	arr := a.history[loc]
-	var races []Race
-	for j := 1; j < len(arr); j++ {
-		n := j
-		if n > a.opts.MaxHistoryPerLoc {
-			n = a.opts.MaxHistoryPerLoc
-		}
-		races = a.checkPairs(loc, arr[:n], &arr[j], races, tally)
-	}
-	return races
-}
-
-// locShard assigns a location to a scan shard by its (rank, variable)
-// identity — stable across runs and shard counts' partitions of work.
-func locShard(l trace.Loc, shards int) int {
-	h := fnv.New32a()
-	io.WriteString(h, l.Name)
-	var rb [4]byte
-	binary.LittleEndian.PutUint32(rb[:], uint32(l.Rank))
-	h.Write(rb[:])
-	return int(h.Sum32() % uint32(shards))
-}
-
-func (r accessRec) toAccess() Access {
-	names := make([]string, 0, len(r.locks))
-	for n := range r.locks {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+func (a *analyzer) toAccess(r *accessRec) Access {
 	return Access{
 		Rank: r.rank, TID: r.tid, Time: r.time,
-		Op: r.op, Lockset: names, Call: r.call,
+		Op: r.op, Lockset: append([]string{}, a.locksets.names[r.ls]...), Call: r.call,
 		Ix: r.ix, Clock: r.clock,
 	}
 }
@@ -702,23 +715,93 @@ func laneAfter(a, b Access) bool {
 	return a.Ix > b.Ix
 }
 
-func copyLocks(m map[string]struct{}) map[string]struct{} {
-	out := make(map[string]struct{}, len(m))
-	for k := range m {
-		out[k] = struct{}{}
-	}
-	return out
+// lsID names an interned lockset; 0 is the empty set.
+type lsID int32
+
+// locksets interns the sets of held lock names an analysis meets. A
+// thread's set changes one name at a time, so the acquire and release
+// transitions are memoized, as is the disjointness of each id pair:
+// the replay and the scan never build or compare sets per access.
+type locksets struct {
+	names [][]string // sorted lock names per id
+	ids   map[string]lsID
+	moves map[lsMove]lsID
+	disj  map[[2]lsID]bool
 }
 
-func disjoint(a, b map[string]struct{}) bool {
-	small, big := a, b
-	if len(b) < len(a) {
-		small, big = b, a
+type lsMove struct {
+	from    lsID
+	name    string
+	acquire bool
+}
+
+func newLocksets() locksets {
+	return locksets{
+		names: [][]string{nil},
+		ids:   map[string]lsID{"": 0},
+		moves: make(map[lsMove]lsID),
+		disj:  make(map[[2]lsID]bool),
 	}
-	for k := range small {
-		if _, ok := big[k]; ok {
-			return false
+}
+
+// move returns the id of from with name acquired (added) or released
+// (removed).
+func (s *locksets) move(from lsID, name string, acquire bool) lsID {
+	k := lsMove{from, name, acquire}
+	if to, ok := s.moves[k]; ok {
+		return to
+	}
+	cur := s.names[from]
+	i := sort.SearchStrings(cur, name)
+	held := i < len(cur) && cur[i] == name
+	next := cur
+	switch {
+	case acquire && !held:
+		next = append(append(append(make([]string, 0, len(cur)+1), cur[:i]...), name), cur[i:]...)
+	case !acquire && held:
+		next = append(append(make([]string, 0, len(cur)-1), cur[:i]...), cur[i+1:]...)
+	}
+	var key strings.Builder
+	for _, n := range next {
+		key.WriteString(n)
+		key.WriteByte(0)
+	}
+	to, ok := s.ids[key.String()]
+	if !ok {
+		to = lsID(len(s.names))
+		s.ids[key.String()] = to
+		s.names = append(s.names, next)
+	}
+	s.moves[k] = to
+	return to
+}
+
+// disjoint reports whether two locksets share no lock.
+func (s *locksets) disjoint(a, b lsID) bool {
+	if a == 0 || b == 0 {
+		return true
+	}
+	if a == b {
+		return false
+	}
+	if a > b {
+		a, b = b, a
+	}
+	d, ok := s.disj[[2]lsID{a, b}]
+	if !ok {
+		x, y := s.names[a], s.names[b]
+		d = true
+		for i, j := 0, 0; d && i < len(x) && j < len(y); {
+			switch {
+			case x[i] == y[j]:
+				d = false
+			case x[i] < y[j]:
+				i++
+			default:
+				j++
+			}
 		}
+		s.disj[[2]lsID{a, b}] = d
 	}
-	return true
+	return d
 }

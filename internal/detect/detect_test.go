@@ -233,6 +233,22 @@ func TestLockReleaseAcquireCreatesHBEdge(t *testing.T) {
 	}
 }
 
+func TestSameNamedLocksOnTwoRanksDoNotOrder(t *testing.T) {
+	// A lock is named within its rank: rank 1's L and M are not rank
+	// 0's, so the chain p0.t0 -L-> p1.t0 -M-> p0.t1 orders nothing and
+	// the two unlocked writes race.
+	b := &eb{}
+	b.write(0, 0, "v")
+	b.acquire(0, 0, "L").release(0, 0, "L")
+	b.acquire(1, 0, "L").release(1, 0, "L")
+	b.acquire(1, 0, "M").release(1, 0, "M")
+	b.acquire(0, 1, "M").release(0, 1, "M")
+	b.write(0, 1, "v")
+	if rep := analyzeDefault(b); len(rep.Races) != 1 {
+		t.Fatalf("want 1 race on v, got %v", rep.Races)
+	}
+}
+
 func TestIgnoreLocksModelsNaiveTool(t *testing.T) {
 	// With IgnoreLocks (the ITC model), critical-section-protected
 	// accesses are reported as races: the paper's BT-MZ false

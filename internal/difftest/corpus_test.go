@@ -97,8 +97,7 @@ func buildCorpus() ([]cell, error) {
 }
 
 // withGOMAXPROCS runs f as subtests at GOMAXPROCS 1, 2 and 4,
-// mirroring the replay-determinism matrix: equivalence must not
-// depend on how much real parallelism the sharded scan gets.
+// mirroring the replay-determinism matrix.
 func withGOMAXPROCS(t *testing.T, f func(t *testing.T)) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {

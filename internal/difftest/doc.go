@@ -6,17 +6,18 @@
 //   - vclock.Packed (dense slice + FastTrack-style own epoch,
 //     copy-on-write snapshots, O(1) adoption) against the map-backed
 //     vclock.VC reference, on randomized mirrored histories;
-//   - the sharded offline pair-scan in internal/detect against the
-//     serial analysis, byte-for-byte on reports, witnesses, timelines
-//     and stats, over the frozen chaos-soak corpus;
+//   - internal/detect's pair scan, which counts each access's pairs
+//     per epoch class, against the exhaustive per-pair reference scan
+//     (reference_test.go), byte-for-byte on reports, violations,
+//     witnesses, timelines and stats, over the frozen chaos-soak
+//     corpus and randomized or fuzzed traces;
 //   - the v3 binary schedule container against the JSONL container,
 //     via lossless v2→v3→v2 transcode identity, plus salvage and
 //     typed-error behaviour on truncated or corrupt streams.
 //
-// The equivalence tests run under a GOMAXPROCS 1/2/4 matrix (CI runs
-// the package with -race), so scheduling of the sharded scan cannot
-// hide behind a single host configuration. The corpus is built once
-// per test binary: the chaos-soak recipe of docs/ROBUSTNESS.md (per
+// The clock equivalence test runs under a GOMAXPROCS 1/2/4 matrix,
+// and CI runs the package with -race. The corpus is built once per
+// test binary: the chaos-soak recipe of docs/ROBUSTNESS.md (per
 // fault kind one unperturbed baseline, eight legal-perturbation
 // plans, two crash-stop plans) plus the explorer acceptance cell,
 // each run retaining its event log and realized schedule.
