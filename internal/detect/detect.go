@@ -25,18 +25,18 @@
 // serialize the accesses (the property the paper contrasts with
 // Marmot).
 //
-// Analysis runs in two phases. The replay walks the log once, in
-// order, building the happens-before relation and retaining each
-// access with an O(1) clock snapshot and an interned lockset id. The
-// pair scan then checks each access against its location's bounded
-// history window. It groups the window by epoch class (thread, access
-// kind, lockset): a thread's own clock component never decreases, so
-// within a class the accesses not ordered before a later access are a
-// suffix, found by one binary search, and the lockset test is one
-// cached lookup per class. A saturated window is thus counted rather
-// than re-walked; only an access with a reportable pair, while its
-// location is still under MaxRacesPerLoc, walks the window pair by pair
-// to emit races.
+// Analysis is one pass over the log, in order. The replay builds the
+// happens-before relation, and each access is checked on arrival,
+// against its thread's live clock, with the location's history window:
+// the location's first MaxHistoryPerLoc accesses, the only ones kept.
+// The window is grouped by epoch class (thread, access kind, interned
+// lockset): a thread's own clock component never decreases, so within
+// a class the accesses not ordered before a later access are a suffix,
+// found by one binary search, and the lockset test is one cached lookup
+// per class. A saturated window is thus counted rather than re-walked;
+// only an access with a reportable pair, while its location is still
+// under MaxRacesPerLoc, walks the window pair by pair to emit races.
+// An access past the window is counted and dropped.
 package detect
 
 import (
@@ -104,7 +104,7 @@ type Options struct {
 	// Explain captures the full vector clock observed at each access of
 	// a reported race (not just the epoch), the witness material
 	// package explain extracts the concurrency certificate from. Costs
-	// one clock copy per monitored access.
+	// one clock copy per access kept in a history window or reported.
 	Explain bool
 }
 
@@ -193,23 +193,32 @@ func (r *Report) RacesOn(rank int, name string) []Race {
 // threadState is the replay state of one logical thread.
 type threadState struct {
 	clock *vclock.Packed
-	ls    lsID // locks held
+	ls    lsID   // locks held
+	ix    uint64 // the lane index the thread's next event gets
 }
 
-// accessRec is a retained access with its analysis snapshots.
+// accessRec is an access as the pair checks see it.
 type accessRec struct {
-	gid    vclock.TID
-	rank   int
-	tid    int
-	time   int64
-	op     trace.Op
-	eslot  vclock.Slot // last-write epoch: accessor's slot ...
-	ev     uint64      // ... and component, pre-tick (FastTrack)
-	ls     lsID        // locks held
-	call   *trace.MPICall
-	pclock *vclock.Packed // O(1) clock snapshot for the pair scan
-	ix     uint64         // per-lane event index
-	clock  vclock.VC      // full clock snapshot (Explain only)
+	gid   vclock.TID
+	rank  int
+	tid   int
+	time  int64
+	op    trace.Op
+	eslot vclock.Slot // last-write epoch: accessor's slot ...
+	ev    uint64      // ... and component, pre-tick (FastTrack)
+	ls    lsID        // locks held
+	call  *trace.MPICall
+	ix    uint64    // per-lane event index
+	clock vclock.VC // full clock snapshot (Explain only)
+}
+
+// locState is the detector state of one location: its history window
+// (the first MaxHistoryPerLoc accesses), the window's epoch classes,
+// and the races reported so far in arrival order.
+type locState struct {
+	window  []accessRec
+	classes []epochClass
+	races   []Race
 }
 
 // analyzer carries the replay state.
@@ -229,18 +238,10 @@ type analyzer struct {
 	// within its rank, so same-named locks of two ranks never hand off
 	lockClocks map[trace.LockID]*vclock.Packed
 	locksets   locksets
-	// per-location access history: every arrival is retained, and the
-	// MaxHistoryPerLoc bound is applied during the scan phase
-	history map[trace.Loc][]accessRec
-	races   map[trace.Loc][]Race
-	// per-lane event counters: the next index each (rank, tid) lane
-	// will stamp on an event
-	laneIx map[vclock.TID]uint64
-	// the epoch classes of the location being scanned, reused across
-	// locations so the scan allocates only when a window outgrows it
-	classes []epochClass
+	locs       map[trace.Loc]*locState
 
-	st analyzerStats
+	tally pairTally
+	st    analyzerStats
 }
 
 // analyzerStats caches the analysis's observability handles (all nil
@@ -259,7 +260,7 @@ type analyzer struct {
 //	detect.confirmed_races    pairs the configured mode reported
 //
 // The four pair counters count access pairs, as a pair-by-pair scan
-// would, but the scan adds them per epoch class: one binary search
+// would, but the detector adds them per epoch class: one binary search
 // decides the epoch test for every pair a class forms with an access.
 // vc_comparisons thus cost O(1) each or less; vc_joins are the
 // O(width) operations — the detector's true vector-clock hot path,
@@ -311,18 +312,18 @@ func newAnalyzer(opts Options) *analyzer {
 		barrierMerge:   make(map[trace.SyncID]*vclock.Packed),
 		lockClocks:     make(map[trace.LockID]*vclock.Packed),
 		locksets:       newLocksets(),
-		history:        make(map[trace.Loc][]accessRec),
-		races:          make(map[trace.Loc][]Race),
-		laneIx:         make(map[vclock.TID]uint64),
+		locs:           make(map[trace.Loc]*locState),
 	}
 }
 
 // report assembles the current races with a stable order.
 func (a *analyzer) report() *Report {
 	rep := &Report{Mode: a.opts.Mode}
-	locs := make([]trace.Loc, 0, len(a.races))
-	for l := range a.races {
-		locs = append(locs, l)
+	var locs []trace.Loc
+	for l, ls := range a.locs {
+		if len(ls.races) > 0 {
+			locs = append(locs, l)
+		}
 	}
 	sort.Slice(locs, func(i, j int) bool {
 		if locs[i].Rank != locs[j].Rank {
@@ -334,7 +335,7 @@ func (a *analyzer) report() *Report {
 		// Arrival order within a location depends on how the host
 		// interleaved the threads; sort by the canonical pair
 		// coordinates so reports are stable.
-		races := a.races[l]
+		races := a.locs[l].races
 		sort.Slice(races, func(i, j int) bool {
 			if !accessEq(races[i].First, races[j].First) {
 				return laneAfter(races[j].First, races[i].First)
@@ -374,7 +375,7 @@ func Analyze(events []trace.Event, opts Options) *Report {
 	for _, e := range events {
 		a.step(e)
 	}
-	a.scanAll()
+	a.tally.add(&a.st)
 
 	rep := a.report()
 	rep.EventsAnalyzed = len(events)
@@ -397,8 +398,8 @@ func (a *analyzer) thread(rank, tid int) (*threadState, vclock.TID) {
 func (a *analyzer) step(e trace.Event) {
 	a.st.events.Inc()
 	st, gid := a.thread(e.Rank, e.TID)
-	ix := a.laneIx[gid]
-	a.laneIx[gid] = ix + 1
+	ix := st.ix
+	st.ix++
 	switch e.Op {
 	case trace.OpFork:
 		a.forkClocks[e.Sync] = st.clock.Publish()
@@ -499,30 +500,44 @@ func (a *analyzer) barrier(s trace.SyncID, gid vclock.TID, st *threadState) {
 	}
 }
 
-// access records the access in its location's history with an O(1)
-// clock snapshot; the pair checks run in the scan phase.
+// access checks an arriving access against its location's history
+// window and, while the window has room, enters it. The thread's live
+// clock is exactly the clock the access observed: nothing happens
+// between the access and its check.
 func (a *analyzer) access(e trace.Event, st *threadState, gid vclock.TID, ix uint64) {
-	rec := accessRec{
-		gid:    gid,
-		rank:   e.Rank,
-		tid:    e.TID,
-		time:   e.Time,
-		op:     e.Op,
-		eslot:  st.clock.OwnSlot(),
-		ev:     st.clock.OwnV(),
-		ls:     st.ls,
-		call:   e.Call,
-		pclock: st.clock.Snapshot(),
-		ix:     ix,
+	a.st.locksetSize.Observe(int64(len(a.locksets.names[st.ls])))
+	l := a.locs[e.Loc]
+	if l == nil {
+		l = &locState{}
+		a.locs[e.Loc] = l
 	}
-	if a.opts.Explain {
+	rec := accessRec{
+		gid:   gid,
+		rank:  e.Rank,
+		tid:   e.TID,
+		time:  e.Time,
+		op:    e.Op,
+		eslot: st.clock.OwnSlot(),
+		ev:    st.clock.OwnV(),
+		ls:    st.ls,
+		call:  e.Call,
+		ix:    ix,
+	}
+	emit := a.countPairs(l, &rec, st.clock) && len(l.races) < a.opts.MaxRacesPerLoc
+	keep := len(l.window) < a.opts.MaxHistoryPerLoc
+	if a.opts.Explain && (emit || keep) {
 		rec.clock = st.clock.ToVC()
 	}
-	a.st.locksetSize.Observe(int64(len(a.locksets.names[st.ls])))
-	a.history[e.Loc] = append(a.history[e.Loc], rec)
+	if emit {
+		a.reportPairs(e.Loc, l, &rec, st.clock)
+	}
+	if keep {
+		l.window = append(l.window, rec)
+		l.addToClass(&rec)
+	}
 }
 
-// pairTally accumulates the pair-scan counters locally; they reach the
+// pairTally accumulates the pair counters locally; they reach the
 // registry once per analysis.
 type pairTally struct {
 	vcCompares, lsCandid, hbCandid, confirmed int64
@@ -547,70 +562,36 @@ type epochClass struct {
 	evs   []uint64
 }
 
-// scanAll runs the pair-checking phase over every location.
-func (a *analyzer) scanAll() {
-	var tally pairTally
-	for l, hist := range a.history {
-		if races := a.scanLoc(l, hist, &tally); len(races) > 0 {
-			a.races[l] = races
-		}
-	}
-	tally.add(&a.st)
-}
-
-// scanLoc checks every access pair of one location: the j-th arrival
-// against the first min(j, MaxHistoryPerLoc) arrivals. The pair
-// counters come from the window's epoch classes; the window is walked
-// pair by pair, in arrival order, only to emit the races of an access
-// that has a reportable pair while the location is under the cap.
-func (a *analyzer) scanLoc(loc trace.Loc, hist []accessRec, tally *pairTally) []Race {
-	a.classes = a.classes[:0]
-	var races []Race
-	for j := 1; j < len(hist); j++ {
-		if j <= a.opts.MaxHistoryPerLoc {
-			a.addToClass(&hist[j-1])
-		}
-		if a.countPairs(&hist[j], tally) && len(races) < a.opts.MaxRacesPerLoc {
-			races = a.reportPairs(loc, hist[:min(j, a.opts.MaxHistoryPerLoc)], &hist[j], races)
-		}
-	}
-	return races
-}
-
-// addToClass enters a record into the history window's epoch classes.
-func (a *analyzer) addToClass(r *accessRec) {
+// addToClass enters a record into the window's epoch classes.
+func (l *locState) addToClass(r *accessRec) {
 	write := r.op == trace.OpWrite
-	for i := range a.classes {
-		c := &a.classes[i]
+	for i := range l.classes {
+		c := &l.classes[i]
 		if c.gid == r.gid && c.write == write && c.ls == r.ls {
 			c.evs = append(c.evs, r.ev)
 			return
 		}
 	}
-	if len(a.classes) < cap(a.classes) {
-		a.classes = a.classes[:len(a.classes)+1]
-	} else {
-		a.classes = append(a.classes, epochClass{})
-	}
-	c := &a.classes[len(a.classes)-1]
-	c.gid, c.slot, c.write, c.ls = r.gid, r.eslot, write, r.ls
-	c.evs = append(c.evs[:0], r.ev)
+	l.classes = append(l.classes, epochClass{
+		gid: r.gid, slot: r.eslot, write: write, ls: r.ls, evs: []uint64{r.ev},
+	})
 }
 
-// countPairs tallies the pairs rec forms with the history window and
-// reports whether the configured mode reports any of them. Per class,
-// the lockset verdict is shared by every pair, and the pairs not
-// ordered before rec are those whose epoch rec's clock has not
-// observed — a suffix of the sorted epochs.
-func (a *analyzer) countPairs(rec *accessRec, tally *pairTally) (reportable bool) {
+// countPairs tallies the pairs rec, observing clock, forms with the
+// location's history window and reports whether the configured mode
+// reports any of them. Per class, the lockset verdict is shared by
+// every pair, and the pairs not ordered before rec are those whose
+// epoch the clock has not observed — a suffix of the sorted epochs.
+func (a *analyzer) countPairs(l *locState, rec *accessRec, clock *vclock.Packed) (reportable bool) {
 	write := rec.op == trace.OpWrite
-	for i := range a.classes {
-		c := &a.classes[i]
+	tally := &a.tally
+	for i := range l.classes {
+		c := &l.classes[i]
 		if c.gid == rec.gid || (!c.write && !write) {
 			continue
 		}
 		n := int64(len(c.evs))
-		hb := n - int64(upperBound(c.evs, rec.pclock.AtSlot(c.slot)))
+		hb := n - int64(upperBound(c.evs, clock.AtSlot(c.slot)))
 		ls := a.locksets.disjoint(c.ls, rec.ls)
 		tally.vcCompares += n
 		tally.hbCandid += hb
@@ -658,14 +639,15 @@ func upperBound(evs []uint64, seen uint64) int {
 	return lo
 }
 
-// reportPairs walks the window in arrival order and appends the races
-// rec forms with it until the location reaches MaxRacesPerLoc.
-func (a *analyzer) reportPairs(loc trace.Loc, window []accessRec, rec *accessRec, races []Race) []Race {
-	for i := range window {
-		if len(races) >= a.opts.MaxRacesPerLoc {
+// reportPairs walks the location's history window in arrival order
+// and appends the races rec, observing clock, forms with it until the
+// location reaches MaxRacesPerLoc.
+func (a *analyzer) reportPairs(loc trace.Loc, l *locState, rec *accessRec, clock *vclock.Packed) {
+	for i := range l.window {
+		if len(l.races) >= a.opts.MaxRacesPerLoc {
 			break
 		}
-		prev := &window[i]
+		prev := &l.window[i]
 		if prev.gid == rec.gid || (prev.op != trace.OpWrite && rec.op != trace.OpWrite) {
 			continue
 		}
@@ -673,7 +655,7 @@ func (a *analyzer) reportPairs(loc trace.Loc, window []accessRec, rec *accessRec
 		// prev happened earlier in the log; it is ordered before the
 		// current access iff its epoch has been observed by the
 		// current thread's clock (FastTrack's epoch test).
-		hbRace := prev.ev > rec.pclock.AtSlot(prev.eslot)
+		hbRace := prev.ev > clock.AtSlot(prev.eslot)
 		if !a.reports(lsRace, hbRace) {
 			continue
 		}
@@ -684,7 +666,7 @@ func (a *analyzer) reportPairs(loc trace.Loc, window []accessRec, rec *accessRec
 		if laneAfter(first, second) {
 			first, second = second, first
 		}
-		races = append(races, Race{
+		l.races = append(l.races, Race{
 			Loc:         loc,
 			First:       first,
 			Second:      second,
@@ -692,7 +674,6 @@ func (a *analyzer) reportPairs(loc trace.Loc, window []accessRec, rec *accessRec
 			HBRace:      hbRace,
 		})
 	}
-	return races
 }
 
 func (a *analyzer) toAccess(r *accessRec) Access {
@@ -721,7 +702,7 @@ type lsID int32
 // locksets interns the sets of held lock names an analysis meets. A
 // thread's set changes one name at a time, so the acquire and release
 // transitions are memoized, as is the disjointness of each id pair:
-// the replay and the scan never build or compare sets per access.
+// the replay and the pair checks never build or compare sets per access.
 type locksets struct {
 	names [][]string // sorted lock names per id
 	ids   map[string]lsID

@@ -308,6 +308,33 @@ func TestRaceCapRespected(t *testing.T) {
 	}
 }
 
+// TestAnalyzeAllocsIndependentOfLogLength pins the retention bound:
+// an access past its location's history window is counted and
+// dropped, so doubling the log does not change what Analyze allocates.
+func TestAnalyzeAllocsIndependentOfLogLength(t *testing.T) {
+	logOf := func(n int) []trace.Event {
+		b := &eb{}
+		s := b.newSync(0)
+		b.op(0, 0, trace.OpFork, s)
+		b.op(0, 1, trace.OpBegin, s)
+		for i := 0; i < n/2; i++ {
+			b.write(0, 0, "x")
+			b.read(0, 1, "x")
+		}
+		return b.events
+	}
+	short, long := logOf(10000), logOf(20000)
+	for _, explain := range []bool{false, true} {
+		opts := Options{Mode: ModeCombined, MaxHistoryPerLoc: 8, Explain: explain}
+		allocs := func(events []trace.Event) float64 {
+			return testing.AllocsPerRun(5, func() { Analyze(events, opts) })
+		}
+		if a, b := allocs(short), allocs(long); a != b {
+			t.Errorf("Explain=%v: %v allocs for 10k accesses, %v for 20k", explain, a, b)
+		}
+	}
+}
+
 func TestHappensBeforeOnlyMissesUnmanifestedScheduleRace(t *testing.T) {
 	// The paper's Marmot critique: a race serialized by the observed
 	// schedule's lock edge is invisible to HB-only analysis but caught

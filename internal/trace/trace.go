@@ -273,10 +273,22 @@ type Sink interface {
 // Log is an append-only, thread-safe event log assigning global
 // sequence numbers. The sequence order is the observed interleaving the
 // dynamic analyses run over.
+//
+// Events are stored in chunks that are filled once and never copied or
+// regrown: capacity starts at firstChunk events, so a short run's log
+// stays small, and doubles up to maxChunk, so a long run's log costs
+// one allocation per maxChunk events.
 type Log struct {
 	mu     sync.Mutex
-	events []Event
+	chunks [][]Event
+	n      uint64
 }
+
+// Chunk capacities of a Log, in events.
+const (
+	firstChunk = 64
+	maxChunk   = 4096
+)
 
 // NewLog returns an empty log.
 func NewLog() *Log { return &Log{} }
@@ -284,8 +296,18 @@ func NewLog() *Log { return &Log{} }
 // Emit appends the event, stamping its sequence number.
 func (l *Log) Emit(e Event) {
 	l.mu.Lock()
-	e.Seq = uint64(len(l.events))
-	l.events = append(l.events, e)
+	e.Seq = l.n
+	l.n++
+	last := len(l.chunks) - 1
+	if last < 0 || len(l.chunks[last]) == cap(l.chunks[last]) {
+		size := firstChunk
+		if last >= 0 {
+			size = min(2*cap(l.chunks[last]), maxChunk)
+		}
+		l.chunks = append(l.chunks, make([]Event, 0, size))
+		last++
+	}
+	l.chunks[last] = append(l.chunks[last], e)
 	l.mu.Unlock()
 }
 
@@ -293,8 +315,10 @@ func (l *Log) Emit(e Event) {
 func (l *Log) Events() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
+	out := make([]Event, 0, l.n)
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
 	return out
 }
 
@@ -302,7 +326,7 @@ func (l *Log) Events() []Event {
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.events)
+	return int(l.n)
 }
 
 // Calls extracts the MPI call records in sequence order.
@@ -315,27 +339,6 @@ func (l *Log) Calls() []Event {
 		}
 	}
 	return out
-}
-
-// CountSink counts events without retaining them; used by baseline
-// overhead models that charge per event but do not need the contents.
-type CountSink struct {
-	mu sync.Mutex
-	n  uint64
-}
-
-// Emit increments the count.
-func (s *CountSink) Emit(Event) {
-	s.mu.Lock()
-	s.n++
-	s.mu.Unlock()
-}
-
-// Count returns the number of events observed.
-func (s *CountSink) Count() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
 }
 
 // TeeSink duplicates events to multiple sinks.

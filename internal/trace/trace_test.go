@@ -26,7 +26,9 @@ func TestLogAssignsSequenceNumbers(t *testing.T) {
 func TestLogConcurrentEmitters(t *testing.T) {
 	l := NewLog()
 	var wg sync.WaitGroup
-	const n = 50
+	// 8×1200 events fill every growing chunk and a full maxChunk one,
+	// then roll over to the next.
+	const n = 1200
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -50,6 +52,29 @@ func TestLogConcurrentEmitters(t *testing.T) {
 	}
 }
 
+func TestLogChunkBoundaries(t *testing.T) {
+	for _, n := range []int{1, firstChunk - 1, firstChunk, firstChunk + 1, maxChunk, 20011} {
+		l := NewLog()
+		for i := 0; i < n; i++ {
+			l.Emit(Event{Op: OpWrite, Time: int64(i)})
+		}
+		evs := l.Events()
+		if len(evs) != n || l.Len() != n {
+			t.Fatalf("n=%d: Events() has %d, Len() = %d", n, len(evs), l.Len())
+		}
+		for i, e := range evs {
+			if e.Seq != uint64(i) || e.Time != int64(i) {
+				t.Fatalf("n=%d: event %d has seq %d, time %d", n, i, e.Seq, e.Time)
+			}
+		}
+		evs[0].Time, evs[n-1].Time = -1, -1
+		again := l.Events()
+		if again[0].Time != 0 || again[n-1].Time != int64(n-1) {
+			t.Fatalf("n=%d: changing the returned slice changed the log", n)
+		}
+	}
+}
+
 func TestLogEventsIsSnapshot(t *testing.T) {
 	l := NewLog()
 	l.Emit(Event{Op: OpRead})
@@ -69,24 +94,6 @@ func TestLogCallsFiltersRecords(t *testing.T) {
 	calls := l.Calls()
 	if len(calls) != 2 || calls[0].Call.Kind != CallSend || calls[1].Call.Kind != CallRecv {
 		t.Fatalf("calls = %v", calls)
-	}
-}
-
-func TestCountSink(t *testing.T) {
-	var s CountSink
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				s.Emit(Event{})
-			}
-		}()
-	}
-	wg.Wait()
-	if s.Count() != 400 {
-		t.Fatalf("count = %d", s.Count())
 	}
 }
 
@@ -167,4 +174,16 @@ func TestStringers(t *testing.T) {
 	_ = Op(99).String()
 	_ = CallKind(99).String()
 	_ = fmt.Sprint(events)
+}
+
+// BenchmarkLogEmit fills one 100,000-event log per op.
+func BenchmarkLogEmit(b *testing.B) {
+	call := &MPICall{Kind: CallSend}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l := NewLog()
+		for j := 0; j < 100000; j++ {
+			l.Emit(Event{Op: OpMPICall, Rank: j & 7, Call: call})
+		}
+	}
 }
