@@ -62,13 +62,13 @@ func (tc *threadCtx) assignArg(c *minic.Call, i int, v Value) error {
 	}
 	switch lhs := c.Args[i].(type) {
 	case *minic.Ident:
-		if cell := tc.env.lookup(lhs.Name); cell != nil {
+		if cell := tc.cell(lhs.Ref); cell != nil {
 			tc.monitorAccess(trace.OpWrite, lhs.Name)
 			cell.store(v)
 		}
 		return nil
 	case *minic.Index:
-		_, err := tc.evalAssign(&minic.Assign{Line: c.Line, Op: minic.TAssign, LHS: lhs, RHS: &minic.NumberLit{Line: c.Line, Value: v.Num, IsInt: !v.IsFloat}})
+		_, err := tc.assign(c.Line, minic.TAssign, lhs, v)
 		return err
 	}
 	return nil
@@ -120,7 +120,7 @@ func (tc *threadCtx) bufferArg(c *minic.Call, i int) (*buffer, error) {
 	}
 	switch a := c.Args[i].(type) {
 	case *minic.Ident:
-		cl := tc.env.lookup(a.Name)
+		cl := tc.cell(a.Ref)
 		if cl == nil {
 			return nil, runtimeError(a.Line, "undefined variable %q", a.Name)
 		}
@@ -163,7 +163,7 @@ func (tc *threadCtx) requestArg(c *minic.Call, i int) (*cell, *mpi.Request, erro
 	if !ok {
 		return nil, nil, runtimeError(c.Line, "%s: request argument must be a variable", c.Name)
 	}
-	cl := tc.env.lookup(id.Name)
+	cl := tc.cell(id.Ref)
 	if cl == nil {
 		return nil, nil, runtimeError(c.Line, "undefined request variable %q", id.Name)
 	}

@@ -28,7 +28,7 @@ func (tc *threadCtx) evalExpr(e minic.Expr) (Value, error) {
 		return Value{}, runtimeError(v.Line, "string literals are only allowed as printf formats")
 
 	case *minic.Ident:
-		if c := tc.env.lookup(v.Name); c != nil {
+		if c := tc.cell(v.Ref); c != nil {
 			tc.monitorAccess(trace.OpRead, v.Name)
 			return c.load(), nil
 		}
@@ -74,15 +74,18 @@ func (tc *threadCtx) evalExpr(e minic.Expr) (Value, error) {
 		return tc.evalBinary(v)
 
 	case *minic.Assign:
-		return tc.evalAssign(v)
+		rhs, err := tc.evalExpr(v.RHS)
+		if err != nil {
+			return Value{}, err
+		}
+		return tc.assign(v.Line, v.Op, v.LHS, rhs)
 
 	case *minic.IncDec:
-		one := &minic.NumberLit{Line: v.Line, Value: 1, IsInt: true}
 		op := minic.TPlusEq
 		if v.Op == minic.TMinusMinus {
 			op = minic.TMinusEq
 		}
-		return tc.evalAssign(&minic.Assign{Line: v.Line, Op: op, LHS: v.LHS, RHS: one})
+		return tc.assign(v.Line, op, v.LHS, intVal(1))
 
 	case *minic.Call:
 		return tc.evalCall(v)
@@ -93,7 +96,7 @@ func (tc *threadCtx) evalExpr(e minic.Expr) (Value, error) {
 // arrayOf resolves an identifier to its array storage and the shared
 // element lock.
 func (tc *threadCtx) arrayOf(id *minic.Ident) ([]float64, *sync.Mutex, error) {
-	c := tc.env.lookup(id.Name)
+	c := tc.cell(id.Ref)
 	if c == nil {
 		return nil, nil, runtimeError(id.Line, "undefined array %q", id.Name)
 	}
@@ -132,10 +135,10 @@ func (tc *threadCtx) evalBinary(v *minic.Binary) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	return applyBinary(v, x, y)
+	return applyBinary(v.Line, v.Op, x, y)
 }
 
-func applyBinary(v *minic.Binary, x, y Value) (Value, error) {
+func applyBinary(line int, op minic.Kind, x, y Value) (Value, error) {
 	isFloat := x.IsFloat || y.IsFloat
 	num := func(n float64) Value {
 		if isFloat {
@@ -143,7 +146,7 @@ func applyBinary(v *minic.Binary, x, y Value) (Value, error) {
 		}
 		return intVal(n)
 	}
-	switch v.Op {
+	switch op {
 	case minic.TPlus:
 		return num(x.Num + y.Num), nil
 	case minic.TMinus:
@@ -152,7 +155,7 @@ func applyBinary(v *minic.Binary, x, y Value) (Value, error) {
 		return num(x.Num * y.Num), nil
 	case minic.TSlash:
 		if y.Num == 0 {
-			return Value{}, runtimeError(v.Line, "division by zero")
+			return Value{}, runtimeError(line, "division by zero")
 		}
 		if !isFloat {
 			return intVal(float64(int64(x.Num) / int64(y.Num))), nil
@@ -160,7 +163,7 @@ func applyBinary(v *minic.Binary, x, y Value) (Value, error) {
 		return floatVal(x.Num / y.Num), nil
 	case minic.TPercent:
 		if int64(y.Num) == 0 {
-			return Value{}, runtimeError(v.Line, "modulo by zero")
+			return Value{}, runtimeError(line, "modulo by zero")
 		}
 		return intVal(float64(int64(x.Num) % int64(y.Num))), nil
 	case minic.TEq:
@@ -176,45 +179,39 @@ func applyBinary(v *minic.Binary, x, y Value) (Value, error) {
 	case minic.TGe:
 		return boolVal(x.Num >= y.Num), nil
 	}
-	return Value{}, runtimeError(v.Line, "unsupported binary operator")
+	return Value{}, runtimeError(line, "unsupported binary operator")
 }
 
-// evalAssign handles =, +=, -=, *=, /= on scalars and array elements.
-func (tc *threadCtx) evalAssign(v *minic.Assign) (Value, error) {
-	rhs, err := tc.evalExpr(v.RHS)
-	if err != nil {
-		return Value{}, err
+// compound applies the operator of a compound assignment (+=, -=, *=,
+// /=) to a variable's old value.
+func compound(line int, op minic.Kind, old, rhs Value) (Value, error) {
+	switch op {
+	case minic.TPlusEq:
+		return applyBinary(line, minic.TPlus, old, rhs)
+	case minic.TMinusEq:
+		return applyBinary(line, minic.TMinus, old, rhs)
+	case minic.TStarEq:
+		return applyBinary(line, minic.TStar, old, rhs)
+	case minic.TSlashEq:
+		return applyBinary(line, minic.TSlash, old, rhs)
 	}
-	combine := func(old Value) (Value, error) {
-		switch v.Op {
-		case minic.TAssign:
-			return rhs, nil
-		case minic.TPlusEq:
-			return applyBinary(&minic.Binary{Line: v.Line, Op: minic.TPlus}, old, rhs)
-		case minic.TMinusEq:
-			return applyBinary(&minic.Binary{Line: v.Line, Op: minic.TMinus}, old, rhs)
-		case minic.TStarEq:
-			return applyBinary(&minic.Binary{Line: v.Line, Op: minic.TStar}, old, rhs)
-		case minic.TSlashEq:
-			return applyBinary(&minic.Binary{Line: v.Line, Op: minic.TSlash}, old, rhs)
-		}
-		return Value{}, runtimeError(v.Line, "unsupported assignment operator")
-	}
+	return Value{}, runtimeError(line, "unsupported assignment operator")
+}
 
-	switch lhs := v.LHS.(type) {
+// assign stores rhs through lhs (a variable or an array element) with
+// op being =, +=, -=, *= or /=, and returns the stored value.
+func (tc *threadCtx) assign(line int, op minic.Kind, lhs minic.Expr, rhs Value) (Value, error) {
+	switch lhs := lhs.(type) {
 	case *minic.Ident:
-		c := tc.env.lookup(lhs.Name)
+		c := tc.cell(lhs.Ref)
 		if c == nil {
 			return Value{}, runtimeError(lhs.Line, "undefined variable %q", lhs.Name)
 		}
-		var nv Value
-		if v.Op == minic.TAssign {
-			nv = rhs
-		} else {
+		nv := rhs
+		if op != minic.TAssign {
 			tc.monitorAccess(trace.OpRead, lhs.Name)
-			old := c.load()
-			nv, err = combine(old)
-			if err != nil {
+			var err error
+			if nv, err = compound(line, op, c.load(), rhs); err != nil {
 				return Value{}, err
 			}
 		}
@@ -235,16 +232,13 @@ func (tc *threadCtx) evalAssign(v *minic.Assign) (Value, error) {
 		if i < 0 || i >= len(arr) {
 			return Value{}, runtimeError(lhs.Line, "index %d out of range for %s[%d]", i, lhs.Arr.Name, len(arr))
 		}
-		var nv Value
-		if v.Op == minic.TAssign {
-			nv = rhs
-		} else {
+		nv := rhs
+		if op != minic.TAssign {
 			tc.monitorAccess(trace.OpRead, lhs.Arr.Name)
 			mu.Lock()
 			old := floatVal(arr[i])
 			mu.Unlock()
-			nv, err = combine(old)
-			if err != nil {
+			if nv, err = compound(line, op, old, rhs); err != nil {
 				return Value{}, err
 			}
 		}
@@ -254,5 +248,5 @@ func (tc *threadCtx) evalAssign(v *minic.Assign) (Value, error) {
 		mu.Unlock()
 		return floatVal(nv.Num), nil
 	}
-	return Value{}, runtimeError(v.Line, "assignment target must be a variable or array element")
+	return Value{}, runtimeError(line, "assignment target must be a variable or array element")
 }

@@ -163,7 +163,7 @@ type Instance struct {
 	proc    *mpi.Proc
 	rt      *omp.Runtime
 	world   *mpi.World
-	globals *env
+	globals []*cell // by global slot (minic.Ref.Global)
 	out     *output
 	steps   *int64 // shared across ranks: global budget
 	maxStep int64
@@ -235,7 +235,7 @@ func Run(prog *minic.Program, conf Config) *Result {
 			proc:    p,
 			rt:      omp.NewRuntime(p.Rank(), world.Activity()),
 			world:   world,
-			globals: newEnv(nil),
+			globals: make([]*cell, prog.NumGlobals),
 			out:     out,
 			steps:   &steps,
 			maxStep: conf.MaxSteps,
@@ -244,7 +244,7 @@ func Run(prog *minic.Program, conf Config) *Result {
 		in.rt.SetNumThreads(conf.Threads)
 		in.rt.SetStats(conf.Stats)
 		in.rt.SetChaos(world.Chaos())
-		tc := &threadCtx{in: in, ctx: ctx, env: in.globals}
+		tc := &threadCtx{in: in, ctx: ctx}
 		// Evaluate globals per process (each rank has its own memory).
 		for _, g := range prog.Globals {
 			if _, err := tc.execStmt(g); err != nil {
@@ -277,7 +277,10 @@ type threadCtx struct {
 	in     *Instance
 	ctx    *sim.Ctx
 	member *omp.Member // nil outside parallel regions
-	env    *env
+	// frame holds the current function call's variables by slot
+	// (minic.Ref). A parallel team member runs on a copy whose shared
+	// slots point at the same cells.
+	frame  []*cell
 	status mpi.Status // last MPI status (per thread, like thread-local storage)
 	ret    Value      // value carried by ctrlReturn
 }
@@ -292,11 +295,25 @@ const (
 	ctrlReturn
 )
 
-// child builds a scope-nested context on the same thread.
-func (tc *threadCtx) child() *threadCtx {
-	cp := *tc
-	cp.env = newEnv(tc.env)
-	return &cp
+// cell returns the variable r names, or nil for an unbound name or a
+// variable whose declaration has not run yet.
+func (tc *threadCtx) cell(r minic.Ref) *cell {
+	switch {
+	case r.Global:
+		return tc.in.globals[r.Slot]
+	case r.Slot < 0:
+		return nil
+	}
+	return tc.frame[r.Slot]
+}
+
+// bind makes r name c.
+func (tc *threadCtx) bind(r minic.Ref, c *cell) {
+	if r.Global {
+		tc.in.globals[r.Slot] = c
+		return
+	}
+	tc.frame[r.Slot] = c
 }
 
 // bumpStep enforces the global statement budget and charges the
@@ -343,25 +360,27 @@ func (tc *threadCtx) callFunction(fn *minic.FuncDecl, args []Value, line int) (V
 	if len(args) != len(fn.Params) {
 		return Value{}, runtimeError(line, "%s expects %d arguments, got %d", fn.Name, len(fn.Params), len(args))
 	}
-	fe := &threadCtx{in: tc.in, ctx: tc.ctx, member: tc.member, status: tc.status, env: newEnv(tc.in.globals)}
+	frame := make([]*cell, fn.Frame)
 	for i, p := range fn.Params {
 		v := args[i]
 		if p.IsArray {
 			if v.Arr == nil {
 				return Value{}, runtimeError(line, "argument %d of %s must be an array", i+1, fn.Name)
 			}
-			fe.env.declare(p.Name, true, true, v)
+			frame[i] = newCell(true, true, v)
 			continue
 		}
-		fe.env.declare(p.Name, p.Type == minic.TypeDouble, false, v)
+		frame[i] = newCell(p.Type == minic.TypeDouble, false, v)
 	}
-	c, err := fe.execStmt(fn.Body)
-	tc.status = fe.status
+	caller := tc.frame
+	tc.frame = frame
+	c, err := tc.execStmt(fn.Body)
+	tc.frame = caller
 	if err != nil {
 		return Value{}, err
 	}
 	if c == ctrlReturn {
-		return fe.ret, nil
+		return tc.ret, nil
 	}
 	return intVal(0), nil
 }
@@ -373,11 +392,8 @@ func (tc *threadCtx) execStmt(s minic.Stmt) (ctrl, error) {
 	}
 	switch v := s.(type) {
 	case *minic.Block:
-		bc := tc.child()
 		for _, inner := range v.Stmts {
-			c, err := bc.execStmt(inner)
-			tc.status = bc.status
-			tc.ret = bc.ret
+			c, err := tc.execStmt(inner)
 			if err != nil || c != ctrlNone {
 				return c, err
 			}
@@ -474,7 +490,7 @@ func (tc *threadCtx) declare(ds *minic.DeclStmt, d minic.Declarator) error {
 		if n < 0 || n > limit {
 			return runtimeError(ds.Line, "bad array size %d for %s", n, d.Name)
 		}
-		tc.env.declare(d.Name, isFloat, true, Value{Arr: make([]float64, n), ArrMu: &sync.Mutex{}})
+		tc.bind(d.Ref, newCell(isFloat, true, Value{Arr: make([]float64, n), ArrMu: &sync.Mutex{}}))
 		return nil
 	}
 	init := Value{}
@@ -485,21 +501,20 @@ func (tc *threadCtx) declare(ds *minic.DeclStmt, d minic.Declarator) error {
 		}
 		init = v
 	}
-	tc.env.declare(d.Name, isFloat, false, init)
+	tc.bind(d.Ref, newCell(isFloat, false, init))
 	return nil
 }
 
 // execFor runs a sequential for loop.
 func (tc *threadCtx) execFor(v *minic.ForStmt) (ctrl, error) {
-	lc := tc.child() // loop scope for the init declaration
 	if v.Init != nil {
-		if _, err := lc.execStmt(v.Init); err != nil {
+		if _, err := tc.execStmt(v.Init); err != nil {
 			return ctrlNone, err
 		}
 	}
 	for {
 		if v.Cond != nil {
-			cond, err := lc.evalExpr(v.Cond)
+			cond, err := tc.evalExpr(v.Cond)
 			if err != nil {
 				return ctrlNone, err
 			}
@@ -507,8 +522,7 @@ func (tc *threadCtx) execFor(v *minic.ForStmt) (ctrl, error) {
 				return ctrlNone, nil
 			}
 		}
-		c, err := lc.execStmt(v.Body)
-		tc.ret = lc.ret
+		c, err := tc.execStmt(v.Body)
 		if err != nil {
 			return ctrlNone, err
 		}
@@ -519,11 +533,11 @@ func (tc *threadCtx) execFor(v *minic.ForStmt) (ctrl, error) {
 			return ctrlReturn, nil
 		}
 		if v.Post != nil {
-			if _, err := lc.evalExpr(v.Post); err != nil {
+			if _, err := tc.evalExpr(v.Post); err != nil {
 				return ctrlNone, err
 			}
 		}
-		if err := lc.bumpStep(); err != nil {
+		if err := tc.bumpStep(); err != nil {
 			return ctrlNone, err
 		}
 	}

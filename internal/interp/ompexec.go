@@ -16,6 +16,11 @@ func (tc *threadCtx) execOmp(v *minic.OmpStmt) (ctrl, error) {
 	case minic.PragmaFor:
 		f := v.Body.(*minic.ForStmt)
 		if tc.member == nil || tc.member.NumThreads() == 1 {
+			if _, decl := f.Init.(*minic.DeclStmt); !decl && v.LoopRef.Bound() {
+				// Run sequentially, an assigned loop variable is the
+				// variable the initializer assigns.
+				tc.frame[v.LoopRef.Slot] = tc.cell(v.LoopOuter)
+			}
 			return tc.execFor(f)
 		}
 		return ctrlNone, tc.execWorksharedFor(v, f, tc.member)
@@ -86,8 +91,8 @@ func (tc *threadCtx) execParallel(v *minic.OmpStmt) error {
 		n = nv.Int()
 	}
 	return tc.in.rt.Parallel(tc.ctx, n, func(m *omp.Member) error {
-		mtc := &threadCtx{in: tc.in, ctx: m.Ctx, member: m, env: newEnv(tc.env), status: tc.status}
-		mtc.privatize(v.Private)
+		mtc := &threadCtx{in: tc.in, ctx: m.Ctx, member: m, frame: append([]*cell(nil), tc.frame...), status: tc.status}
+		mtc.privatize(v)
 		redCells, err := mtc.initReduction(v)
 		if err != nil {
 			return err
@@ -108,23 +113,34 @@ func (tc *threadCtx) execParallel(v *minic.OmpStmt) error {
 	})
 }
 
-// privatize declares thread-private copies of the listed variables,
-// inheriting the declared type of the shadowed outer variable.
-func (tc *threadCtx) privatize(names []string) {
-	for _, name := range names {
+// shadowed returns the variable a construct's copy at slot ref is
+// created from: the construct's earlier copy of the same name, or else
+// the outer binding. The parent thread never binds a construct's
+// slots, so a non-nil slot in a fresh member frame is such a copy.
+func (tc *threadCtx) shadowed(ref, outer minic.Ref) *cell {
+	if c := tc.frame[ref.Slot]; c != nil {
+		return c
+	}
+	return tc.cell(outer)
+}
+
+// privatize binds thread-private copies of the private variables,
+// inheriting the declared type of the shadowed variable.
+func (tc *threadCtx) privatize(v *minic.OmpStmt) {
+	for i, ref := range v.PrivRefs {
 		isFloat := false
-		if outer := tc.env.lookup(name); outer != nil {
+		if outer := tc.shadowed(ref, v.PrivOuter[i]); outer != nil {
 			outer.mu.Lock()
 			isFloat = outer.isFloat
 			outer.mu.Unlock()
 		}
-		tc.env.declare(name, isFloat, false, Value{})
+		tc.frame[ref.Slot] = newCell(isFloat, false, Value{})
 	}
 }
 
-// initReduction declares private accumulators initialized to the
-// operator identity and returns their cells.
-func (tc *threadCtx) initReduction(v *minic.OmpStmt) (map[string]*cell, error) {
+// initReduction binds private accumulators initialized to the
+// operator identity and returns them, one per reduction variable.
+func (tc *threadCtx) initReduction(v *minic.OmpStmt) ([]*cell, error) {
 	if v.Reduction == "" {
 		return nil, nil
 	}
@@ -141,15 +157,19 @@ func (tc *threadCtx) initReduction(v *minic.OmpStmt) (map[string]*cell, error) {
 	default:
 		return nil, runtimeError(v.Line, "unsupported reduction operator %q", v.Reduction)
 	}
-	cells := make(map[string]*cell, len(v.RedVars))
-	for _, name := range v.RedVars {
+	for i, ref := range v.RedRefs {
 		isFloat := true
-		if outer := tc.env.lookup(name); outer != nil {
+		if outer := tc.shadowed(ref, v.RedOuter[i]); outer != nil {
 			outer.mu.Lock()
 			isFloat = outer.isFloat
 			outer.mu.Unlock()
 		}
-		cells[name] = tc.env.declare(name, isFloat, false, floatVal(identity))
+		tc.frame[ref.Slot] = newCell(isFloat, false, floatVal(identity))
+	}
+	// Collected after binding: a name listed twice has one copy.
+	cells := make([]*cell, len(v.RedRefs))
+	for i, ref := range v.RedRefs {
+		cells[i] = tc.frame[ref.Slot]
 	}
 	return cells, nil
 }
@@ -157,14 +177,14 @@ func (tc *threadCtx) initReduction(v *minic.OmpStmt) (map[string]*cell, error) {
 // combineReduction folds each thread's accumulator into the shared
 // outer variable under a critical section, as OpenMP reductions do at
 // region end.
-func (tc *threadCtx) combineReduction(v *minic.OmpStmt, cells map[string]*cell, m *omp.Member) error {
+func (tc *threadCtx) combineReduction(v *minic.OmpStmt, cells []*cell, m *omp.Member) error {
 	if len(cells) == 0 {
 		return nil
 	}
 	return m.Critical("$omp_reduction", func() error {
-		for _, name := range v.RedVars {
-			priv := cells[name].load().Num
-			outer := tc.env.parent.lookup(name)
+		for i, name := range v.RedVars {
+			priv := cells[i].load().Num
+			outer := tc.cell(v.RedOuter[i])
 			if outer == nil {
 				return runtimeError(v.Line, "reduction variable %q is not declared in the enclosing scope", name)
 			}
@@ -193,16 +213,16 @@ func (tc *threadCtx) combineReduction(v *minic.OmpStmt, cells map[string]*cell, 
 
 // loopBounds is the normalized form of a canonical OpenMP loop.
 type loopBounds struct {
-	varName string
-	lo      float64
-	count   int64
-	step    float64
+	lo    float64
+	count int64
+	step  float64
 }
 
 // analyzeLoop normalizes `for (i = lo; i REL limit; i STEP)` into
-// (varName, lo, iteration count, step), as an OpenMP runtime must for
-// canonical loop forms.
-func (tc *threadCtx) analyzeLoop(f *minic.ForStmt) (loopBounds, error) {
+// (lo, iteration count, step), as an OpenMP runtime must for canonical
+// loop forms. The loop variable i is the slot loop; the limit and the
+// step must not read it.
+func (tc *threadCtx) analyzeLoop(f *minic.ForStmt, loop minic.Ref) (loopBounds, error) {
 	var b loopBounds
 	// Init part.
 	switch init := f.Init.(type) {
@@ -210,7 +230,6 @@ func (tc *threadCtx) analyzeLoop(f *minic.ForStmt) (loopBounds, error) {
 		if len(init.Decls) != 1 || init.Decls[0].Init == nil {
 			return b, runtimeError(f.Line, "omp for needs a canonical loop initializer")
 		}
-		b.varName = init.Decls[0].Name
 		v, err := tc.evalExpr(init.Decls[0].Init)
 		if err != nil {
 			return b, err
@@ -221,11 +240,9 @@ func (tc *threadCtx) analyzeLoop(f *minic.ForStmt) (loopBounds, error) {
 		if !ok || as.Op != minic.TAssign {
 			return b, runtimeError(f.Line, "omp for needs a canonical loop initializer")
 		}
-		id, ok := as.LHS.(*minic.Ident)
-		if !ok {
+		if _, ok := as.LHS.(*minic.Ident); !ok {
 			return b, runtimeError(f.Line, "omp for loop variable must be a scalar")
 		}
-		b.varName = id.Name
 		v, err := tc.evalExpr(as.RHS)
 		if err != nil {
 			return b, err
@@ -240,8 +257,11 @@ func (tc *threadCtx) analyzeLoop(f *minic.ForStmt) (loopBounds, error) {
 	if !ok {
 		return b, runtimeError(f.Line, "omp for needs a canonical loop condition")
 	}
-	if id, ok := cond.X.(*minic.Ident); !ok || id.Name != b.varName {
+	if id, ok := cond.X.(*minic.Ident); !ok || id.Ref != loop {
 		return b, runtimeError(f.Line, "omp for condition must test the loop variable")
+	}
+	if reads(cond.Y, loop) {
+		return b, runtimeError(f.Line, "omp for loop bound must not read the loop variable")
 	}
 	limV, err := tc.evalExpr(cond.Y)
 	if err != nil {
@@ -259,6 +279,9 @@ func (tc *threadCtx) analyzeLoop(f *minic.ForStmt) (loopBounds, error) {
 			step = -1
 		}
 	case *minic.Assign:
+		if reads(post.RHS, loop) {
+			return b, runtimeError(f.Line, "omp for step must not read the loop variable")
+		}
 		sv, err := tc.evalExpr(post.RHS)
 		if err != nil {
 			return b, err
@@ -301,9 +324,21 @@ func (tc *threadCtx) analyzeLoop(f *minic.ForStmt) (loopBounds, error) {
 	return b, nil
 }
 
+// reads reports whether e names the variable r.
+func reads(e minic.Expr, r minic.Ref) bool {
+	found := false
+	minic.Walk(e, func(n minic.Node) bool {
+		if id, ok := n.(*minic.Ident); ok && id.Ref == r {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
 // execWorksharedFor distributes a canonical loop over the team.
 func (tc *threadCtx) execWorksharedFor(o *minic.OmpStmt, f *minic.ForStmt, m *omp.Member) error {
-	b, err := tc.analyzeLoop(f)
+	b, err := tc.analyzeLoop(f, o.LoopRef)
 	if err != nil {
 		return err
 	}
@@ -323,11 +358,11 @@ func (tc *threadCtx) execWorksharedFor(o *minic.OmpStmt, f *minic.ForStmt, m *om
 		chunk = int64(cv.Int())
 	}
 	// The loop variable is implicitly private.
-	body := tc.child()
-	ivar := body.env.declare(b.varName, false, false, Value{})
+	ivar := newCell(false, false, Value{})
+	tc.frame[o.LoopRef.Slot] = ivar
 	return m.For(0, b.count, sched, chunk, func(k int64) error {
 		ivar.store(intVal(b.lo + float64(k)*b.step))
-		c, err := body.execStmt(f.Body)
+		c, err := tc.execStmt(f.Body)
 		if err != nil {
 			return err
 		}

@@ -112,7 +112,6 @@ func (tc *threadCtx) pthreadCreate(c *minic.Call) (Value, error) {
 		in:     tc.in,
 		ctx:    tc.ctx.Child(tid),
 		member: nil, // pthread functions are outside any omp team
-		env:    newEnv(tc.in.globals),
 	}
 	go func() {
 		child.ctx.Emit(trace.Event{Op: trace.OpBegin, Sync: syncID})

@@ -87,34 +87,10 @@ func (c *cell) store(v Value) {
 	c.v = v
 }
 
-// env is a lexical scope chain. Lookup is lock-free (the map is
-// fixed after scope construction within a thread; concurrent lookups
-// of outer scopes are read-only), while cell contents are mutex
-// guarded.
-type env struct {
-	parent *env
-	vars   map[string]*cell
-}
-
-func newEnv(parent *env) *env {
-	return &env{parent: parent, vars: make(map[string]*cell)}
-}
-
-// lookup finds a variable cell, walking outward.
-func (e *env) lookup(name string) *cell {
-	for s := e; s != nil; s = s.parent {
-		if c, ok := s.vars[name]; ok {
-			return c
-		}
-	}
-	return nil
-}
-
-// declare creates a variable in this scope (shadowing outer scopes).
-func (e *env) declare(name string, isFloat, isArray bool, v Value) *cell {
+// newCell creates a variable holding v coerced to its declared type.
+func newCell(isFloat, isArray bool, v Value) *cell {
 	c := &cell{isFloat: isFloat, isArray: isArray}
 	c.store(v)
-	e.vars[name] = c
 	return c
 }
 

@@ -62,10 +62,12 @@ type StringLit struct {
 	Value string
 }
 
-// Ident is a variable reference.
+// Ident is a variable reference. Ref is the variable it names, bound
+// by the resolve pass at the end of Parse.
 type Ident struct {
 	Line int
 	Name string
+	Ref  Ref
 }
 
 // Index is arr[idx].
@@ -136,11 +138,13 @@ func (*Call) exprNode()      {}
 
 // ---- Statements ----
 
-// Declarator is one name within a declaration statement.
+// Declarator is one name within a declaration statement. Ref is the
+// slot the declaration binds.
 type Declarator struct {
 	Name      string
 	ArraySize Expr // nil for scalars
 	Init      Expr // nil if uninitialized
+	Ref       Ref
 }
 
 // DeclStmt declares one or more variables of a type.
@@ -259,9 +263,18 @@ type OmpStmt struct {
 	Body     Stmt     // the governed statement (nil for barrier)
 	Sections []*Block // for sections: the section bodies
 
-	// secMarker flags a bare `#pragma omp section` entry while its
-	// enclosing sections construct is being assembled.
-	secMarker bool
+	// Bindings set by the resolve pass. Only parallel and parallel for
+	// privatize: PrivRefs[i] and RedRefs[i] are each thread's copy of
+	// Private[i] and RedVars[i], and PrivOuter[i] and RedOuter[i] the
+	// bindings outside the construct that they shadow. A name listed
+	// twice in one construct has one copy.
+	PrivRefs, PrivOuter []Ref
+	RedRefs, RedOuter   []Ref
+	// LoopRef is the private loop variable of a canonical worksharing
+	// loop (Unbound if the initializer is not canonical). For a loop
+	// variable that is assigned rather than declared, LoopOuter is the
+	// variable the assignment names; it is Unbound otherwise.
+	LoopRef, LoopOuter Ref
 }
 
 func (s *DeclStmt) Pos() int     { return s.Line }
@@ -303,6 +316,10 @@ type FuncDecl struct {
 	Name    string
 	Params  []Param
 	Body    *Block
+
+	// Frame is the number of local slots a call needs: parameter i
+	// takes slot i, and every later declarator a new slot.
+	Frame int
 }
 
 func (f *FuncDecl) Pos() int { return f.Line }
@@ -315,6 +332,8 @@ type Program struct {
 
 	// NumCalls is the number of Call nodes; CallIDs are < NumCalls.
 	NumCalls int
+	// NumGlobals is the number of global slots, one per global name.
+	NumGlobals int
 }
 
 // Pos returns the line of the first declaration (0 if empty).

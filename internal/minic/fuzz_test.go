@@ -23,6 +23,8 @@ int main() { MPI_Init(); MPI_Finalize(); return 0; }`,
 	"int main() { for (int i = 0; i < 10; i++) { if (i) { break; } } return 0; }",
 	"int main() { int x = -(-(-1)); return x; }",
 	"int main() { #pragma omp parallel for reduction(+: s)\n for (int i=0;i<3;i++) { } }",
+	"int g; int main() { int i = g; #pragma omp parallel for private(i, g) reduction(+: g)\n for (i = 0; i < 4; i++) { int x = i; g += x; } return i; }",
+	"int main() { int x = 1; { x = 2; int x = 3; } #pragma omp for\n for (x = 0; x < 2; x++) { } return x; }",
 }
 
 func FuzzParse(f *testing.F) {
@@ -35,8 +37,12 @@ func FuzzParse(f *testing.F) {
 			return // rejection is fine; panics are not
 		}
 		// Any accepted program must also survive the rest of the
-		// front-end.
-		_ = CheckSemantics(prog, DefaultSemaOptions())
+		// front-end, and bind every name to a slot in range.
+		checkRefs(t, prog)
+		opts := DefaultSemaOptions()
+		if len(CheckSemantics(prog, opts)) == 0 {
+			checkResolved(t, prog, opts)
+		}
 		out := Format(prog)
 		p2, err := Parse(out)
 		if err != nil {
@@ -45,6 +51,71 @@ func FuzzParse(f *testing.F) {
 		if out2 := Format(p2); out != out2 {
 			t.Fatalf("format not canonical:\n%s\nvs\n%s", out, out2)
 		}
+	})
+}
+
+// checkRefs fails t unless every Ref in prog is in range: a local slot
+// below its function's Frame, a global slot below NumGlobals, and
+// Unbound only where a name may bind nothing.
+func checkRefs(t *testing.T, prog *Program) {
+	t.Helper()
+	check := func(r Ref, frame int, mayUnbind bool, what string) {
+		ok := r.Slot >= 0 && r.Slot < int32(frame)
+		switch {
+		case r.Global:
+			ok = r.Slot >= 0 && int(r.Slot) < prog.NumGlobals
+		case r == Unbound:
+			ok = mayUnbind
+		}
+		if !ok {
+			t.Fatalf("%s: Ref %+v out of range (Frame %d, NumGlobals %d)", what, r, frame, prog.NumGlobals)
+		}
+	}
+	walk := func(n Node, frame int) {
+		Walk(n, func(x Node) bool {
+			switch v := x.(type) {
+			case *Ident:
+				check(v.Ref, frame, true, "ident "+v.Name)
+			case *DeclStmt:
+				for _, d := range v.Decls {
+					check(d.Ref, frame, false, "declarator "+d.Name)
+				}
+			case *OmpStmt:
+				for i, r := range v.PrivRefs {
+					check(r, frame, false, "private copy")
+					check(v.PrivOuter[i], frame, true, "private outer")
+				}
+				for i, r := range v.RedRefs {
+					check(r, frame, false, "reduction copy")
+					check(v.RedOuter[i], frame, true, "reduction outer")
+				}
+				check(v.LoopRef, frame, true, "loop variable")
+				check(v.LoopOuter, frame, true, "loop outer")
+			}
+			return true
+		})
+	}
+	for _, g := range prog.Globals {
+		walk(g, 0)
+	}
+	for _, f := range prog.Funcs {
+		if f.Frame < len(f.Params) {
+			t.Fatalf("%s: Frame %d < %d parameters", f.Name, f.Frame, len(f.Params))
+		}
+		walk(f, f.Frame)
+	}
+}
+
+// checkResolved fails t unless every identifier of a sema-clean
+// program that is neither predeclared nor a function name binds a
+// variable.
+func checkResolved(t *testing.T, prog *Program, opts SemaOptions) {
+	t.Helper()
+	Walk(prog, func(x Node) bool {
+		if id, ok := x.(*Ident); ok && !id.Ref.Bound() && !opts.Predeclared[id.Name] && prog.Func(id.Name) == nil {
+			t.Fatalf("line %d: %q is sema-clean but unbound", id.Line, id.Name)
+		}
+		return true
 	})
 }
 

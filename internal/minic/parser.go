@@ -44,6 +44,7 @@ func Parse(src string) (*Program, error) {
 	if prog.Func("main") == nil {
 		return nil, fmt.Errorf("program has no main function")
 	}
+	resolve(prog)
 	return prog, nil
 }
 
@@ -219,6 +220,17 @@ func (p *Parser) parseBlock() (*Block, error) {
 	return b, nil
 }
 
+// parseBody parses the statement governed by if, else, while, for or
+// a pragma. As in C's grammar, a declaration is not a statement there:
+// it must sit in a block or a for initializer, so each variable has
+// one lexical scope.
+func (p *Parser) parseBody() (Stmt, error) {
+	if p.isTypeKeyword(p.cur().Kind) {
+		return nil, p.errorf("a declaration must be inside a block")
+	}
+	return p.parseStmt()
+}
+
 // parseStmt parses one statement.
 func (p *Parser) parseStmt() (Stmt, error) {
 	switch {
@@ -288,14 +300,14 @@ func (p *Parser) parseIf() (Stmt, error) {
 	if _, err := p.expect(TRParen); err != nil {
 		return nil, err
 	}
-	then, err := p.parseStmt()
+	then, err := p.parseBody()
 	if err != nil {
 		return nil, err
 	}
 	var els Stmt
 	if p.at(TKElse) {
 		p.next()
-		els, err = p.parseStmt()
+		els, err = p.parseBody()
 		if err != nil {
 			return nil, err
 		}
@@ -351,7 +363,7 @@ func (p *Parser) parseFor() (Stmt, error) {
 	if _, err := p.expect(TRParen); err != nil {
 		return nil, err
 	}
-	body, err := p.parseStmt()
+	body, err := p.parseBody()
 	if err != nil {
 		return nil, err
 	}
@@ -370,7 +382,7 @@ func (p *Parser) parseWhile() (Stmt, error) {
 	if _, err := p.expect(TRParen); err != nil {
 		return nil, err
 	}
-	body, err := p.parseStmt()
+	body, err := p.parseBody()
 	if err != nil {
 		return nil, err
 	}
@@ -378,6 +390,11 @@ func (p *Parser) parseWhile() (Stmt, error) {
 }
 
 // ---- Pragmas ----
+
+// pragmaSection is the kind parsePragmaText gives `#pragma omp
+// section`. It is legal only as an entry of a sections block, so it
+// never reaches the AST.
+const pragmaSection PragmaKind = -1
 
 // parsePragmaStmt parses a `#pragma omp ...` directive and its
 // governed statement.
@@ -390,51 +407,59 @@ func (p *Parser) parsePragmaStmt() (Stmt, error) {
 	switch o.Kind {
 	case PragmaBarrier:
 		return o, nil
-	case PragmaParallelFor, PragmaFor:
-		body, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := body.(*ForStmt); !ok {
-			return nil, fmt.Errorf("line %d: #pragma omp %s must govern a for loop", t.Line, o.Kind)
-		}
-		o.Body = body
-		return o, nil
 	case PragmaSections:
-		blk, err := p.parseBlock()
-		if err != nil {
-			return nil, err
-		}
-		// The block must consist of `#pragma omp section` + statement
-		// pairs.
-		i := 0
-		for i < len(blk.Stmts) {
-			sec, ok := blk.Stmts[i].(*OmpStmt)
-			if !ok || sec.secMarker != true {
-				return nil, fmt.Errorf("line %d: sections block must contain only #pragma omp section entries", blk.Stmts[i].Pos())
-			}
-			body, ok := sec.Body.(*Block)
-			if !ok {
-				body = &Block{Line: sec.Line, Stmts: []Stmt{sec.Body}}
-			}
-			o.Sections = append(o.Sections, body)
-			i++
-		}
-		if len(o.Sections) == 0 {
-			return nil, fmt.Errorf("line %d: empty sections construct", t.Line)
-		}
-		return o, nil
-	default:
-		body, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
-		o.Body = body
-		if o.secMarker {
-			return o, nil
-		}
-		return o, nil
+		return p.parseSections(o)
+	case pragmaSection:
+		return nil, fmt.Errorf("line %d: #pragma omp section outside sections", t.Line)
 	}
+	body, err := p.parseBody()
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := body.(*ForStmt); !ok && (o.Kind == PragmaParallelFor || o.Kind == PragmaFor) {
+		return nil, fmt.Errorf("line %d: #pragma omp %s must govern a for loop", t.Line, o.Kind)
+	}
+	o.Body = body
+	return o, nil
+}
+
+// parseSections parses the block of a sections construct: a sequence
+// of `#pragma omp section` entries, each governing one statement.
+func (p *Parser) parseSections(o *OmpStmt) (Stmt, error) {
+	lb, err := p.expect(TLBrace)
+	if err != nil {
+		return nil, err
+	}
+	for !p.at(TRBrace) {
+		if p.at(TEOF) {
+			return nil, p.errorf("unterminated block (opened at line %d)", lb.Line)
+		}
+		if !p.at(TPragma) {
+			return nil, p.errorf("sections block must contain only #pragma omp section entries")
+		}
+		t := p.next()
+		sec, err := parsePragmaText(t.Lit, t.Line)
+		if err != nil {
+			return nil, err
+		}
+		if sec.Kind != pragmaSection {
+			return nil, fmt.Errorf("line %d: sections block must contain only #pragma omp section entries", t.Line)
+		}
+		s, err := p.parseBody()
+		if err != nil {
+			return nil, err
+		}
+		body, ok := s.(*Block)
+		if !ok {
+			body = &Block{Line: t.Line, Stmts: []Stmt{s}}
+		}
+		o.Sections = append(o.Sections, body)
+	}
+	p.next() // }
+	if len(o.Sections) == 0 {
+		return nil, fmt.Errorf("line %d: empty sections construct", o.Line)
+	}
+	return o, nil
 }
 
 // parsePragmaText parses the directive text after "#pragma".
@@ -463,8 +488,7 @@ func parsePragmaText(text string, line int) (*OmpStmt, error) {
 	case d.Kind == TIdent && d.Lit == "sections":
 		o.Kind = PragmaSections
 	case d.Kind == TIdent && d.Lit == "section":
-		o.Kind = PragmaParallel // placeholder kind; marked below
-		o.secMarker = true
+		o.Kind = pragmaSection
 	case d.Kind == TIdent && d.Lit == "single":
 		o.Kind = PragmaSingle
 	case d.Kind == TIdent && d.Lit == "master":

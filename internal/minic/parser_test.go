@@ -442,3 +442,42 @@ int main() {
 		t.Fatalf("walked %d calls, want 6", n)
 	}
 }
+
+func TestParseRejectsDeclarationAsBody(t *testing.T) {
+	for _, body := range []string{
+		"if (1) int x = 1;",
+		"if (1) { } else int x = 1;",
+		"while (0) int x;",
+		"for (;;) int x;",
+		"#pragma omp parallel\n int x;",
+		"#pragma omp single\n double x;",
+		"#pragma omp parallel\n {\n #pragma omp sections\n {\n #pragma omp section\n int x;\n }\n }",
+	} {
+		src := "int main() {\n" + body + "\n return 0;\n}"
+		_, err := Parse(src)
+		if err == nil || !strings.Contains(err.Error(), "a declaration must be inside a block") {
+			t.Errorf("%q: err = %v, want a declaration-placement error", body, err)
+		}
+	}
+}
+
+func TestParseAcceptsForInitializerDeclaration(t *testing.T) {
+	prog := mustParse(t, `int main() { int s = 0; for (int i = 0; i < 3; i++) s += i; if (s) { int y = s; } return s; }`)
+	f := prog.Func("main").Body.Stmts[1].(*ForStmt)
+	if _, ok := f.Init.(*DeclStmt); !ok {
+		t.Fatalf("for initializer = %T, want *DeclStmt", f.Init)
+	}
+}
+
+func TestParseRejectsStraySection(t *testing.T) {
+	for _, src := range []string{
+		"int main() {\n #pragma omp section\n { }\n return 0;\n}",
+		"int main() {\n #pragma omp parallel\n {\n #pragma omp section\n { }\n }\n return 0;\n}",
+		"int main() {\n #pragma omp sections\n {\n #pragma omp section\n #pragma omp section\n { }\n }\n return 0;\n}",
+	} {
+		_, err := Parse(src)
+		if err == nil || !strings.Contains(err.Error(), "#pragma omp section outside sections") {
+			t.Errorf("%q: err = %v, want a stray-section error", src, err)
+		}
+	}
+}
