@@ -768,8 +768,11 @@ func traceRecord(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	sp = prof.Start("static")
-	_ = minic.CheckSemantics(prog, minic.DefaultSemaOptions())
+	diags := minic.CheckSemantics(prog, minic.DefaultSemaOptions())
 	sp.End()
+	for _, d := range diags {
+		fmt.Fprintln(stderr, "hometrace: diagnostic:", d.Error())
+	}
 	sp = prof.Start("instrument")
 	plan := static.Analyze(prog, static.Options{InstrumentAll: *all})
 	sp.End()

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"home/internal/trace"
 )
 
 // writeTemp drops source text into a temp file and returns its path.
@@ -168,6 +170,23 @@ func TestHomeFmtModes(t *testing.T) {
 
 	if code := HomeFmt(nil, &out, &errb); code != 2 {
 		t.Fatal("usage error expected")
+	}
+}
+
+// TestHomeTraceRecordPrintsDiagnostics checks that record reports the
+// front end's diagnostics on stderr and keeps them out of the trace.
+func TestHomeTraceRecordPrintsDiagnostics(t *testing.T) {
+	src := strings.Replace(cleanSrc, "return 0;", "if (0) { return ghost; } return 0;", 1)
+	var out, errb bytes.Buffer
+	if code := HomeTrace([]string{"record", writeTemp(t, "ghost.c", src)}, &out, &errb); code != 0 {
+		t.Fatalf("record exit = %d, stderr = %s", code, errb.String())
+	}
+	want := "hometrace: diagnostic: line 13: undeclared identifier \"ghost\"\n"
+	if !strings.HasPrefix(errb.String(), want) || strings.Count(errb.String(), "diagnostic") != 1 {
+		t.Fatalf("stderr = %q, want it to start with %q", errb.String(), want)
+	}
+	if evs, err := trace.ReadJSON(&out); err != nil || len(evs) == 0 {
+		t.Fatalf("stdout is not the trace: %d events, %v", len(evs), err)
 	}
 }
 

@@ -95,7 +95,7 @@ func newCell(isFloat, isArray bool, v Value) *cell {
 }
 
 // constants are predeclared identifiers resolved when no variable
-// shadows them.
+// shadows them: exactly minic's predeclared names (names_test.go).
 var constants = map[string]Value{
 	"MPI_COMM_WORLD":        intVal(float64(mpi.CommWorld)),
 	"MPI_ANY_SOURCE":        intVal(mpi.AnySource),

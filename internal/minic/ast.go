@@ -334,6 +334,8 @@ type Program struct {
 	NumCalls int
 	// NumGlobals is the number of global slots, one per global name.
 	NumGlobals int
+
+	diags []SemaError // the binder's diagnostics, for CheckSemantics
 }
 
 // Pos returns the line of the first declaration (0 if empty).

@@ -1,6 +1,10 @@
 package minic
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 // Fuzz targets: the front-end must never panic, whatever the input;
 // and formatted output of any valid parse must reparse to the same
@@ -25,6 +29,11 @@ int main() { MPI_Init(); MPI_Finalize(); return 0; }`,
 	"int main() { #pragma omp parallel for reduction(+: s)\n for (int i=0;i<3;i++) { } }",
 	"int g; int main() { int i = g; #pragma omp parallel for private(i, g) reduction(+: g)\n for (i = 0; i < 4; i++) { int x = i; g += x; } return i; }",
 	"int main() { int x = 1; { x = 2; int x = 3; } #pragma omp for\n for (x = 0; x < 2; x++) { } return x; }",
+	"int main() { int x = 1; if (x) { break; } while (x) { #pragma omp parallel\n { continue; } } return 0; }",
+	"int main() { #pragma omp for private(u)\n for (int i = 0; i < 2; i++) { u = i; } return 0; }",
+	"int f(int a, int a) { int a = 0; return a; } int main() { return f(1, 2); }",
+	"void f() { } void f() { } int main() { f(1); return 0; }",
+	"int main() { int c = 2; #pragma omp parallel for private(c) schedule(dynamic, c)\n for (int i = 0; i < 4; i++) { } return 0; }",
 }
 
 func FuzzParse(f *testing.F) {
@@ -37,12 +46,16 @@ func FuzzParse(f *testing.F) {
 			return // rejection is fine; panics are not
 		}
 		// Any accepted program must also survive the rest of the
-		// front-end, and bind every name to a slot in range.
+		// front-end and bind every name to a slot in range. With no
+		// diagnostics every variable is bound, and a name reported as
+		// undeclared binds nothing.
 		checkRefs(t, prog)
 		opts := DefaultSemaOptions()
-		if len(CheckSemantics(prog, opts)) == 0 {
+		diags := CheckSemantics(prog, opts)
+		if len(diags) == 0 {
 			checkResolved(t, prog, opts)
 		}
+		checkReported(t, prog, diags)
 		out := Format(prog)
 		p2, err := Parse(out)
 		if err != nil {
@@ -117,6 +130,24 @@ func checkResolved(t *testing.T, prog *Program, opts SemaOptions) {
 		}
 		return true
 	})
+}
+
+// checkReported fails t unless each undeclared-identifier diagnostic
+// names an unbound identifier on its line.
+func checkReported(t *testing.T, prog *Program, diags []SemaError) {
+	t.Helper()
+	unbound := map[SemaError]bool{}
+	Walk(prog, func(x Node) bool {
+		if id, ok := x.(*Ident); ok && !id.Ref.Bound() {
+			unbound[SemaError{Line: id.Line, Msg: fmt.Sprintf("undeclared identifier %q", id.Name)}] = true
+		}
+		return true
+	})
+	for _, d := range diags {
+		if strings.HasPrefix(d.Msg, "undeclared identifier ") && !unbound[d] {
+			t.Fatalf("%v names no unbound identifier on its line", d)
+		}
+	}
 }
 
 func FuzzTokenize(f *testing.F) {

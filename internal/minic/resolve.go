@@ -1,5 +1,10 @@
 package minic
 
+import (
+	"fmt"
+	"sort"
+)
+
 // Name resolution: the last step of Parse binds every variable name to
 // a storage slot, so the interpreter runs each call on a flat frame of
 // cells and reads a variable with one slice index. The pass stores its
@@ -14,6 +19,16 @@ package minic
 // variable. Globals live in one file scope, one slot per name, so a
 // repeated global declaration replaces the variable in its slot.
 // Functions see every global, whatever the order.
+//
+// The walk is the front end's only binder, so it also records the
+// diagnostics CheckSemantics returns: undeclared and redeclared names,
+// unknown private and reduction names, undefined or mis-called
+// functions, and break or continue outside a loop. A function's
+// parameters and the top level of its body share one scope, so a body
+// local that redeclares a parameter is reported (it still takes its
+// own slot). Every construct checks its private and reduction names,
+// but only parallel and parallel for give them per-thread slots, as
+// the interpreter does.
 
 // Ref is the storage a name binds to: a slot in the frame of the
 // enclosing function call, or a global slot. Slot is -1 for a name
@@ -36,45 +51,72 @@ type binding struct {
 }
 
 // resolver carries the pass state. locals is a stack of the bindings
-// in scope, innermost last; a scope is closed by truncating it to its
-// length at the scope's start.
+// in scope, innermost last; scope is where the innermost block, for
+// statement or function scope starts in it, and closing the scope
+// truncates locals there.
 type resolver struct {
+	prog    *Program
 	globals map[string]int32
 	locals  []binding
+	scope   int
 	frame   int32 // next free slot of the current function
 	inFunc  bool
+	loops   int // loops around the statement inside its function or construct body
+	diags   []SemaError
 }
 
-// resolve binds every name in prog.
+// resolve binds every name in prog and records its diagnostics,
+// ordered by line and message.
 func resolve(prog *Program) {
-	r := &resolver{globals: map[string]int32{}}
+	r := &resolver{prog: prog, globals: map[string]int32{}}
 	for _, g := range prog.Globals {
 		r.stmt(g)
 	}
 	prog.NumGlobals = len(r.globals)
 	r.inFunc = true
 	for _, f := range prog.Funcs {
+		if first := prog.Func(f.Name); first != f {
+			r.errorf(f.Line, "function %q redefined (first defined at line %d)", f.Name, first.Line)
+		}
 		r.locals, r.frame = r.locals[:0], 0
-		for _, p := range f.Params {
+		for i, p := range f.Params {
+			for _, q := range f.Params[:i] {
+				if q.Name == p.Name {
+					r.errorf(f.Line, "duplicate parameter %q in %s", p.Name, f.Name)
+				}
+			}
 			r.bind(p.Name)
 		}
-		r.stmt(f.Body)
+		for _, s := range f.Body.Stmts {
+			r.stmt(s)
+		}
 		f.Frame = int(r.frame)
 	}
+	sort.Slice(r.diags, func(i, j int) bool {
+		if r.diags[i].Line != r.diags[j].Line {
+			return r.diags[i].Line < r.diags[j].Line
+		}
+		return r.diags[i].Msg < r.diags[j].Msg
+	})
+	prog.diags = r.diags
+}
+
+func (r *resolver) errorf(line int, format string, args ...any) {
+	r.diags = append(r.diags, SemaError{Line: line, Msg: fmt.Sprintf(format, args...)})
 }
 
 // lookup finds the binding of name among locals[:below] and the
-// globals.
-func (r *resolver) lookup(name string, below int) Ref {
+// globals; ok is false if the name is not in scope.
+func (r *resolver) lookup(name string, below int) (ref Ref, ok bool) {
 	for i := below - 1; i >= 0; i-- {
 		if r.locals[i].name == name {
-			return r.locals[i].ref
+			return r.locals[i].ref, true
 		}
 	}
 	if s, ok := r.globals[name]; ok {
-		return Ref{Slot: s, Global: true}
+		return Ref{Slot: s, Global: true}, true
 	}
-	return Unbound
+	return Unbound, false
 }
 
 // bind declares name in the innermost scope: a new frame slot inside a
@@ -94,19 +136,37 @@ func (r *resolver) bind(name string) Ref {
 	return ref
 }
 
+// declared reports whether the innermost scope already declares name.
+func (r *resolver) declared(name string) bool {
+	if !r.inFunc {
+		_, ok := r.globals[name]
+		return ok
+	}
+	for _, b := range r.locals[r.scope:] {
+		if b.name == name {
+			return true
+		}
+	}
+	return false
+}
+
 func (r *resolver) stmt(s Stmt) {
 	switch v := s.(type) {
 	case *Block:
-		mark := len(r.locals)
+		outer := r.scope
+		r.scope = len(r.locals)
 		for _, inner := range v.Stmts {
 			r.stmt(inner)
 		}
-		r.locals = r.locals[:mark]
+		r.locals, r.scope = r.locals[:r.scope], outer
 	case *DeclStmt:
 		for i := range v.Decls {
 			d := &v.Decls[i]
 			r.expr(d.ArraySize)
 			r.expr(d.Init)
+			if r.declared(d.Name) {
+				r.errorf(v.Line, "%q redeclared in this scope", d.Name)
+			}
 			d.Ref = r.bind(d.Name)
 		}
 	case *ExprStmt:
@@ -119,11 +179,30 @@ func (r *resolver) stmt(s Stmt) {
 		r.forStmt(v, nil)
 	case *WhileStmt:
 		r.expr(v.Cond)
-		r.stmt(v.Body)
+		r.loopBody(v.Body)
 	case *ReturnStmt:
 		r.expr(v.X)
+	case *BreakStmt:
+		r.loopExit(v.Line, "break")
+	case *ContinueStmt:
+		r.loopExit(v.Line, "continue")
 	case *OmpStmt:
 		r.omp(v)
+	}
+}
+
+func (r *resolver) loopBody(body Stmt) {
+	r.loops++
+	r.stmt(body)
+	r.loops--
+}
+
+// loopExit reports a break or continue that no loop of its function
+// encloses. A loop outside the enclosing construct does not count:
+// OpenMP forbids leaving a construct's structured block.
+func (r *resolver) loopExit(line int, what string) {
+	if r.loops == 0 {
+		r.errorf(line, "%s statement not within a loop", what)
 	}
 }
 
@@ -132,7 +211,8 @@ func (r *resolver) stmt(s Stmt) {
 // variable, or a new slot shadowing an assigned one, which the team's
 // threads bind to private cells.
 func (r *resolver) forStmt(f *ForStmt, o *OmpStmt) {
-	mark := len(r.locals)
+	outer := r.scope
+	r.scope = len(r.locals)
 	r.stmt(f.Init)
 	if o != nil {
 		switch init := f.Init.(type) {
@@ -151,20 +231,26 @@ func (r *resolver) forStmt(f *ForStmt, o *OmpStmt) {
 	}
 	r.expr(f.Cond)
 	r.expr(f.Post)
-	r.stmt(f.Body)
-	r.locals = r.locals[:mark]
+	r.loopBody(f.Body)
+	r.locals, r.scope = r.locals[:r.scope], outer
 }
 
 func (r *resolver) omp(o *OmpStmt) {
 	o.LoopRef, o.LoopOuter = Unbound, Unbound
 	r.expr(o.NumThreads)
-	mark := len(r.locals)
-	if o.Kind == PragmaParallel || o.Kind == PragmaParallelFor {
-		o.PrivRefs, o.PrivOuter = r.copies(o.Private, mark)
-		o.RedRefs, o.RedOuter = r.copies(o.RedVars, mark)
+	mark, loops := len(r.locals), r.loops
+	r.loops = 0
+	// A parallel for's team evaluates the chunk after privatizing;
+	// other constructs evaluate it in the enclosing scope.
+	copies := o.Kind == PragmaParallel || o.Kind == PragmaParallelFor
+	if !copies {
+		r.expr(o.Chunk)
 	}
-	// A parallel for's team evaluates the chunk after privatizing.
-	r.expr(o.Chunk)
+	o.PrivRefs, o.PrivOuter = r.privatize(o.Private, mark, copies, o.Line, "private(%s): no such variable in scope")
+	o.RedRefs, o.RedOuter = r.privatize(o.RedVars, mark, copies, o.Line, "reduction variable %q is not declared")
+	if copies {
+		r.expr(o.Chunk)
+	}
 	if f, ok := o.Body.(*ForStmt); ok && (o.Kind == PragmaFor || o.Kind == PragmaParallelFor) {
 		r.forStmt(f, o)
 	} else {
@@ -173,24 +259,36 @@ func (r *resolver) omp(o *OmpStmt) {
 	for _, sec := range o.Sections {
 		r.stmt(sec)
 	}
-	r.locals = r.locals[:mark]
+	r.locals, r.loops = r.locals[:mark], loops
 }
 
-// copies binds the per-thread copies of names in the construct scope
-// that starts at mark, and returns them with the bindings outside the
-// construct that they shadow. A name already copied in this construct
-// keeps its slot.
-func (r *resolver) copies(names []string, mark int) (refs, outer []Ref) {
-	if len(names) == 0 {
-		return nil, nil
+// privatize brings the names of a private or reduction clause into the
+// construct scope that starts at mark, and reports each name that is
+// not in scope outside the construct. With copies, every name gets a
+// per-thread slot, returned with the binding outside the construct
+// that it shadows; a name already copied in this construct keeps its
+// slot. Without, the names keep their outer bindings, and one that has
+// none is bound to nothing, so the body does not report it again.
+func (r *resolver) privatize(names []string, mark int, copies bool, line int, msg string) (refs, outer []Ref) {
+	if copies && len(names) > 0 {
+		refs, outer = make([]Ref, len(names)), make([]Ref, len(names))
 	}
-	refs, outer = make([]Ref, len(names)), make([]Ref, len(names))
 	for i, name := range names {
-		outer[i] = r.lookup(name, mark)
-		refs[i] = r.lookup(name, len(r.locals))
-		if refs[i] == outer[i] {
-			refs[i] = r.bind(name)
+		out, ok := r.lookup(name, mark)
+		if !ok {
+			r.errorf(line, msg, name)
 		}
+		if !copies {
+			if !ok {
+				r.locals = append(r.locals, binding{name, Unbound})
+			}
+			continue
+		}
+		ref, _ := r.lookup(name, len(r.locals))
+		if ref == out {
+			ref = r.bind(name)
+		}
+		refs[i], outer[i] = ref, out
 	}
 	return refs, outer
 }
@@ -198,7 +296,12 @@ func (r *resolver) copies(names []string, mark int) (refs, outer []Ref) {
 func (r *resolver) expr(e Expr) {
 	switch v := e.(type) {
 	case *Ident:
-		v.Ref = r.lookup(v.Name, len(r.locals))
+		var ok bool
+		v.Ref, ok = r.lookup(v.Name, len(r.locals))
+		// Function names may appear as pthread_create arguments.
+		if !ok && !predeclared[v.Name] && r.prog.Func(v.Name) == nil {
+			r.errorf(v.Line, "undeclared identifier %q", v.Name)
+		}
 	case *Index:
 		r.expr(v.Arr)
 		r.expr(v.Idx)
@@ -213,6 +316,13 @@ func (r *resolver) expr(e Expr) {
 	case *IncDec:
 		r.expr(v.LHS)
 	case *Call:
+		if !isBuiltin(v.Name) {
+			if fn := r.prog.Func(v.Name); fn == nil {
+				r.errorf(v.Line, "call of undefined function %q", v.Name)
+			} else if len(v.Args) != len(fn.Params) {
+				r.errorf(v.Line, "%s expects %d argument(s), got %d", v.Name, len(fn.Params), len(v.Args))
+			}
+		}
 		for _, a := range v.Args {
 			r.expr(a)
 		}

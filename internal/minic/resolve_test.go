@@ -228,6 +228,17 @@ int main() {
 			frame:  1,
 		},
 		{
+			name: "a clause name with no outer binding binds nothing",
+			src: `int main() {
+  #pragma omp single private(u)
+  { u = 1; }
+  return 0;
+}`,
+			loopRef: Unbound, loopOuter: Unbound,
+			idents: map[string][]Ref{"u": {Unbound}},
+			frame:  0,
+		},
+		{
 			name: "declared worksharing loop variable",
 			src: `int main() {
   int n = 4;

@@ -2,14 +2,15 @@ package minic
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
-// Semantic checking: a scope-and-reference validation pass run before
-// analysis and execution, so misspelled variables and call-shape
-// mistakes surface as compile-time diagnostics (as a C front-end
-// would) instead of mid-run interpreter errors.
+// Semantic checking: scope and call-shape mistakes surface as
+// compile-time diagnostics (as a C front-end would) instead of
+// mid-run interpreter errors. Parse's binder (resolve.go) records them
+// in its one walk over the program; CheckSemantics hands them out.
 
 // SemaError is one semantic diagnostic.
 type SemaError struct {
@@ -19,7 +20,7 @@ type SemaError struct {
 
 func (e SemaError) Error() string { return fmt.Sprintf("line %d: %s", e.Line, e.Msg) }
 
-// SemaOptions configures the checker.
+// SemaOptions describes the names the runtime resolves.
 type SemaOptions struct {
 	// Predeclared names (runtime constants like MPI_COMM_WORLD) that
 	// resolve without a declaration.
@@ -32,213 +33,45 @@ type SemaOptions struct {
 	Builtins        map[string]bool
 }
 
-// DefaultSemaOptions returns the checker configuration matching the
-// interpreter's runtime surface.
-func DefaultSemaOptions() SemaOptions {
-	pre := map[string]bool{}
-	for _, n := range []string{
+// The runtime's name table, which the binder checks names against.
+var (
+	predeclared = nameSet(
 		"MPI_COMM_WORLD", "MPI_ANY_SOURCE", "MPI_ANY_TAG",
 		"MPI_THREAD_SINGLE", "MPI_THREAD_FUNNELED", "MPI_THREAD_SERIALIZED",
 		"MPI_THREAD_MULTIPLE", "MPI_SUM", "MPI_PROD", "MPI_MAX", "MPI_MIN",
 		"MPI_STATUS_IGNORE", "NULL",
-	} {
-		pre[n] = true
-	}
-	builtins := map[string]bool{}
-	for _, n := range []string{
+	)
+	builtins = nameSet(
 		"compute", "printf", "print", "sqrt", "fabs", "floor", "ceil",
 		"exp", "log", "sin", "cos", "fmin", "fmax", "pow", "abs",
-	} {
-		builtins[n] = true
+	)
+	builtinPrefixes = []string{"MPI_", "omp_", "pthread_"}
+)
+
+func nameSet(names ...string) map[string]bool {
+	set := make(map[string]bool, len(names))
+	for _, n := range names {
+		set[n] = true
 	}
+	return set
+}
+
+// DefaultSemaOptions returns a copy of the runtime's name table, the
+// one the binder checks names against.
+func DefaultSemaOptions() SemaOptions {
 	return SemaOptions{
-		Predeclared:     pre,
-		BuiltinPrefixes: []string{"MPI_", "omp_", "pthread_"},
-		Builtins:        builtins,
+		Predeclared:     maps.Clone(predeclared),
+		BuiltinPrefixes: slices.Clone(builtinPrefixes),
+		Builtins:        maps.Clone(builtins),
 	}
 }
 
-// semaScope is a lexical scope for the checker.
-type semaScope struct {
-	parent *semaScope
-	names  map[string]bool
-}
-
-func (s *semaScope) declared(name string) bool {
-	for sc := s; sc != nil; sc = sc.parent {
-		if sc.names[name] {
-			return true
-		}
-	}
-	return false
-}
-
-// checker carries the pass state.
-type checker struct {
-	opts  SemaOptions
-	prog  *Program
-	errs  []SemaError
-	scope *semaScope
-}
-
-// CheckSemantics validates the program and returns its diagnostics
-// (nil when clean).
-func CheckSemantics(prog *Program, opts SemaOptions) []SemaError {
-	c := &checker{opts: opts, prog: prog, scope: &semaScope{names: map[string]bool{}}}
-
-	// Globals first (visible everywhere).
-	for _, g := range prog.Globals {
-		c.declStmt(g)
-	}
-	// Duplicate function names.
-	seen := map[string]int{}
-	for _, f := range prog.Funcs {
-		if prev, dup := seen[f.Name]; dup {
-			c.errorf(f.Line, "function %q redefined (first defined at line %d)", f.Name, prev)
-		} else {
-			seen[f.Name] = f.Line
-		}
-	}
-	for _, f := range prog.Funcs {
-		c.checkFunc(f)
-	}
-	sort.Slice(c.errs, func(i, j int) bool {
-		if c.errs[i].Line != c.errs[j].Line {
-			return c.errs[i].Line < c.errs[j].Line
-		}
-		return c.errs[i].Msg < c.errs[j].Msg
-	})
-	return c.errs
-}
-
-func (c *checker) errorf(line int, format string, args ...any) {
-	c.errs = append(c.errs, SemaError{Line: line, Msg: fmt.Sprintf(format, args...)})
-}
-
-func (c *checker) push() { c.scope = &semaScope{parent: c.scope, names: map[string]bool{}} }
-func (c *checker) pop()  { c.scope = c.scope.parent }
-
-func (c *checker) declare(line int, name string) {
-	if c.scope.names[name] {
-		c.errorf(line, "%q redeclared in this scope", name)
-	}
-	c.scope.names[name] = true
-}
-
-func (c *checker) checkFunc(f *FuncDecl) {
-	c.push()
-	defer c.pop()
-	for i, p := range f.Params {
-		for j := 0; j < i; j++ {
-			if f.Params[j].Name == p.Name {
-				c.errorf(f.Line, "duplicate parameter %q in %s", p.Name, f.Name)
-			}
-		}
-		c.scope.names[p.Name] = true
-	}
-	for _, s := range f.Body.Stmts {
-		c.stmt(s)
-	}
-}
-
-func (c *checker) declStmt(d *DeclStmt) {
-	for _, dec := range d.Decls {
-		if dec.ArraySize != nil {
-			c.expr(dec.ArraySize)
-		}
-		if dec.Init != nil {
-			c.expr(dec.Init)
-		}
-		c.declare(d.Line, dec.Name)
-	}
-}
-
-func (c *checker) stmt(s Stmt) {
-	switch v := s.(type) {
-	case *Block:
-		c.push()
-		for _, inner := range v.Stmts {
-			c.stmt(inner)
-		}
-		c.pop()
-	case *DeclStmt:
-		c.declStmt(v)
-	case *ExprStmt:
-		c.expr(v.X)
-	case *IfStmt:
-		c.expr(v.Cond)
-		c.stmt(v.Then)
-		if v.Else != nil {
-			c.stmt(v.Else)
-		}
-	case *ForStmt:
-		c.push()
-		if v.Init != nil {
-			c.stmt(v.Init)
-		}
-		if v.Cond != nil {
-			c.expr(v.Cond)
-		}
-		if v.Post != nil {
-			c.expr(v.Post)
-		}
-		c.stmt(v.Body)
-		c.pop()
-	case *WhileStmt:
-		c.expr(v.Cond)
-		c.stmt(v.Body)
-	case *ReturnStmt:
-		if v.X != nil {
-			c.expr(v.X)
-		}
-	case *OmpStmt:
-		c.ompStmt(v)
-	case *BreakStmt, *ContinueStmt:
-		// loop membership is enforced syntactically by the parser's
-		// usage sites; nothing to resolve
-	}
-}
-
-func (c *checker) ompStmt(o *OmpStmt) {
-	if o.NumThreads != nil {
-		c.expr(o.NumThreads)
-	}
-	if o.Chunk != nil {
-		c.expr(o.Chunk)
-	}
-	for _, name := range o.Private {
-		if !c.scope.declared(name) {
-			c.errorf(o.Line, "private(%s): no such variable in scope", name)
-		}
-	}
-	for _, name := range o.RedVars {
-		if !c.scope.declared(name) {
-			c.errorf(o.Line, "reduction variable %q is not declared", name)
-		}
-	}
-	// private/reduction names become thread-local inside the construct.
-	c.push()
-	defer c.pop()
-	for _, name := range o.Private {
-		c.scope.names[name] = true
-	}
-	for _, name := range o.RedVars {
-		c.scope.names[name] = true
-	}
-	if o.Body != nil {
-		c.stmt(o.Body)
-	}
-	for _, sec := range o.Sections {
-		c.stmt(sec)
-	}
-}
-
-// isBuiltinCall reports whether the callee resolves to the runtime.
-func (c *checker) isBuiltinCall(name string) bool {
-	if c.opts.Builtins[name] {
+// isBuiltin reports whether the runtime resolves the callee name.
+func isBuiltin(name string) bool {
+	if builtins[name] {
 		return true
 	}
-	for _, p := range c.opts.BuiltinPrefixes {
+	for _, p := range builtinPrefixes {
 		if strings.HasPrefix(name, p) {
 			return true
 		}
@@ -246,40 +79,10 @@ func (c *checker) isBuiltinCall(name string) bool {
 	return false
 }
 
-func (c *checker) expr(e Expr) {
-	switch v := e.(type) {
-	case *NumberLit, *StringLit:
-	case *Ident:
-		if !c.scope.declared(v.Name) && !c.opts.Predeclared[v.Name] {
-			// Function names may appear as pthread_create arguments.
-			if c.prog.Func(v.Name) == nil {
-				c.errorf(v.Line, "undeclared identifier %q", v.Name)
-			}
-		}
-	case *Index:
-		c.expr(v.Arr)
-		c.expr(v.Idx)
-	case *Unary:
-		c.expr(v.X)
-	case *Binary:
-		c.expr(v.X)
-		c.expr(v.Y)
-	case *Assign:
-		c.expr(v.LHS)
-		c.expr(v.RHS)
-	case *IncDec:
-		c.expr(v.LHS)
-	case *Call:
-		if !c.isBuiltinCall(v.Name) {
-			fn := c.prog.Func(v.Name)
-			if fn == nil {
-				c.errorf(v.Line, "call of undefined function %q", v.Name)
-			} else if len(v.Args) != len(fn.Params) {
-				c.errorf(v.Line, "%s expects %d argument(s), got %d", v.Name, len(fn.Params), len(v.Args))
-			}
-		}
-		for _, a := range v.Args {
-			c.expr(a)
-		}
-	}
+// CheckSemantics returns the diagnostics of a parsed program, ordered
+// by line and message (nil when clean). Parse's binder found them
+// against the runtime's name table; opts is not consulted, and
+// DefaultSemaOptions is the table it describes.
+func CheckSemantics(prog *Program, opts SemaOptions) []SemaError {
+	return slices.Clone(prog.diags)
 }

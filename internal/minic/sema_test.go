@@ -158,3 +158,99 @@ int main() {
 		t.Fatalf("Error() = %q", errs[0].Error())
 	}
 }
+
+// wantDiags fails t unless src's diagnostics are exactly want.
+func wantDiags(t *testing.T, src string, want ...string) {
+	t.Helper()
+	var got []string
+	for _, e := range checkSrc(t, src) {
+		got = append(got, e.Error())
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("diagnostics:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+func TestSemaBreakContinueOutsideLoop(t *testing.T) {
+	wantDiags(t, `int main() {
+  int x = 1;
+  if (x) { break; }
+  printf("after %d\n", x);
+  return 0;
+}`, "line 3: break statement not within a loop")
+	// A loop outside the construct does not count: a structured block
+	// cannot be left.
+	wantDiags(t, `int main() {
+  while (1) {
+    #pragma omp parallel
+    { continue; }
+    for (;;) { if (1) { break; } }
+    break;
+  }
+  return 0;
+}`, "line 4: continue statement not within a loop")
+	wantClean(t, `int main() {
+  #pragma omp parallel for
+  for (int i = 0; i < 4; i++) { if (i) { continue; } while (1) { break; } }
+  return 0;
+}`)
+}
+
+func TestSemaBodyLocalRedeclaresParameter(t *testing.T) {
+	wantDiags(t, `int f(int a) {
+  int a = 2;
+  { int a = 3; }
+  return a;
+}
+int main() { return f(1); }`, `line 2: "a" redeclared in this scope`)
+}
+
+func TestSemaRepeatedGlobal(t *testing.T) {
+	wantDiags(t, `int g;
+double g[2];
+int main() { return 0; }`, `line 2: "g" redeclared in this scope`)
+}
+
+func TestSemaClauseNamesOnEveryConstruct(t *testing.T) {
+	// A clause name that is not in scope is reported once, at the
+	// clause, whether or not the construct privatizes.
+	for _, tc := range []struct{ pragma, want string }{
+		{"single private(u)", "line 2: private(u): no such variable in scope"},
+		{"parallel private(u)", "line 2: private(u): no such variable in scope"},
+		{"critical reduction(+: u)", `line 2: reduction variable "u" is not declared`},
+	} {
+		wantDiags(t, `int main() {
+  #pragma omp `+tc.pragma+`
+  { u = 1; }
+  return 0;
+}`, tc.want)
+	}
+	// A non-privatizing construct's chunk reads the outer scope.
+	wantError(t, `int main() {
+  #pragma omp parallel
+  {
+    #pragma omp for private(c) schedule(dynamic, c)
+    for (int i = 0; i < 4; i++) { }
+  }
+  return 0;
+}`, `undeclared identifier "c"`)
+}
+
+// Diagnostics follow the interpreter's binding where an earlier
+// checker's scopes did not.
+func TestSemaFollowsInterpreterBinding(t *testing.T) {
+	// A parallel for's team evaluates the chunk after privatizing, so
+	// the chunk reads the private copy.
+	wantDiags(t, `int main() {
+  #pragma omp parallel for private(c) schedule(dynamic, c)
+  for (int i = 0; i < 4; i++) { }
+  return 0;
+}`, "line 2: private(c): no such variable in scope")
+	// An assigned worksharing loop variable gets the construct's
+	// private slot: only the initializer reads the undeclared name.
+	wantDiags(t, `int main() {
+  #pragma omp parallel for
+  for (i = 0; i < 4; i++) { compute(i); }
+  return 0;
+}`, `line 3: undeclared identifier "i"`)
+}
