@@ -514,7 +514,7 @@ func replayForced(opts *Options) (forced0, orderForced0 int64) {
 //	                     single elections, loop chunks)
 //	sched.replay_forced  recorded decisions replay forced onto this run
 //	sched.order_forced   subset of sched.replay_forced from the order
-//	                     families (always 0 when replaying a v1 stream)
+//	                     families
 //	sched.bytes_v3       recorded schedule size in the v3 binary
 //	                     container
 func recordSchedStats(opts *Options, forced0, orderForced0 int64) {

@@ -349,89 +349,129 @@ type CollOrder struct {
 	NewComm int
 }
 
+// Decision kinds (the "k" field of a schedule record; internal/sched
+// documents each kind's wire format).
+const (
+	KindSend  = "send"
+	KindStall = "stall"
+	KindRMA   = "rma"
+	KindFail  = "fail"
+	KindAbort = "abort"
+	KindMatch = "match"
+	KindPoll  = "poll"
+	KindCrash = "crash"
+
+	// Order families: collective membership, lock grants, single
+	// elections and worksharing chunk claims.
+	KindColl   = "coll"
+	KindLock   = "lock"
+	KindSingle = "single"
+	KindChunk  = "chunk"
+)
+
+// Record is one realized decision, keyed by (Kind, Rank, TID, Seq).
+// Key fields are always present; payload fields are per-kind.
+// Rank-valued payload fields (Dead1, Src1, STID1, Comm1, NewComm1) are
+// stored 1-based so the zero value can mean "absent" under omitempty —
+// use the accessor methods, not the raw fields. The Injector's
+// Observe*/Replay* helpers are the one place that converts between
+// typed verdicts and records.
+type Record struct {
+	Kind string `json:"k"`
+	Rank int    `json:"r"`
+	TID  int    `json:"t"`
+	Seq  uint64 `json:"q,omitempty"` // crash records carry no point
+
+	// send / rma payload (rma uses DelayNs only)
+	DelayNs   int64 `json:"delay,omitempty"`
+	Reorder   bool  `json:"reorder,omitempty"`
+	Retries   int   `json:"retries,omitempty"`
+	BackoffNs int64 `json:"backoff,omitempty"`
+	JitterNs  int64 `json:"jitter,omitempty"`
+
+	// stall payload
+	StallNs     int64 `json:"stall,omitempty"`
+	StallWallNs int64 `json:"stallw,omitempty"`
+
+	// fail payload: 1-based rank whose failure was observed
+	Dead1 int `json:"dead,omitempty"`
+
+	// match / poll payload: 1-based sender rank and tid plus the
+	// sender's schedule stamp (stamps are >= 1, so SrcSeq == 0 means
+	// "no message identity" — a bare completion poll)
+	Src1   int    `json:"src,omitempty"`
+	STID1  int    `json:"stid,omitempty"`
+	SrcSeq uint64 `json:"sseq,omitempty"`
+
+	// coll payload: 1-based communicator id, instance seq within the
+	// communicator (>= 1), 1-based arrival index, and the 1-based
+	// duplicated communicator id a completed Comm_dup allocated (0 =
+	// not a Comm_dup)
+	Comm1    int   `json:"comm,omitempty"`
+	CollSeq  int64 `json:"cseq,omitempty"`
+	Ord      int   `json:"ord,omitempty"`
+	NewComm1 int   `json:"ncomm,omitempty"`
+
+	// lock payload: 1-based per-lock grant ticket
+	Ticket uint64 `json:"ticket,omitempty"`
+
+	// chunk payload: claimed iteration range [base, end); plain values
+	// (omitempty only elides literal zeros, which decode back to zero)
+	Base int64 `json:"base,omitempty"`
+	End  int64 `json:"end,omitempty"`
+}
+
+// Key identifies one decision: the record kind plus its schedule
+// point. Crash records, which carry no point, use TID 0 and Seq 0.
+type Key struct {
+	Kind string `json:"k"`
+	Rank int    `json:"r"`
+	TID  int    `json:"t"`
+	Seq  uint64 `json:"q"`
+}
+
+func (k Key) String() string {
+	return fmt.Sprintf("%s@(%d,%d,%d)", k.Kind, k.Rank, k.TID, k.Seq)
+}
+
+// Key returns the record's identity key.
+func (r Record) Key() Key { return Key{r.Kind, r.Rank, r.TID, r.Seq} }
+
+// DeadRank returns the observed failed rank of a fail record.
+func (r Record) DeadRank() int { return r.Dead1 - 1 }
+
+// Msg returns the message identity of a match/poll record (zero MsgID
+// when the record carries none).
+func (r Record) Msg() MsgID {
+	if r.SrcSeq == 0 {
+		return MsgID{}
+	}
+	return MsgID{Rank: r.Src1 - 1, TID: r.STID1 - 1, Seq: r.SrcSeq}
+}
+
+// CollOrder returns the instance assignment of a coll record.
+func (r Record) CollOrder() CollOrder {
+	return CollOrder{Comm: r.Comm1 - 1, Seq: r.CollSeq, Ord: r.Ord, NewComm: r.NewComm1 - 1}
+}
+
 // Recorder receives every realized fault decision and nondeterministic
 // resolution during a recorded chaos run (implemented by
 // internal/sched). Implementations must be safe for concurrent use:
-// match resolutions are recorded from the *sender's* goroutine.
+// match resolutions and collective memberships are recorded from
+// another participant's goroutine.
 type Recorder interface {
-	// RecordSend logs a realized (non-trivial) send fault at chaos
-	// decision point (rank, tid, seq).
-	RecordSend(rank, tid int, seq uint64, f SendFault)
-	// RecordStall logs a realized thread stall.
-	RecordStall(rank, tid int, seq uint64, s Stall)
-	// RecordRMADelay logs a realized RMA delay.
-	RecordRMADelay(rank, tid int, seq uint64, delayNs int64)
-	// RecordFail logs that the operation at schedule point (rank, tid,
-	// seq) observed the failure of rank dead.
-	RecordFail(rank, tid int, seq uint64, dead int)
-	// RecordAbort logs that the OpenMP construct at the schedule point
-	// was abandoned by a crash-stop.
-	RecordAbort(rank, tid int, seq uint64)
-	// RecordMatch logs which message satisfied the receive or probe
-	// posted at the schedule point.
-	RecordMatch(rank, tid int, seq uint64, m MsgID)
-	// RecordPoll logs a successful non-blocking poll (MPI_Test,
-	// MPI_Iprobe) at the schedule point; m is the matched message for
-	// probes, zero for request-completion tests.
-	RecordPoll(rank, tid int, seq uint64, m MsgID)
-	// RecordCrash logs that the given rank crash-stopped.
-	RecordCrash(rank int)
-	// RecordCollJoin logs the collective-instance assignment of the
-	// arrival at schedule point (rank, tid, seq). Called once per
-	// participant when an instance *completes* (from the completing
-	// participant's goroutine); abandoned instances are never logged.
-	RecordCollJoin(rank, tid int, seq uint64, o CollOrder)
-	// RecordLockGrant logs that the OpenMP lock acquire at the schedule
-	// point was granted as the lock's ticket-th acquisition (tickets
-	// are 1-based and count grants per lock object).
-	RecordLockGrant(rank, tid int, seq uint64, ticket uint64)
-	// RecordSingleWin logs that the thread won the first-arriver
-	// election of the `single` construct at its ord-th construct
-	// encounter (the key is the member-local construct ordinal, not a
-	// schedule point — elections allocate no new points, keeping v1
-	// per-thread point sequences valid).
-	RecordSingleWin(rank, tid int, ord uint64)
-	// RecordChunk logs the iteration range [base, end) the thread
-	// claimed from a dynamic/guided worksharing loop; seq composes the
-	// construct ordinal with the thread's claim index (see
-	// internal/omp).
-	RecordChunk(rank, tid int, seq uint64, base, end int64)
+	Record(rec Record)
 }
 
 // Source answers the same decision points from a recorded schedule
-// during replay (implemented by internal/sched). A false/absent
-// answer means "nothing was recorded here": no fault, no failure, no
-// match.
+// during replay (implemented by internal/sched). An absent record
+// means "nothing was recorded here": no fault, no failure, no match.
 type Source interface {
-	SendFault(rank, tid int, seq uint64) (SendFault, bool)
-	Stall(rank, tid int, seq uint64) (Stall, bool)
-	RMADelay(rank, tid int, seq uint64) (int64, bool)
-	Fail(rank, tid int, seq uint64) (dead int, ok bool)
-	Abort(rank, tid int, seq uint64) bool
-	Match(rank, tid int, seq uint64) (MsgID, bool)
-	Poll(rank, tid int, seq uint64) (MsgID, bool)
+	Lookup(kind string, rank, tid int, seq uint64) (Record, bool)
 	// Crashes lists the ranks that crash-stopped in the recorded run;
 	// the world pre-marks them (without failure propagation) so replay
 	// reproduces DeadRanks exactly from the recorded fail/abort records.
 	Crashes() []int
-	// CollJoin returns the recorded collective-instance assignment at
-	// the schedule point, if any.
-	CollJoin(rank, tid int, seq uint64) (CollOrder, bool)
-	// LockGrant returns the recorded lock-acquisition ticket at the
-	// schedule point, if any.
-	LockGrant(rank, tid int, seq uint64) (uint64, bool)
-	// SingleWin reports whether the thread won the recorded `single`
-	// election at its ord-th construct encounter.
-	SingleWin(rank, tid int, ord uint64) bool
-	// Chunk returns the recorded dynamic/guided loop claim at the key,
-	// if any.
-	Chunk(rank, tid int, seq uint64) (base, end int64, ok bool)
-	// PinsOrders reports whether the schedule pins membership and
-	// acquisition orders (format v2+). Streams recorded before the
-	// order families existed replay with the older report-identity
-	// guarantee: the substrates fall back to live resolution instead of
-	// expecting a record at every order decision.
-	PinsOrders() bool
 }
 
 // Injector evaluates a Plan. All methods are safe on a nil receiver
@@ -580,6 +620,21 @@ func (in *Injector) amount(max int64, stream, rank, tid int, seq uint64) int64 {
 	return 1 + int64(in.roll(stream, rank, tid, seq)%uint64(max))
 }
 
+// record hands a realized decision to the attached recorder, if any.
+func (in *Injector) record(rec Record) {
+	if in != nil && in.rec != nil {
+		in.rec.Record(rec)
+	}
+}
+
+// lookup answers a decision point from the attached schedule, if any.
+func (in *Injector) lookup(kind string, rank, tid int, seq uint64) (Record, bool) {
+	if in == nil || in.src == nil {
+		return Record{}, false
+	}
+	return in.src.Lookup(kind, rank, tid, seq)
+}
+
 // SendFault returns the faults to apply to the send identified by
 // (rank, tid, seq). seq is the caller thread's decision index
 // (sim.Ctx.NextChaosSeq), which makes the verdict independent of the
@@ -588,18 +643,16 @@ func (in *Injector) SendFault(rank, tid int, seq uint64) SendFault {
 	if in == nil {
 		return SendFault{}
 	}
+	var f SendFault
 	if in.src != nil {
-		f, ok := in.src.SendFault(rank, tid, seq)
-		if !ok {
-			return SendFault{}
-		}
 		// Wall jitter exists only to provoke host-schedule races; in
 		// replay the resolutions are forced, so don't waste the time.
-		f.JitterWall = 0
+		if rec, ok := in.src.Lookup(KindSend, rank, tid, seq); ok {
+			f = SendFault{DelayNs: rec.DelayNs, Reorder: rec.Reorder, Retries: rec.Retries, BackoffNs: rec.BackoffNs}
+		}
 		in.countSend(f)
 		return f
 	}
-	var f SendFault
 	if in.hit(in.plan.DelayProb, streamDelay, rank, tid, seq) {
 		f.DelayNs = in.amount(in.plan.MaxDelayNs, streamDelayAmt, rank, tid, seq)
 	}
@@ -615,8 +668,10 @@ func (in *Injector) SendFault(rank, tid int, seq uint64) SendFault {
 		f.JitterWall = time.Duration(us) * time.Microsecond
 	}
 	in.countSend(f)
-	if in.rec != nil && f != (SendFault{}) {
-		in.rec.RecordSend(rank, tid, seq, f)
+	if f != (SendFault{}) {
+		in.record(Record{Kind: KindSend, Rank: rank, TID: tid, Seq: seq,
+			DelayNs: f.DelayNs, Reorder: f.Reorder, Retries: f.Retries, BackoffNs: f.BackoffNs,
+			JitterNs: int64(f.JitterWall)})
 	}
 	return f
 }
@@ -645,25 +700,22 @@ func (in *Injector) StallAt(rank, tid int, seq uint64) (Stall, bool) {
 	if in == nil {
 		return Stall{}, false
 	}
+	var s Stall
 	if in.src != nil {
-		s, ok := in.src.Stall(rank, tid, seq)
+		rec, ok := in.src.Lookup(KindStall, rank, tid, seq)
 		if !ok {
 			return Stall{}, false
 		}
-		s.Wall = 0 // as with jitter: host-race provocation is pointless in replay
-		in.stats.stalls.Inc()
-		in.stats.stallVns.Add(s.VirtualNs)
-		return s, true
-	}
-	if !in.hit(in.plan.StallProb, streamStall, rank, tid, seq) {
-		return Stall{}, false
+		s.VirtualNs = rec.StallNs // as with jitter, the wall pause is not re-applied
+	} else {
+		if !in.hit(in.plan.StallProb, streamStall, rank, tid, seq) {
+			return Stall{}, false
+		}
+		s = Stall{VirtualNs: in.plan.StallNs, Wall: in.plan.StallWall}
+		in.record(Record{Kind: KindStall, Rank: rank, TID: tid, Seq: seq, StallNs: s.VirtualNs, StallWallNs: int64(s.Wall)})
 	}
 	in.stats.stalls.Inc()
-	in.stats.stallVns.Add(in.plan.StallNs)
-	s := Stall{VirtualNs: in.plan.StallNs, Wall: in.plan.StallWall}
-	if in.rec != nil {
-		in.rec.RecordStall(rank, tid, seq, s)
-	}
+	in.stats.stallVns.Add(s.VirtualNs)
 	return s, true
 }
 
@@ -673,165 +725,148 @@ func (in *Injector) RMADelay(rank, tid int, seq uint64) (int64, bool) {
 	if in == nil {
 		return 0, false
 	}
+	var d int64
 	if in.src != nil {
-		d, ok := in.src.RMADelay(rank, tid, seq)
+		rec, ok := in.src.Lookup(KindRMA, rank, tid, seq)
 		if !ok {
 			return 0, false
 		}
-		in.stats.rmaDelays.Inc()
-		in.stats.rmaDelayVns.Add(d)
-		return d, true
+		d = rec.DelayNs
+	} else {
+		if !in.hit(in.plan.RMAProb, streamRMA, rank, tid, seq) {
+			return 0, false
+		}
+		d = in.amount(in.plan.MaxRMADelayNs, streamRMAAmt, rank, tid, seq)
+		in.record(Record{Kind: KindRMA, Rank: rank, TID: tid, Seq: seq, DelayNs: d})
 	}
-	if !in.hit(in.plan.RMAProb, streamRMA, rank, tid, seq) {
-		return 0, false
-	}
-	d := in.amount(in.plan.MaxRMADelayNs, streamRMAAmt, rank, tid, seq)
 	in.stats.rmaDelays.Inc()
 	in.stats.rmaDelayVns.Add(d)
-	if in.rec != nil {
-		in.rec.RecordRMADelay(rank, tid, seq, d)
-	}
 	return d, true
 }
 
 // ObserveFail records that the operation at schedule point (rank,
 // tid, seq) observed the failure of rank dead.
 func (in *Injector) ObserveFail(rank, tid int, seq uint64, dead int) {
-	if in != nil && in.rec != nil {
-		in.rec.RecordFail(rank, tid, seq, dead)
-	}
+	in.record(Record{Kind: KindFail, Rank: rank, TID: tid, Seq: seq, Dead1: dead + 1})
 }
 
 // ReplayFail returns the recorded failure observation at the schedule
 // point, if any.
 func (in *Injector) ReplayFail(rank, tid int, seq uint64) (int, bool) {
-	if in == nil || in.src == nil {
-		return 0, false
-	}
-	return in.src.Fail(rank, tid, seq)
+	rec, ok := in.lookup(KindFail, rank, tid, seq)
+	return rec.DeadRank(), ok
 }
 
-// ObserveAbort records a crash-stop abort of an OpenMP construct.
+// ObserveAbort records that the OpenMP construct at the schedule
+// point was abandoned by a crash-stop.
 func (in *Injector) ObserveAbort(rank, tid int, seq uint64) {
-	if in != nil && in.rec != nil {
-		in.rec.RecordAbort(rank, tid, seq)
-	}
+	in.record(Record{Kind: KindAbort, Rank: rank, TID: tid, Seq: seq})
 }
 
 // ReplayAbort reports whether an abort was recorded at the point.
 func (in *Injector) ReplayAbort(rank, tid int, seq uint64) bool {
-	return in != nil && in.src != nil && in.src.Abort(rank, tid, seq)
+	_, ok := in.lookup(KindAbort, rank, tid, seq)
+	return ok
+}
+
+// msgRecord builds a match/poll record; a zero MsgID (a bare
+// request-completion poll) carries no sender payload.
+func msgRecord(kind string, rank, tid int, seq uint64, m MsgID) Record {
+	rec := Record{Kind: kind, Rank: rank, TID: tid, Seq: seq}
+	if !m.Zero() {
+		rec.Src1, rec.STID1, rec.SrcSeq = m.Rank+1, m.TID+1, m.Seq
+	}
+	return rec
 }
 
 // ObserveMatch records which message satisfied the receive or probe
 // posted at the schedule point. Safe to call from the sender's
 // goroutine (the Recorder contract requires concurrency safety).
 func (in *Injector) ObserveMatch(rank, tid int, seq uint64, m MsgID) {
-	if in != nil && in.rec != nil {
-		in.rec.RecordMatch(rank, tid, seq, m)
-	}
+	in.record(msgRecord(KindMatch, rank, tid, seq, m))
 }
 
 // ReplayMatch returns the recorded match resolution for the receive
 // or probe posted at the schedule point, if any.
 func (in *Injector) ReplayMatch(rank, tid int, seq uint64) (MsgID, bool) {
-	if in == nil || in.src == nil {
-		return MsgID{}, false
-	}
-	return in.src.Match(rank, tid, seq)
+	rec, ok := in.lookup(KindMatch, rank, tid, seq)
+	return rec.Msg(), ok
 }
 
-// ObservePoll records a successful non-blocking poll.
+// ObservePoll records a successful non-blocking poll (MPI_Test,
+// MPI_Iprobe); m is the matched message for probes, zero for
+// request-completion tests.
 func (in *Injector) ObservePoll(rank, tid int, seq uint64, m MsgID) {
-	if in != nil && in.rec != nil {
-		in.rec.RecordPoll(rank, tid, seq, m)
-	}
+	in.record(msgRecord(KindPoll, rank, tid, seq, m))
 }
 
 // ReplayPoll returns the recorded poll outcome at the point, if any.
 func (in *Injector) ReplayPoll(rank, tid int, seq uint64) (MsgID, bool) {
-	if in == nil || in.src == nil {
-		return MsgID{}, false
-	}
-	return in.src.Poll(rank, tid, seq)
-}
-
-// ReplayPinsOrders reports whether the attached schedule pins
-// collective-membership and lock/election orders (a v2+ stream). The
-// substrates force those orders only when this is true; a v1 stream
-// replays with the original report-identity guarantee.
-func (in *Injector) ReplayPinsOrders() bool {
-	return in != nil && in.src != nil && in.src.PinsOrders()
+	rec, ok := in.lookup(KindPoll, rank, tid, seq)
+	return rec.Msg(), ok
 }
 
 // ObserveCollJoin records a participant's collective-instance
-// assignment (called at instance completion, possibly from another
-// participant's goroutine — the Recorder contract requires
-// concurrency safety).
+// assignment. It is called once per participant when an instance
+// *completes*, possibly from another participant's goroutine;
+// abandoned instances are never recorded.
 func (in *Injector) ObserveCollJoin(rank, tid int, seq uint64, o CollOrder) {
-	if in != nil && in.rec != nil {
-		in.rec.RecordCollJoin(rank, tid, seq, o)
-	}
+	in.record(Record{Kind: KindColl, Rank: rank, TID: tid, Seq: seq,
+		Comm1: o.Comm + 1, CollSeq: o.Seq, Ord: o.Ord, NewComm1: o.NewComm + 1})
 }
 
 // ReplayCollJoin returns the recorded collective-instance assignment
 // at the schedule point, if any.
 func (in *Injector) ReplayCollJoin(rank, tid int, seq uint64) (CollOrder, bool) {
-	if in == nil || in.src == nil {
-		return CollOrder{}, false
-	}
-	return in.src.CollJoin(rank, tid, seq)
+	rec, ok := in.lookup(KindColl, rank, tid, seq)
+	return rec.CollOrder(), ok
 }
 
-// ObserveLockGrant records a granted lock acquisition's ticket.
+// ObserveLockGrant records that the lock acquire at the schedule
+// point was granted as the lock's ticket-th acquisition (tickets are
+// 1-based and count grants per lock object).
 func (in *Injector) ObserveLockGrant(rank, tid int, seq uint64, ticket uint64) {
-	if in != nil && in.rec != nil {
-		in.rec.RecordLockGrant(rank, tid, seq, ticket)
-	}
+	in.record(Record{Kind: KindLock, Rank: rank, TID: tid, Seq: seq, Ticket: ticket})
 }
 
 // ReplayLockGrant returns the recorded acquisition ticket at the
 // schedule point, if any.
 func (in *Injector) ReplayLockGrant(rank, tid int, seq uint64) (uint64, bool) {
-	if in == nil || in.src == nil {
-		return 0, false
-	}
-	return in.src.LockGrant(rank, tid, seq)
+	rec, ok := in.lookup(KindLock, rank, tid, seq)
+	return rec.Ticket, ok
 }
 
-// ObserveSingleWin records a won `single` first-arriver election.
-func (in *Injector) ObserveSingleWin(rank, tid int, ord uint64) {
-	if in != nil && in.rec != nil {
-		in.rec.RecordSingleWin(rank, tid, ord)
-	}
+// ObserveSingleWin records that the thread won the first-arriver
+// election of the `single` construct at its key-th construct
+// encounter (the thread's run-wide construct count, not a schedule
+// point: elections allocate no new points).
+func (in *Injector) ObserveSingleWin(rank, tid int, key uint64) {
+	in.record(Record{Kind: KindSingle, Rank: rank, TID: tid, Seq: key})
 }
 
 // ReplaySingleWin reports whether the thread won the recorded
-// election at its ord-th construct encounter.
-func (in *Injector) ReplaySingleWin(rank, tid int, ord uint64) bool {
-	return in != nil && in.src != nil && in.src.SingleWin(rank, tid, ord)
+// election at its key-th construct encounter.
+func (in *Injector) ReplaySingleWin(rank, tid int, key uint64) bool {
+	_, ok := in.lookup(KindSingle, rank, tid, key)
+	return ok
 }
 
-// ObserveChunk records a dynamic/guided loop claim.
+// ObserveChunk records the iteration range [base, end) the thread
+// claimed from a dynamic/guided loop; seq composes the thread's
+// construct count with its claim index (see internal/omp).
 func (in *Injector) ObserveChunk(rank, tid int, seq uint64, base, end int64) {
-	if in != nil && in.rec != nil {
-		in.rec.RecordChunk(rank, tid, seq, base, end)
-	}
+	in.record(Record{Kind: KindChunk, Rank: rank, TID: tid, Seq: seq, Base: base, End: end})
 }
 
 // ReplayChunk returns the recorded loop claim at the key, if any.
 func (in *Injector) ReplayChunk(rank, tid int, seq uint64) (base, end int64, ok bool) {
-	if in == nil || in.src == nil {
-		return 0, 0, false
-	}
-	return in.src.Chunk(rank, tid, seq)
+	rec, ok := in.lookup(KindChunk, rank, tid, seq)
+	return rec.Base, rec.End, ok
 }
 
 // ObserveCrash records that a rank crash-stopped.
 func (in *Injector) ObserveCrash(rank int) {
-	if in != nil && in.rec != nil {
-		in.rec.RecordCrash(rank)
-	}
+	in.record(Record{Kind: KindCrash, Rank: rank})
 }
 
 // CrashPoint returns the 1-based index of the MPI call during which

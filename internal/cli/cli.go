@@ -81,7 +81,7 @@ func HomeCheck(args []string, stdout, stderr io.Writer) int {
 	chaosSpec := fs.String("chaos", "", "inject faults from a chaos plan, e.g. seed=3 or seed=3,crash=1@5 (see docs/ROBUSTNESS.md)")
 	graceMs := fs.Int64("watchdog-grace-ms", 0, "deadlock watchdog grace window under transient stalls (0 = default)")
 	recordSched := fs.String("record-sched", "", "record the run's realized fault schedule to this file (replay it with -replay-sched)")
-	replaySched := fs.String("replay-sched", "", "replay a recorded fault schedule, forcing the recorded interleaving (plan comes from the schedule; excludes -chaos)")
+	replaySched := fs.String("replay-sched", "", "replay a recorded (version 2) fault schedule, forcing the recorded interleaving and virtual time (plan comes from the schedule; excludes -chaos)")
 	exploreFlag := fs.Bool("explore", false, "run a schedule-space exploration campaign around the seed schedule (-replay-sched, or a fresh recording under -chaos; see docs/ROBUSTNESS.md)")
 	exploreBudget := fs.Int("explore-budget", 64, "mutants to try in the -explore campaign")
 	exploreOut := fs.String("explore-out", "", "directory for minimal reproducing schedules found by -explore (default: a fresh temp directory)")
@@ -174,16 +174,8 @@ func HomeCheck(args []string, stdout, stderr io.Writer) int {
 		}
 		opts.ReplaySchedule = schedule
 		plan := schedule.Plan()
-		// State the guarantee level: a v2+ stream pins collective
-		// membership and lock/election orders, so virtual time (Makespan,
-		// timestamps, timelines) replays exactly; a v1 stream reproduces
-		// the report identity only.
-		guarantee := "report identity (v1 schedule: virtual time not pinned)"
-		if schedule.PinsOrders() {
-			guarantee = "virtual-time exact (v2 schedule)"
-		}
-		fmt.Fprintf(stderr, "replay: forcing recorded schedule from %s (plan %s, %s)\n",
-			*replaySched, &plan, guarantee)
+		fmt.Fprintf(stderr, "replay: forcing recorded schedule from %s (plan %s, virtual-time exact)\n",
+			*replaySched, &plan)
 	}
 
 	if *exploreFlag {
@@ -528,10 +520,11 @@ func traceUsage(stderr io.Writer) {
 
 replay re-checks the program while forcing the fault schedule recorded
 by homecheck -record-sched; pass the same -procs/-threads/-seed as the
-recording run. A v2 schedule additionally pins collective membership
-and lock/election orders, so the replay reproduces virtual time —
-Makespan, every event timestamp and the rendered timeline — exactly;
-a v1 schedule reproduces the report identity only.
+recording run. The schedule pins fault decisions, failure and match
+resolutions, collective membership and lock/election orders, so the
+replay reproduces the report and virtual time — Makespan, every event
+timestamp and the rendered timeline — exactly. Only version-2
+schedules replay; a version-1 schedule is rejected.
 
 timeline renders a per-(rank,thread) virtual-time timeline as Chrome
 trace_event JSON (open in chrome://tracing or ui.perfetto.dev), with
@@ -546,10 +539,9 @@ markdown; -format json emits the FleetReport document.
 
 transcode converts a schedule between the JSONL container and the v3
 binary container (-to v3 by default when given JSONL, -to jsonl when
-given binary). The conversion is lossless: records, their order and
-the stream's base version survive exactly, so a transcoded schedule
-replays with the same guarantee, and a v2->v3->v2 round trip is
-byte-identical.`)
+given binary). The conversion is lossless: records and their order
+survive exactly, so a transcoded schedule replays identically, and a
+v2->v3->v2 round trip is byte-identical.`)
 }
 
 // traceReport renders a run-corpus JSONL file (written by homebench

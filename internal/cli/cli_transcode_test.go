@@ -51,7 +51,8 @@ func TestTraceTranscodeRoundTrip(t *testing.T) {
 }
 
 // TestTraceTranscodeExplicitTarget pins -to handling and the
-// stdout-writing path.
+// stdout-writing path, on the pinned ConcurrentRecv crash-stop
+// schedule.
 func TestTraceTranscodeExplicitTarget(t *testing.T) {
 	src := filepath.Join("..", "harness", "testdata", "pinned-sched.jsonl")
 	orig, err := os.ReadFile(src)
@@ -65,7 +66,8 @@ func TestTraceTranscodeExplicitTarget(t *testing.T) {
 	if !sched.Binary(out.Bytes()) {
 		t.Fatal("stdout output lacks the v3 magic")
 	}
-	// Re-encoding the v1 pinned stream must preserve its base version.
+	// Decoding the binary output and re-encoding it as JSONL must give
+	// back the original stream.
 	s, err := sched.Read(bytes.NewReader(out.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +77,7 @@ func TestTraceTranscodeExplicitTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(back, orig) {
-		t.Fatal("v1 schedule did not survive the binary round trip")
+		t.Fatal("pinned schedule did not survive the binary round trip")
 	}
 
 	errb.Reset()

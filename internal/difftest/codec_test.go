@@ -22,8 +22,9 @@ func readSchedule(t testing.TB, name string, data []byte) *sched.Schedule {
 }
 
 // transcodeCases returns every schedule stream the transcode tests
-// cover: the corpus cells' recorded schedules plus the pinned
-// fixtures (a v1 and a v2 stream frozen by the harness goldens).
+// cover: the corpus cells' recorded schedules plus the two pinned
+// fixtures of the harness goldens (the ConcurrentRecv crash-stop and
+// the collective-call schedules).
 func transcodeCases(t testing.TB) map[string][]byte {
 	cases := map[string][]byte{}
 	for _, c := range corpus(t) {

@@ -171,9 +171,9 @@ func TestMutantDeterministicReplay(t *testing.T) {
 	// Collect one concrete mutation per operator family present.
 	perOp := map[string]sched.Mutation{}
 	for _, r := range seedRecs {
-		k := r.RecordKey()
+		k := r.Key()
 		switch r.Kind {
-		case sched.KindFail:
+		case chaos.KindFail:
 			if _, ok := perOp[sched.OpCrashLater]; !ok {
 				perOp[sched.OpCrashLater] = sched.Mutation{Op: sched.OpCrashLater, A: k}
 			}
@@ -182,19 +182,19 @@ func TestMutantDeterministicReplay(t *testing.T) {
 					perOp[sched.OpCrashEarlier] = sched.Mutation{Op: sched.OpCrashEarlier, A: k}
 				}
 			}
-		case sched.KindSend:
+		case chaos.KindSend:
 			if _, ok := perOp[sched.OpToggleSend]; !ok {
 				perOp[sched.OpToggleSend] = sched.Mutation{Op: sched.OpToggleSend, A: k}
 			}
-		case sched.KindCrash:
+		case chaos.KindCrash:
 			perOp["revive"] = sched.Mutation{Op: sched.OpCrashLater, A: k}
 		}
 	}
 	// Match flips need two same-rank matches; find them explicitly.
 	byRank := map[int][]sched.Key{}
 	for _, r := range seedRecs {
-		if r.Kind == sched.KindMatch && r.SrcSeq > 0 {
-			byRank[r.Rank] = append(byRank[r.Rank], r.RecordKey())
+		if r.Kind == chaos.KindMatch && r.SrcSeq > 0 {
+			byRank[r.Rank] = append(byRank[r.Rank], r.Key())
 		}
 	}
 	for _, ks := range byRank {
@@ -297,16 +297,16 @@ func TestOrderFamilyDeterministicReplay(t *testing.T) {
 	collByInst := map[[2]int64][]sched.Key{}
 	matchByRank := map[int][]sched.Key{}
 	for _, r := range seedRecs {
-		k := r.RecordKey()
+		k := r.Key()
 		switch r.Kind {
-		case sched.KindLock:
+		case chaos.KindLock:
 			locks = append(locks, k)
-		case sched.KindSingle:
+		case chaos.KindSingle:
 			singles = append(singles, k)
-		case sched.KindColl:
+		case chaos.KindColl:
 			g := [2]int64{int64(r.Comm1), r.CollSeq}
 			collByInst[g] = append(collByInst[g], k)
-		case sched.KindMatch:
+		case chaos.KindMatch:
 			if r.SrcSeq > 0 {
 				matchByRank[r.Rank] = append(matchByRank[r.Rank], k)
 			}

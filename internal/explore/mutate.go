@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"home/internal/chaos"
 	"home/internal/sched"
 )
 
@@ -33,25 +34,25 @@ func pickMutation(rng *rand.Rand, recs []sched.Record, threads int) (sched.Mutat
 		failKeys    = map[sched.Key]struct{}{}
 	)
 	for _, r := range recs {
-		k := r.RecordKey()
+		k := r.Key()
 		switch r.Kind {
-		case sched.KindMatch:
+		case chaos.KindMatch:
 			if r.SrcSeq > 0 {
 				matchByRank[r.Rank] = append(matchByRank[r.Rank], k)
 			}
-		case sched.KindLock:
+		case chaos.KindLock:
 			locks = append(locks, k)
-		case sched.KindSingle:
+		case chaos.KindSingle:
 			singles = append(singles, k)
-		case sched.KindColl:
+		case chaos.KindColl:
 			g := [2]int64{int64(r.Comm1), r.CollSeq}
 			collGroups[g] = append(collGroups[g], k)
-		case sched.KindFail:
+		case chaos.KindFail:
 			fails = append(fails, k)
 			failKeys[k] = struct{}{}
-		case sched.KindSend:
+		case chaos.KindSend:
 			sends = append(sends, k)
-		case sched.KindCrash:
+		case chaos.KindCrash:
 			crashes = append(crashes, k)
 		}
 	}

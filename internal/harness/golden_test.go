@@ -1,17 +1,20 @@
 package harness
 
 // Pinned replay golden: a checked-in realized schedule (recorded from
-// a crash-stop run of a corpus program) replayed against a checked-in
-// verdict. This is the long-term compatibility contract of the
-// schedule format — a format or replay-semantics change that breaks
-// old recordings fails here, not in a user's bug report.
+// a crash-stop run of the ConcurrentRecv corpus program) replayed
+// against a checked-in verdict. This is the long-term compatibility
+// contract of the schedule format — a format or replay-semantics
+// change that breaks old recordings fails here, not in a user's bug
+// report. testdata/pinned-timeline.json renders the same replay
+// (timeline_golden_test.go).
 //
-// testdata/pinned-sched.jsonl is a frozen VERSION 1 stream: it proves
-// a v2 reader still replays v1 recordings with the report-identity
-// guarantee. Running `-run Pinned -update` rewrites it with the
-// current (v2) recorder and silently loses that proof — regenerate
-// only the v2 goldens (`-run 'PinnedV2|PinnedTimelineV2' -update`)
-// unless v1 replay semantics themselves changed deliberately.
+// Regenerate deliberately, schedule first, then its timeline:
+//
+//	go test ./internal/harness -run '^TestPinnedScheduleReplay$' -args -update
+//	go test ./internal/harness -run '^TestPinnedTimeline$' -args -update
+//
+// A bare `-run Pinned -update` also re-records the v2 collective
+// goldens (golden_v2_test.go).
 
 import (
 	"flag"

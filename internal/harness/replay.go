@@ -51,13 +51,12 @@ func (id ReplayIdentity) String() string {
 	return string(b)
 }
 
-// ExactIdentity is the part of a Report that a v2 schedule guarantees
-// to reproduce exactly: the replay-stable identity plus virtual time.
-// Pinning collective membership and lock-acquisition order makes every
-// thread's clock arithmetic deterministic, so Makespan (and with it
-// every event timestamp and the exported timeline) replays
-// byte-identically. A v1 schedule does not carry the order records and
-// makes no Makespan promise — compare ReplayIdentity for those.
+// ExactIdentity is the part of a Report that a schedule replay
+// guarantees to reproduce exactly: the replay-stable identity plus
+// virtual time. Pinning collective membership and lock-acquisition
+// order makes every thread's clock arithmetic deterministic, so
+// Makespan (and with it every event timestamp and the exported
+// timeline) replays byte-identically.
 type ExactIdentity struct {
 	ReplayIdentity
 	Makespan int64 `json:"makespan"`

@@ -98,9 +98,6 @@ func replayRun(t *testing.T, prog *minic.Program, opts home.Options, schedule *h
 func recordReplay(t *testing.T, prog *minic.Program, opts home.Options) (rec, rep runArtifacts) {
 	t.Helper()
 	rec, schedule := recordRun(t, prog, opts)
-	if !schedule.PinsOrders() {
-		t.Fatal("freshly recorded schedule does not pin orders (not v2?)")
-	}
 	return rec, replayRun(t, prog, opts, schedule)
 }
 

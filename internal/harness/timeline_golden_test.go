@@ -1,13 +1,14 @@
 package harness
 
-// Pinned timeline golden: the checked-in realized schedule
-// (testdata/pinned-sched.jsonl) replayed and rendered as Chrome
-// trace_event timeline JSON must reproduce the checked-in artifact
-// byte for byte. This pins the whole explanation pipeline — replay
-// determinism, lane assembly, flow-event derivation and witness
+// Pinned timeline golden: the checked-in ConcurrentRecv crash-stop
+// schedule (testdata/pinned-sched.jsonl) replayed and rendered as
+// Chrome trace_event timeline JSON must reproduce the checked-in
+// artifact byte for byte. This pins the whole explanation pipeline —
+// replay determinism, lane assembly, flow-event derivation and witness
 // overlay — as one compatibility contract (the `timeline-golden` CI
 // step). Regenerate deliberately with
-// `go test ./internal/harness -run PinnedTimeline -update`.
+// `go test ./internal/harness -run '^TestPinnedTimeline$' -args -update`
+// after the schedule (see golden_test.go).
 
 import (
 	"bytes"

@@ -151,7 +151,7 @@ func (p *Proc) arrive(ctx *sim.Ctx, comm CommID, kind collKind, root int, op Red
 	// fail-fast below, a failAll wake and the own-abort withdrawal all
 	// race with crash propagation in a recorded run, and which open
 	// instance the arrival joins is host-racy when several threads of a
-	// rank hit collectives concurrently. A v2 schedule carries a coll
+	// rank hit collectives concurrently. A schedule carries a coll
 	// (membership) record for every arrival that completed an instance
 	// and a fail record for every arrival that observed a failure;
 	// absence of both means the recorded run left the arrival stranded.
@@ -171,11 +171,10 @@ func (p *Proc) arrive(ctx *sim.Ctx, comm CommID, kind collKind, root int, op Red
 		if dead, ok := p.replayFailAt(ctx, qf); ok {
 			return collResult{}, p.world.failure(dead, "MPI_"+kind.String())
 		}
-		// No record at this point: a v1 schedule (orders not pinned —
-		// resolve live below, the original guarantee), or an arrival
-		// the recorded run left stranded, which strands here too (an
-		// unforced instance can never complete in place of a forced
-		// one: forced instances live in their own index).
+		// No record at this point: an arrival the recorded run left
+		// stranded, which strands here too (an unforced instance can
+		// never complete in place of a forced one: forced instances
+		// live in their own index).
 	}
 
 	cs.mu.Lock()
@@ -298,8 +297,8 @@ func (p *Proc) arrive(ctx *sim.Ctx, comm CommID, kind collKind, root int, op Red
 }
 
 // arriveForced joins the collective instance the recorded run assigned
-// this arrival to (replay of a v2 schedule). Membership is fixed by
-// the schedule: the instance completes exactly when the last recorded
+// this arrival to (schedule replay). Membership is fixed by the
+// schedule: the instance completes exactly when the last recorded
 // member arrives, so maxT and the release time — and with them virtual
 // time — reproduce the recorded run.
 func (p *Proc) arriveForced(ctx *sim.Ctx, cs *commState, kind collKind, root int, op ReduceOp, payload []float64, jo chaos.CollOrder) (collResult, error) {

@@ -36,7 +36,8 @@ func (s Schedule) String() string {
 // Barrier synchronizes all team members: nobody proceeds until
 // everyone arrives, and all clocks advance to the latest arrival.
 func (m *Member) Barrier() error {
-	return m.barrierAt(m.nextOrdinal())
+	ord, _ := m.nextOrdinal()
+	return m.barrierAt(ord)
 }
 
 // barrierAt implements the rendezvous for a given construct ordinal.
@@ -51,10 +52,10 @@ func (m *Member) barrierAt(ord uint64) error {
 		// A recorded abort at a barrier point means the thread reached
 		// the rendezvous and was torn out while waiting (the only path
 		// that observes one), so it had already allocated the construct
-		// state and emitted its barrier event. Replicate both under a
-		// v2 schedule: sync-id numbering and the trace must not depend
-		// on whether the abort is native or forced.
-		if t.rt.chaos.ReplayPinsOrders() && t.size > 1 {
+		// state and emitted its barrier event. Replicate both: sync-id
+		// numbering and the trace must not depend on whether the abort
+		// is native or forced.
+		if t.size > 1 {
 			st := t.state(ord)
 			m.Ctx.Emit(trace.Event{Op: trace.OpBarrier, Sync: st.sync})
 		}
@@ -191,14 +192,14 @@ func (m *Member) forStatic(lo, hi, chunk int64, body func(i int64) error) error 
 // iteration counter.
 func (m *Member) forDynamic(lo, hi int64, sched Schedule, chunk int64, body func(i int64) error) error {
 	t := m.team
-	ord := m.nextOrdinal()
+	ord, key := m.nextOrdinal()
 	st := t.state(ord) // keep sync-id allocation aligned with record mode
-	if t.rt.chaos.ReplayPinsOrders() {
+	if t.rt.chaos.Replaying() {
 		// Which chunks a thread claimed off the shared counter is
 		// host-racy: replay this thread's recorded claim sequence, keyed
-		// by (construct ordinal, claim index), ignoring the counter.
+		// by (construct key, claim index), ignoring the counter.
 		for k := uint64(0); ; k++ {
-			base, end, ok := t.rt.chaos.ReplayChunk(m.Ctx.Rank, m.TID, chunkKey(ord, k))
+			base, end, ok := t.rt.chaos.ReplayChunk(m.Ctx.Rank, m.TID, chunkKey(key, k))
 			if !ok {
 				return nil
 			}
@@ -231,7 +232,7 @@ func (m *Member) forDynamic(lo, hi int64, sched Schedule, chunk int64, body func
 		end := min64(base+c, hi)
 		st.counter = end
 		t.mu.Unlock()
-		t.rt.chaos.ObserveChunk(m.Ctx.Rank, m.TID, chunkKey(ord, k), base, end)
+		t.rt.chaos.ObserveChunk(m.Ctx.Rank, m.TID, chunkKey(key, k), base, end)
 		for i := base; i < end; i++ {
 			if err := body(i); err != nil {
 				return err
@@ -240,11 +241,11 @@ func (m *Member) forDynamic(lo, hi int64, sched Schedule, chunk int64, body func
 	}
 }
 
-// chunkKey packs a loop construct ordinal and a per-thread claim index
-// into one schedule-point key for chunk records. Construct ordinals
-// are small (they count worksharing constructs executed by a team), so
-// 20 bits of claim index per ordinal cannot collide in practice.
-func chunkKey(ord, k uint64) uint64 { return ord<<20 | k }
+// chunkKey packs a loop's construct key and a per-thread claim index
+// into one schedule-point key for chunk records. Construct keys are
+// small (they count the constructs a thread encountered), so 20 bits
+// of claim index per key cannot collide in practice.
+func chunkKey(key, k uint64) uint64 { return key<<20 | k }
 
 // Sections distributes the given section bodies over the team —
 // section i runs on thread i mod teamsize (a conforming static
@@ -268,12 +269,12 @@ func (m *Member) Sections(bodies ...func() error) error {
 // joins at the implicit barrier (`#pragma omp single`).
 func (m *Member) Single(body func() error) error {
 	t := m.team
-	ord := m.nextOrdinal()
+	ord, key := m.nextOrdinal()
 	st := t.state(ord)
 	var mine bool
-	if t.rt.chaos.ReplayPinsOrders() {
+	if t.rt.chaos.Replaying() {
 		// First-arriver election is host-racy: force the recorded winner.
-		mine = t.rt.chaos.ReplaySingleWin(m.Ctx.Rank, m.TID, ord)
+		mine = t.rt.chaos.ReplaySingleWin(m.Ctx.Rank, m.TID, key)
 		t.mu.Lock()
 		st.claimed = true
 		t.mu.Unlock()
@@ -283,7 +284,7 @@ func (m *Member) Single(body func() error) error {
 		st.claimed = true
 		t.mu.Unlock()
 		if mine {
-			t.rt.chaos.ObserveSingleWin(m.Ctx.Rank, m.TID, ord)
+			t.rt.chaos.ObserveSingleWin(m.Ctx.Rank, m.TID, key)
 		}
 	}
 	var err error
@@ -316,11 +317,11 @@ type lockState struct {
 	waiters []chan struct{}
 	freeAt  int64 // virtual time of the last release (guarded by mu)
 
-	// Acquisition-order record/replay (schedule v2). grantSeq numbers
-	// completed acquisitions in record mode; nextTicket and repWaiters
-	// force that numbering in replay mode. All guarded by mu. Tickets
-	// are assigned at acquisition completion, never at release handoff:
-	// a handoff abandoned by a dying recipient consumes no ticket.
+	// Acquisition-order record/replay. grantSeq numbers completed
+	// acquisitions in record mode; nextTicket and repWaiters force that
+	// numbering in replay mode. All guarded by mu. Tickets are assigned
+	// at acquisition completion, never at release handoff: a handoff
+	// abandoned by a dying recipient consumes no ticket.
 	grantSeq   uint64
 	nextTicket uint64 // ticket allowed to acquire next (replay)
 	repWaiters map[uint64]chan struct{}
@@ -349,7 +350,7 @@ func (m *Member) acquire(l *lockState, id trace.LockID) error {
 	if m.team.rt.chaos.ReplayAbort(m.Ctx.Rank, m.TID, qa) {
 		return ErrRankAborted
 	}
-	if m.team.rt.chaos.ReplayPinsOrders() {
+	if m.team.rt.chaos.Replaying() {
 		return m.acquireForced(l, id, qa)
 	}
 	l.mu.Lock()
@@ -429,7 +430,7 @@ func (m *Member) recordGrantLocked(l *lockState, qa uint64) {
 	rt.chaos.ObserveLockGrant(m.Ctx.Rank, m.TID, qa, l.grantSeq)
 }
 
-// acquireForced implements acquire under a v2 replay schedule: the
+// acquireForced implements acquire under a replayed schedule: the
 // recorded grant ticket, not a host race, decides when this thread
 // gets the lock. Tickets are granted strictly in order — ticket t
 // acquires only after ticket t-1 has released.
@@ -501,7 +502,7 @@ func (m *Member) release(l *lockState, id trace.LockID) {
 	m.Ctx.Emit(trace.Event{Op: trace.OpRelease, Lock: id})
 	l.mu.Lock()
 	l.freeAt = m.Ctx.Now
-	if m.team.rt.chaos.ReplayPinsOrders() {
+	if m.team.rt.chaos.Replaying() {
 		// Hand ownership to the recorded next ticket if its thread is
 		// already queued; otherwise free the lock — the ticket holder
 		// takes the fast path in acquireForced when it arrives.

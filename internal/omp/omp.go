@@ -63,7 +63,16 @@ type Runtime struct {
 	locks      map[string]*lockState
 	depth      int32 // >0 while inside a parallel region (nested regions serialize)
 	syncSeq    uint64
+	laneSeqs   map[int]laneSeqs // per worker tid, between regions
 }
+
+// laneSeqs carries a worker thread's schedule-point, message and
+// construct counters from one parallel region to the next. Workers
+// fork with fresh contexts; if the counters restarted in every region,
+// a worker's schedule records and message identities from two regions
+// would collide on (rank, tid, seq). ChaosSeq is deliberately not
+// carried: it keys the plan's fault rolls, which stay per region.
+type laneSeqs struct{ sched, msg, construct uint64 }
 
 // NewRuntime builds a runtime for the given rank, registering blocking
 // constructs with the activity tracker (may be nil in pure-OpenMP
@@ -78,6 +87,7 @@ func NewRuntime(rank int, activity *sim.Activity) *Runtime {
 		rank:       rank,
 		numThreads: 2,
 		locks:      make(map[string]*lockState),
+		laneSeqs:   make(map[int]laneSeqs),
 	}
 }
 
@@ -232,12 +242,19 @@ func (rt *Runtime) Parallel(ctx *sim.Ctx, n int, body func(m *Member) error) err
 	rt.activity.AddThreads(n - 1)
 	for tid := 1; tid < n; tid++ {
 		tctx := ctx.Child(tid)
+		rt.mu.Lock()
+		seqs := rt.laneSeqs[tid]
+		rt.mu.Unlock()
+		tctx.SchedSeq, tctx.MsgSeq, tctx.ConstructSeq = seqs.sched, seqs.msg, seqs.construct
 		go func(tctx *sim.Ctx, tid int) {
 			tctx.Emit(trace.Event{Op: trace.OpBegin, Sync: forkSync})
 			m := &Member{Ctx: tctx, TID: tid, team: t}
 			err := body(m)
 			tctx.Emit(trace.Event{Op: trace.OpEnd, Sync: forkSync})
 			tctx.Finish()
+			rt.mu.Lock()
+			rt.laneSeqs[tid] = laneSeqs{tctx.SchedSeq, tctx.MsgSeq, tctx.ConstructSeq}
+			rt.mu.Unlock()
 			done <- result{err: err, now: tctx.Now}
 			js.mu.Lock()
 			js.remaining--
@@ -324,13 +341,18 @@ func (rt *Runtime) Parallel(ctx *sim.Ctx, n int, body func(m *Member) error) err
 	return firstErr
 }
 
-// nextOrdinal advances the member's construct counter. Each member
-// carries its own ordinal sequence; the sequences align when the team
-// executes identical construct sequences, which the OpenMP
-// specification requires of conforming programs.
-func (m *Member) nextOrdinal() uint64 {
+// nextOrdinal advances the member's construct counter and the
+// thread's run-wide construct count. Each member carries its own
+// ordinal sequence; the sequences align when the team executes
+// identical construct sequences, which the OpenMP specification
+// requires of conforming programs. ord keys the team's construct
+// state; key (sim.Ctx.ConstructSeq) keys the thread's single and chunk
+// records, which must stay unique across regions. In a thread's first
+// region the two are equal.
+func (m *Member) nextOrdinal() (ord, key uint64) {
 	m.ord++
-	return m.ord
+	m.Ctx.ConstructSeq++
+	return m.ord, m.Ctx.ConstructSeq
 }
 
 // String identifies the member for diagnostics.

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"home/internal/chaos"
 	"home/internal/sim"
 	"home/internal/trace"
 )
@@ -440,5 +441,63 @@ func TestTeamOfOneConstructsWork(t *testing.T) {
 	}
 	if n != 6 {
 		t.Fatalf("n = %d, want 6", n)
+	}
+}
+
+// keyRecorder collects the keys of recorded schedule decisions.
+type keyRecorder struct {
+	mu   sync.Mutex
+	keys []chaos.Key
+}
+
+func (r *keyRecorder) Record(rec chaos.Record) {
+	r.mu.Lock()
+	r.keys = append(r.keys, rec.Key())
+	r.mu.Unlock()
+}
+
+// TestScheduleKeysUniqueAcrossRegions pins that a thread's schedule
+// points and construct keys continue from one parallel region to the
+// next: the lock grants and single wins recorded over three regions
+// never share a (kind, rank, tid, seq) key, which a schedule stream
+// requires, and each region's single is keyed by the thread's run-wide
+// construct count whichever thread wins it.
+func TestScheduleKeysUniqueAcrossRegions(t *testing.T) {
+	rt := NewRuntime(0, nil)
+	in := chaos.New(&chaos.Plan{}, nil)
+	rec := &keyRecorder{}
+	in.SetRecorder(rec)
+	rt.SetChaos(in)
+	ctx := testCtx()
+	const regions = 3
+	for i := 0; i < regions; i++ {
+		if err := rt.Parallel(ctx, 2, func(m *Member) error {
+			if err := m.Critical("cs", func() error { return nil }); err != nil {
+				return err
+			}
+			return m.Single(func() error { return nil })
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := map[chaos.Key]bool{}
+	var singles []uint64
+	for _, k := range rec.keys {
+		if seen[k] {
+			t.Errorf("duplicate record key %v", k)
+		}
+		seen[k] = true
+		if k.Kind == chaos.KindSingle {
+			singles = append(singles, k.Seq)
+		}
+	}
+	if len(rec.keys) != 3*regions {
+		t.Errorf("recorded %d decisions, want %d (two lock grants and one single per region)", len(rec.keys), 3*regions)
+	}
+	// Each region costs every thread two constructs: the single and its
+	// implicit barrier.
+	sort.Slice(singles, func(i, j int) bool { return singles[i] < singles[j] })
+	if len(singles) != regions || singles[0] != 1 || singles[1] != 3 || singles[2] != 5 {
+		t.Errorf("single keys = %v, want [1 3 5]", singles)
 	}
 }

@@ -10,10 +10,9 @@ package sched
 // Layout (all integers unsigned varints unless marked zigzag):
 //
 //	magic "HSB3"
-//	baseVersion          semantic version of the records (1 or 2 — the
-//	                     JSONL version the stream transcodes to; the
-//	                     container is v3, the guarantees are the base
-//	                     version's)
+//	baseVersion          semantic version of the records (always 2, the
+//	                     JSONL version the stream transcodes to; other
+//	                     values are rejected)
 //	planLen, planJSON    the embedded chaos plan, verbatim JSON
 //	tokens:
 //	  0x01 rank tid      lane header; resets the seq delta base to 0
@@ -61,8 +60,9 @@ const (
 // kindIndex fixes the wire order of record kinds. Appending is safe;
 // reordering breaks decoding of existing streams.
 var kindIndex = []string{
-	KindSend, KindStall, KindRMA, KindFail, KindAbort, KindMatch,
-	KindPoll, KindCrash, KindColl, KindLock, KindSingle, KindChunk,
+	chaos.KindSend, chaos.KindStall, chaos.KindRMA, chaos.KindFail,
+	chaos.KindAbort, chaos.KindMatch, chaos.KindPoll, chaos.KindCrash,
+	chaos.KindColl, chaos.KindLock, chaos.KindSingle, chaos.KindChunk,
 }
 
 var kindOf = func() map[string]int {
@@ -77,14 +77,14 @@ func zig(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzig(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // encodeBinary serializes an already-canonical record list.
-func encodeBinary(plan chaos.Plan, baseVersion int, recs []Record) ([]byte, error) {
+func encodeBinary(plan chaos.Plan, recs []Record) ([]byte, error) {
 	planJSON, err := json.Marshal(plan)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]byte, 0, len(BinaryMagic)+len(planJSON)+8+len(recs)*8)
 	out = append(out, BinaryMagic...)
-	out = binary.AppendUvarint(out, uint64(baseVersion))
+	out = binary.AppendUvarint(out, Version)
 	out = binary.AppendUvarint(out, uint64(len(planJSON)))
 	out = append(out, planJSON...)
 
@@ -117,7 +117,7 @@ func encodeBinary(plan chaos.Plan, baseVersion int, recs []Record) ([]byte, erro
 // has the same per-kind contract, it just doesn't enforce it).
 func appendPayload(out []byte, rec Record) []byte {
 	switch rec.Kind {
-	case KindSend:
+	case chaos.KindSend:
 		out = binary.AppendUvarint(out, zig(rec.DelayNs))
 		b := byte(0)
 		if rec.Reorder {
@@ -127,27 +127,27 @@ func appendPayload(out []byte, rec Record) []byte {
 		out = binary.AppendUvarint(out, uint64(rec.Retries))
 		out = binary.AppendUvarint(out, zig(rec.BackoffNs))
 		out = binary.AppendUvarint(out, zig(rec.JitterNs))
-	case KindStall:
+	case chaos.KindStall:
 		out = binary.AppendUvarint(out, zig(rec.StallNs))
 		out = binary.AppendUvarint(out, zig(rec.StallWallNs))
-	case KindRMA:
+	case chaos.KindRMA:
 		out = binary.AppendUvarint(out, zig(rec.DelayNs))
-	case KindFail:
+	case chaos.KindFail:
 		out = binary.AppendUvarint(out, uint64(rec.Dead1))
-	case KindAbort, KindCrash, KindSingle:
+	case chaos.KindAbort, chaos.KindCrash, chaos.KindSingle:
 		// key-only records
-	case KindMatch, KindPoll:
+	case chaos.KindMatch, chaos.KindPoll:
 		out = binary.AppendUvarint(out, uint64(rec.Src1))
 		out = binary.AppendUvarint(out, uint64(rec.STID1))
 		out = binary.AppendUvarint(out, rec.SrcSeq)
-	case KindColl:
+	case chaos.KindColl:
 		out = binary.AppendUvarint(out, uint64(rec.Comm1))
 		out = binary.AppendUvarint(out, zig(rec.CollSeq))
 		out = binary.AppendUvarint(out, uint64(rec.Ord))
 		out = binary.AppendUvarint(out, uint64(rec.NewComm1))
-	case KindLock:
+	case chaos.KindLock:
 		out = binary.AppendUvarint(out, rec.Ticket)
-	case KindChunk:
+	case chaos.KindChunk:
 		out = binary.AppendUvarint(out, zig(rec.Base))
 		out = binary.AppendUvarint(out, zig(rec.End))
 	}
@@ -169,8 +169,11 @@ func readBinary(br *bufio.Reader) (*Schedule, error) {
 	if err != nil {
 		return nil, headerErr(err)
 	}
-	if baseVersion == 0 || baseVersion > Version {
-		return nil, fmt.Errorf("sched: binary stream base version %d is outside supported 1..%d", baseVersion, Version)
+	if baseVersion > Version {
+		return nil, fmt.Errorf("sched: binary stream base version %d is newer than supported %d", baseVersion, Version)
+	}
+	if err := checkVersion(int(baseVersion)); err != nil {
+		return nil, err
 	}
 	planLen, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -193,7 +196,7 @@ func readBinary(br *bufio.Reader) (*Schedule, error) {
 	laneRank, laneTID := -1, -1
 	var prevSeq uint64
 	salvage := func(err error) (*Schedule, error) {
-		s, serr := newSchedule(plan, int(baseVersion), recs)
+		s, serr := newSchedule(plan, recs)
 		if serr != nil {
 			return nil, serr
 		}
@@ -213,7 +216,7 @@ func readBinary(br *bufio.Reader) (*Schedule, error) {
 			if count != uint64(len(recs)) {
 				return nil, fmt.Errorf("sched: binary stream record count %d does not match %d decoded records", count, len(recs))
 			}
-			return newSchedule(plan, int(baseVersion), recs)
+			return newSchedule(plan, recs)
 		case tok == tokLane:
 			r, err := binary.ReadUvarint(br)
 			if err != nil {
@@ -257,7 +260,7 @@ func headerErr(err error) error {
 func readPayload(br *bufio.Reader, rec *Record) error {
 	u := func() (uint64, error) { return binary.ReadUvarint(br) }
 	switch rec.Kind {
-	case KindSend:
+	case chaos.KindSend:
 		v, err := u()
 		if err != nil {
 			return err
@@ -280,7 +283,7 @@ func readPayload(br *bufio.Reader, rec *Record) error {
 			return err
 		}
 		rec.JitterNs = unzig(v)
-	case KindStall:
+	case chaos.KindStall:
 		v, err := u()
 		if err != nil {
 			return err
@@ -290,20 +293,20 @@ func readPayload(br *bufio.Reader, rec *Record) error {
 			return err
 		}
 		rec.StallWallNs = unzig(v)
-	case KindRMA:
+	case chaos.KindRMA:
 		v, err := u()
 		if err != nil {
 			return err
 		}
 		rec.DelayNs = unzig(v)
-	case KindFail:
+	case chaos.KindFail:
 		v, err := u()
 		if err != nil {
 			return err
 		}
 		rec.Dead1 = int(v)
-	case KindAbort, KindCrash, KindSingle:
-	case KindMatch, KindPoll:
+	case chaos.KindAbort, chaos.KindCrash, chaos.KindSingle:
+	case chaos.KindMatch, chaos.KindPoll:
 		v, err := u()
 		if err != nil {
 			return err
@@ -317,7 +320,7 @@ func readPayload(br *bufio.Reader, rec *Record) error {
 			return err
 		}
 		rec.SrcSeq = v
-	case KindColl:
+	case chaos.KindColl:
 		v, err := u()
 		if err != nil {
 			return err
@@ -335,13 +338,13 @@ func readPayload(br *bufio.Reader, rec *Record) error {
 			return err
 		}
 		rec.NewComm1 = int(v)
-	case KindLock:
+	case chaos.KindLock:
 		v, err := u()
 		if err != nil {
 			return err
 		}
 		rec.Ticket = v
-	case KindChunk:
+	case chaos.KindChunk:
 		v, err := u()
 		if err != nil {
 			return err
@@ -359,7 +362,7 @@ func readPayload(br *bufio.Reader, rec *Record) error {
 // container (record semantics stay at the current JSONL Version).
 func (r *Recorder) WriteBinary(w io.Writer) error {
 	plan, recs := r.snapshot()
-	data, err := encodeBinary(plan, Version, recs)
+	data, err := encodeBinary(plan, recs)
 	if err != nil {
 		return err
 	}
@@ -371,7 +374,7 @@ func (r *Recorder) WriteBinary(w io.Writer) error {
 // binary container.
 func (r *Recorder) BytesBinary() []byte {
 	plan, recs := r.snapshot()
-	data, err := encodeBinary(plan, Version, recs)
+	data, err := encodeBinary(plan, recs)
 	if err != nil {
 		// Recorder-produced records always carry known kinds and the
 		// plan marshals (it arrived as a struct); keep the signature
@@ -396,18 +399,18 @@ func (r *Recorder) WriteFileBinary(path string) error {
 }
 
 // MarshalBinary re-encodes a decoded schedule in the v3 binary
-// container, preserving its base version and record order — one
-// direction of the lossless transcode.
+// container, preserving its record order — one direction of the
+// lossless transcode.
 func (s *Schedule) MarshalBinary() ([]byte, error) {
-	return encodeBinary(s.plan, s.version, s.recs)
+	return encodeBinary(s.plan, s.recs)
 }
 
-// MarshalJSONL re-encodes a decoded schedule in the JSONL container
-// at its base version — the other direction of the transcode. A
-// v2→v3→v2 round trip is byte-identical.
+// MarshalJSONL re-encodes a decoded schedule in the JSONL container —
+// the other direction of the transcode. A v2→v3→v2 round trip is
+// byte-identical.
 func (s *Schedule) MarshalJSONL() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := writeStream(&buf, s.plan, s.version, s.recs); err != nil {
+	if err := writeStream(&buf, s.plan, s.recs); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -17,19 +17,15 @@ import (
 //
 // Version history:
 //
-//	1  fault decisions and failure/match/poll resolutions — replay
-//	   reproduces the report identity (verdicts, Partial, DeadRanks,
-//	   RankCoverage, EventsAnalyzed)
-//	2  adds the order families (coll/lock/single/chunk) — replay also
-//	   reproduces virtual time: Makespan, event timestamps, timelines
-//
-// The reader accepts every version <= Version; a v1 stream decoded by
-// a v2 reader replays with the v1 guarantee (Schedule.PinsOrders
-// reports which one applies).
+//	1  fault decisions and failure/match/poll resolutions only. No
+//	   longer read: Read rejects it with an error naming the version
+//	2  adds the order families (coll/lock/single/chunk) — replay
+//	   reproduces the report identity and virtual time: Makespan,
+//	   event timestamps, timelines
 //
 // Version 3 is a *container*, not new semantics: the same records in
-// the binary per-lane framing of binary.go, carrying their JSONL base
-// version (1 or 2) so transcoding is lossless in both directions.
+// the binary per-lane framing of binary.go. It keeps a base-version
+// field (always 2) so transcoding is lossless in both directions.
 // Read sniffs the container automatically.
 const (
 	Format  = "home-sched"
@@ -44,6 +40,18 @@ type header struct {
 	Format  string     `json:"format"`
 	Version int        `json:"version"`
 	Plan    chaos.Plan `json:"plan"`
+}
+
+// checkVersion accepts only the current record version; both
+// containers share it.
+func checkVersion(v int) error {
+	switch {
+	case v > Version:
+		return fmt.Errorf("sched: schedule version %d is newer than supported %d", v, Version)
+	case v < Version:
+		return fmt.Errorf("sched: schedule version %d is no longer supported (only version %d replays); re-record the run", v, Version)
+	}
+	return nil
 }
 
 // ErrTruncated reports a schedule stream cut mid-record. Mirrors
@@ -69,15 +77,15 @@ func (e *TruncatedError) Unwrap() error { return ErrTruncated }
 // carrying the chaos plan, then the records in canonical order.
 func (r *Recorder) Write(w io.Writer) error {
 	plan, recs := r.snapshot()
-	return writeStream(w, plan, Version, recs)
+	return writeStream(w, plan, recs)
 }
 
 // writeStream serializes an already-sorted record list as a schedule
 // stream.
-func writeStream(w io.Writer, plan chaos.Plan, version int, recs []Record) error {
+func writeStream(w io.Writer, plan chaos.Plan, recs []Record) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	if err := enc.Encode(header{Format: Format, Version: version, Plan: plan}); err != nil {
+	if err := enc.Encode(header{Format: Format, Version: Version, Plan: plan}); err != nil {
 		return err
 	}
 	for _, rec := range recs {
@@ -140,8 +148,8 @@ func Read(rd io.Reader) (*Schedule, error) {
 	if h.Format != Format {
 		return nil, fmt.Errorf("sched: not a schedule stream (format %q, want %q)", h.Format, Format)
 	}
-	if h.Version > Version {
-		return nil, fmt.Errorf("sched: schedule version %d is newer than supported %d", h.Version, Version)
+	if err := checkVersion(h.Version); err != nil {
+		return nil, err
 	}
 	var recs []Record
 	for {
@@ -152,7 +160,7 @@ func Read(rd io.Reader) (*Schedule, error) {
 		}
 		if err != nil {
 			if errors.Is(err, io.ErrUnexpectedEOF) {
-				s, serr := newSchedule(h.Plan, h.Version, recs)
+				s, serr := newSchedule(h.Plan, recs)
 				if serr != nil {
 					return nil, serr
 				}
@@ -162,7 +170,7 @@ func Read(rd io.Reader) (*Schedule, error) {
 		}
 		recs = append(recs, rec)
 	}
-	return newSchedule(h.Plan, h.Version, recs)
+	return newSchedule(h.Plan, recs)
 }
 
 // ReadFile parses a schedule file.

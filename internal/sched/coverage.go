@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"home/internal/chaos"
 )
 
 // Schedule-space coverage. A recorded schedule is one realized point
@@ -48,11 +50,11 @@ func CoverageOf(recs []Record) Coverage {
 	colls := map[collKey]map[string]struct{}{}
 	for _, rec := range recs {
 		switch rec.Kind {
-		case KindMatch:
+		case chaos.KindMatch:
 			m := rec.Msg()
 			matches[fmt.Sprintf("p%d.t%d@%d<-p%d.t%d#%d",
 				rec.Rank, rec.TID, rec.Seq, m.Rank, m.TID, m.Seq)] = struct{}{}
-		case KindPoll:
+		case chaos.KindPoll:
 			m := rec.Msg()
 			if rec.SrcSeq == 0 {
 				// Bare completion poll: the decision is that it succeeded
@@ -62,20 +64,20 @@ func CoverageOf(recs []Record) Coverage {
 				matches[fmt.Sprintf("poll:p%d.t%d@%d<-p%d.t%d#%d",
 					rec.Rank, rec.TID, rec.Seq, m.Rank, m.TID, m.Seq)] = struct{}{}
 			}
-		case KindColl:
+		case chaos.KindColl:
 			k := collKey{comm: rec.Comm1 - 1, seq: rec.CollSeq}
 			if colls[k] == nil {
 				colls[k] = map[string]struct{}{}
 			}
 			colls[k][fmt.Sprintf("p%d.t%d:%d", rec.Rank, rec.TID, rec.Ord)] = struct{}{}
-		case KindLock:
+		case chaos.KindLock:
 			locks[fmt.Sprintf("p%d.t%d@%d=%d", rec.Rank, rec.TID, rec.Seq, rec.Ticket)] = struct{}{}
-		case KindCrash:
+		case chaos.KindCrash:
 			crashes[fmt.Sprintf("crash:p%d", rec.Rank)] = struct{}{}
-		case KindFail:
+		case chaos.KindFail:
 			crashes[fmt.Sprintf("fail:p%d.t%d@%d<-p%d",
 				rec.Rank, rec.TID, rec.Seq, rec.DeadRank())] = struct{}{}
-		case KindAbort:
+		case chaos.KindAbort:
 			crashes[fmt.Sprintf("abort:p%d.t%d@%d", rec.Rank, rec.TID, rec.Seq)] = struct{}{}
 		}
 	}

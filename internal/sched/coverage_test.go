@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"home/internal/chaos"
 )
 
 // TestCoverageGolden pins the coverage signature grammar against the
@@ -41,18 +43,18 @@ func TestCoverageGolden(t *testing.T) {
 
 func TestCoverageOf(t *testing.T) {
 	recs := []Record{
-		{Kind: KindMatch, Rank: 0, TID: 1, Seq: 2, Src1: 1, STID1: 1, SrcSeq: 1},
-		{Kind: KindPoll, Rank: 1, TID: 0, Seq: 6},
-		{Kind: KindPoll, Rank: 1, TID: 0, Seq: 7, Src1: 3, STID1: 2, SrcSeq: 9},
-		{Kind: KindColl, Rank: 0, TID: 0, Seq: 8, Comm1: 1, CollSeq: 1, Ord: 1},
-		{Kind: KindColl, Rank: 1, TID: 0, Seq: 9, Comm1: 1, CollSeq: 1, Ord: 2},
-		{Kind: KindLock, Rank: 1, TID: 1, Seq: 9, Ticket: 1},
-		{Kind: KindCrash, Rank: 0},
-		{Kind: KindFail, Rank: 0, TID: 0, Seq: 3, Dead1: 1},
-		{Kind: KindAbort, Rank: 1, TID: 1, Seq: 5},
+		{Kind: chaos.KindMatch, Rank: 0, TID: 1, Seq: 2, Src1: 1, STID1: 1, SrcSeq: 1},
+		{Kind: chaos.KindPoll, Rank: 1, TID: 0, Seq: 6},
+		{Kind: chaos.KindPoll, Rank: 1, TID: 0, Seq: 7, Src1: 3, STID1: 2, SrcSeq: 9},
+		{Kind: chaos.KindColl, Rank: 0, TID: 0, Seq: 8, Comm1: 1, CollSeq: 1, Ord: 1},
+		{Kind: chaos.KindColl, Rank: 1, TID: 0, Seq: 9, Comm1: 1, CollSeq: 1, Ord: 2},
+		{Kind: chaos.KindLock, Rank: 1, TID: 1, Seq: 9, Ticket: 1},
+		{Kind: chaos.KindCrash, Rank: 0},
+		{Kind: chaos.KindFail, Rank: 0, TID: 0, Seq: 3, Dead1: 1},
+		{Kind: chaos.KindAbort, Rank: 1, TID: 1, Seq: 5},
 		// Fault decisions carry no coverage.
-		{Kind: KindSend, Rank: 1, TID: 0, Seq: 2, DelayNs: 40},
-		{Kind: KindStall, Rank: 0, TID: 1, Seq: 1, StallNs: 500},
+		{Kind: chaos.KindSend, Rank: 1, TID: 0, Seq: 2, DelayNs: 40},
+		{Kind: chaos.KindStall, Rank: 0, TID: 1, Seq: 1, StallNs: 500},
 	}
 	cov := CoverageOf(recs)
 	want := Coverage{

@@ -36,82 +36,13 @@ func Echo(s *Schedule, rec *Recorder) chaos.Source {
 	return &echoSource{s: s, rec: rec, out: make(map[Key]struct{})}
 }
 
-func (e *echoSource) take(kind string, rank, tid int, seq uint64) (Record, bool) {
-	rec, ok := e.s.lookup(kind, rank, tid, seq)
-	if !ok {
-		return rec, false
+// Lookup implements chaos.Source.
+func (e *echoSource) Lookup(kind string, rank, tid int, seq uint64) (Record, bool) {
+	rec, ok := e.s.Lookup(kind, rank, tid, seq)
+	if ok {
+		e.echo(rec)
 	}
-	k := Key{kind, rank, tid, seq}
-	e.mu.Lock()
-	if _, dup := e.out[k]; !dup {
-		e.out[k] = struct{}{}
-		e.rec.add(rec)
-	}
-	e.mu.Unlock()
-	return rec, true
-}
-
-// SendFault implements chaos.Source.
-func (e *echoSource) SendFault(rank, tid int, seq uint64) (chaos.SendFault, bool) {
-	rec, ok := e.take(KindSend, rank, tid, seq)
-	if !ok {
-		return chaos.SendFault{}, false
-	}
-	return chaos.SendFault{
-		DelayNs: rec.DelayNs, Reorder: rec.Reorder,
-		Retries: rec.Retries, BackoffNs: rec.BackoffNs,
-	}, true
-}
-
-// Stall implements chaos.Source.
-func (e *echoSource) Stall(rank, tid int, seq uint64) (chaos.Stall, bool) {
-	rec, ok := e.take(KindStall, rank, tid, seq)
-	if !ok {
-		return chaos.Stall{}, false
-	}
-	return chaos.Stall{VirtualNs: rec.StallNs}, true
-}
-
-// RMADelay implements chaos.Source.
-func (e *echoSource) RMADelay(rank, tid int, seq uint64) (int64, bool) {
-	rec, ok := e.take(KindRMA, rank, tid, seq)
-	if !ok {
-		return 0, false
-	}
-	return rec.DelayNs, true
-}
-
-// Fail implements chaos.Source.
-func (e *echoSource) Fail(rank, tid int, seq uint64) (int, bool) {
-	rec, ok := e.take(KindFail, rank, tid, seq)
-	if !ok {
-		return 0, false
-	}
-	return rec.DeadRank(), true
-}
-
-// Abort implements chaos.Source.
-func (e *echoSource) Abort(rank, tid int, seq uint64) bool {
-	_, ok := e.take(KindAbort, rank, tid, seq)
-	return ok
-}
-
-// Match implements chaos.Source.
-func (e *echoSource) Match(rank, tid int, seq uint64) (chaos.MsgID, bool) {
-	rec, ok := e.take(KindMatch, rank, tid, seq)
-	if !ok {
-		return chaos.MsgID{}, false
-	}
-	return rec.Msg(), true
-}
-
-// Poll implements chaos.Source.
-func (e *echoSource) Poll(rank, tid int, seq uint64) (chaos.MsgID, bool) {
-	rec, ok := e.take(KindPoll, rank, tid, seq)
-	if !ok {
-		return chaos.MsgID{}, false
-	}
-	return rec.Msg(), true
+	return rec, ok
 }
 
 // Crashes implements chaos.Source. The world pre-marks replayed
@@ -120,49 +51,17 @@ func (e *echoSource) Poll(rank, tid int, seq uint64) (chaos.MsgID, bool) {
 func (e *echoSource) Crashes() []int {
 	ranks := e.s.Crashes()
 	for _, r := range ranks {
-		k := Key{Kind: KindCrash, Rank: r}
-		e.mu.Lock()
-		if _, dup := e.out[k]; !dup {
-			e.out[k] = struct{}{}
-			e.rec.RecordCrash(r)
-		}
-		e.mu.Unlock()
+		e.echo(Record{Kind: chaos.KindCrash, Rank: r})
 	}
 	return ranks
 }
 
-// CollJoin implements chaos.Source.
-func (e *echoSource) CollJoin(rank, tid int, seq uint64) (chaos.CollOrder, bool) {
-	rec, ok := e.take(KindColl, rank, tid, seq)
-	if !ok {
-		return chaos.CollOrder{}, false
+func (e *echoSource) echo(rec Record) {
+	k := rec.Key()
+	e.mu.Lock()
+	if _, dup := e.out[k]; !dup {
+		e.out[k] = struct{}{}
+		e.rec.Record(rec)
 	}
-	return rec.CollOrder(), true
+	e.mu.Unlock()
 }
-
-// LockGrant implements chaos.Source.
-func (e *echoSource) LockGrant(rank, tid int, seq uint64) (uint64, bool) {
-	rec, ok := e.take(KindLock, rank, tid, seq)
-	if !ok {
-		return 0, false
-	}
-	return rec.Ticket, true
-}
-
-// SingleWin implements chaos.Source.
-func (e *echoSource) SingleWin(rank, tid int, ord uint64) bool {
-	_, ok := e.take(KindSingle, rank, tid, ord)
-	return ok
-}
-
-// Chunk implements chaos.Source.
-func (e *echoSource) Chunk(rank, tid int, seq uint64) (base, end int64, ok bool) {
-	rec, found := e.take(KindChunk, rank, tid, seq)
-	if !found {
-		return 0, 0, false
-	}
-	return rec.Base, rec.End, true
-}
-
-// PinsOrders implements chaos.Source.
-func (e *echoSource) PinsOrders() bool { return e.s.PinsOrders() }

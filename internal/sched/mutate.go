@@ -1,6 +1,6 @@
 package sched
 
-// Mutation and validation API over recorded schedules. A v2 schedule
+// Mutation and validation API over recorded schedules. A schedule
 // pins every nondeterministic decision of a run, which makes it a
 // mutable search space: the explorer (internal/explore) perturbs one
 // pinned decision at a time — re-target a match, swap two lock grant
@@ -17,22 +17,6 @@ import (
 
 	"home/internal/chaos"
 )
-
-// Key identifies one record of a schedule: the record kind plus its
-// schedule point. Crash records, which carry no point, use Seq 0.
-type Key struct {
-	Kind string `json:"k"`
-	Rank int    `json:"r"`
-	TID  int    `json:"t"`
-	Seq  uint64 `json:"q"`
-}
-
-func (k Key) String() string {
-	return fmt.Sprintf("%s@(%d,%d,%d)", k.Kind, k.Rank, k.TID, k.Seq)
-}
-
-// RecordKey returns the record's identity key.
-func (r Record) RecordKey() Key { return Key{r.Kind, r.Rank, r.TID, r.Seq} }
 
 // Mutation operators. Each targets records by key so a mutation list
 // stays applicable when other list entries are dropped (delta-debug
@@ -111,8 +95,8 @@ func SortRecords(recs []Record) {
 func ValidateRecords(recs []Record) error {
 	seen := make(map[Key]struct{}, len(recs))
 	for _, rec := range recs {
-		k := rec.RecordKey()
-		if rec.Kind == KindCrash {
+		k := rec.Key()
+		if rec.Kind == chaos.KindCrash {
 			k.TID, k.Seq = 0, 0
 		}
 		if _, dup := seen[k]; dup {
@@ -123,39 +107,39 @@ func ValidateRecords(recs []Record) error {
 			return fmt.Errorf("sched: negative coordinate on %s", k)
 		}
 		switch rec.Kind {
-		case KindSend:
+		case chaos.KindSend:
 			if rec.Retries < 0 || rec.DelayNs < 0 || rec.BackoffNs < 0 || rec.JitterNs < 0 {
 				return fmt.Errorf("sched: negative send payload on %s", k)
 			}
-		case KindStall:
+		case chaos.KindStall:
 			if rec.StallNs < 0 || rec.StallWallNs < 0 {
 				return fmt.Errorf("sched: negative stall payload on %s", k)
 			}
-		case KindRMA:
+		case chaos.KindRMA:
 			if rec.DelayNs < 0 {
 				return fmt.Errorf("sched: negative rma delay on %s", k)
 			}
-		case KindFail:
+		case chaos.KindFail:
 			if rec.Dead1 < 1 {
 				return fmt.Errorf("sched: fail record without dead rank on %s", k)
 			}
-		case KindMatch, KindPoll:
+		case chaos.KindMatch, chaos.KindPoll:
 			if rec.SrcSeq > 0 && (rec.Src1 < 1 || rec.STID1 < 1) {
 				return fmt.Errorf("sched: match payload without sender identity on %s", k)
 			}
-		case KindColl:
+		case chaos.KindColl:
 			if rec.Comm1 < 1 || rec.CollSeq < 1 || rec.Ord < 1 {
 				return fmt.Errorf("sched: incomplete coll payload on %s", k)
 			}
-		case KindLock:
+		case chaos.KindLock:
 			if rec.Ticket < 1 {
 				return fmt.Errorf("sched: lock record without ticket on %s", k)
 			}
-		case KindChunk:
+		case chaos.KindChunk:
 			if rec.End < rec.Base {
 				return fmt.Errorf("sched: inverted chunk range on %s", k)
 			}
-		case KindAbort, KindSingle, KindCrash:
+		case chaos.KindAbort, chaos.KindSingle, chaos.KindCrash:
 			// Key-only kinds.
 		default:
 			return fmt.Errorf("sched: unknown record kind %q on %s", rec.Kind, k)
@@ -173,7 +157,7 @@ func FromRecords(plan chaos.Plan, recs []Record) (*Schedule, error) {
 	sorted := make([]Record, len(recs))
 	copy(sorted, recs)
 	SortRecords(sorted)
-	return newSchedule(plan, Version, sorted)
+	return newSchedule(plan, sorted)
 }
 
 // EncodeRecords serializes a record list as a schedule stream
@@ -184,7 +168,7 @@ func EncodeRecords(plan chaos.Plan, recs []Record) []byte {
 	copy(sorted, recs)
 	SortRecords(sorted)
 	var buf bytes.Buffer
-	writeStream(&buf, plan, Version, sorted) // cannot fail on a bytes.Buffer
+	writeStream(&buf, plan, sorted) // cannot fail on a bytes.Buffer
 	return buf.Bytes()
 }
 
@@ -199,7 +183,7 @@ func ApplyMutations(recs []Record, muts []Mutation) ([]Record, error) {
 	for _, m := range muts {
 		idx := make(map[Key]int, len(out))
 		for i, r := range out {
-			idx[r.RecordKey()] = i
+			idx[r.Key()] = i
 		}
 		find := func(k Key, kind string) (int, error) {
 			i, ok := idx[k]
@@ -213,11 +197,11 @@ func ApplyMutations(recs []Record, muts []Mutation) ([]Record, error) {
 		}
 		switch m.Op {
 		case OpFlipMatch:
-			i, err := find(m.A, KindMatch)
+			i, err := find(m.A, chaos.KindMatch)
 			if err != nil {
 				return nil, err
 			}
-			j, err := find(m.B, KindMatch)
+			j, err := find(m.B, chaos.KindMatch)
 			if err != nil {
 				return nil, err
 			}
@@ -228,11 +212,11 @@ func ApplyMutations(recs []Record, muts []Mutation) ([]Record, error) {
 			out[i].STID1, out[j].STID1 = out[j].STID1, out[i].STID1
 			out[i].SrcSeq, out[j].SrcSeq = out[j].SrcSeq, out[i].SrcSeq
 		case OpSwapLocks:
-			i, err := find(m.A, KindLock)
+			i, err := find(m.A, chaos.KindLock)
 			if err != nil {
 				return nil, err
 			}
-			j, err := find(m.B, KindLock)
+			j, err := find(m.B, chaos.KindLock)
 			if err != nil {
 				return nil, err
 			}
@@ -241,7 +225,7 @@ func ApplyMutations(recs []Record, muts []Mutation) ([]Record, error) {
 			}
 			out[i].Ticket, out[j].Ticket = out[j].Ticket, out[i].Ticket
 		case OpReassignSingle:
-			i, err := find(m.A, KindSingle)
+			i, err := find(m.A, chaos.KindSingle)
 			if err != nil {
 				return nil, err
 			}
@@ -255,11 +239,11 @@ func ApplyMutations(recs []Record, muts []Mutation) ([]Record, error) {
 			}
 			out[i].TID = m.Arg
 		case OpPermuteColl:
-			i, err := find(m.A, KindColl)
+			i, err := find(m.A, chaos.KindColl)
 			if err != nil {
 				return nil, err
 			}
-			j, err := find(m.B, KindColl)
+			j, err := find(m.B, chaos.KindColl)
 			if err != nil {
 				return nil, err
 			}
@@ -271,30 +255,30 @@ func ApplyMutations(recs []Record, muts []Mutation) ([]Record, error) {
 			}
 			out[i].Ord, out[j].Ord = out[j].Ord, out[i].Ord
 		case OpCrashLater:
-			if m.A.Kind == KindCrash {
-				if _, err := find(Key{KindCrash, m.A.Rank, 0, 0}, KindCrash); err != nil {
+			if m.A.Kind == chaos.KindCrash {
+				if _, err := find(Key{Kind: chaos.KindCrash, Rank: m.A.Rank}, chaos.KindCrash); err != nil {
 					return nil, err
 				}
 				kept := out[:0]
 				for _, r := range out {
 					switch {
-					case r.Kind == KindCrash && r.Rank == m.A.Rank:
-					case r.Kind == KindFail && r.DeadRank() == m.A.Rank:
-					case r.Kind == KindAbort && r.Rank == m.A.Rank:
+					case r.Kind == chaos.KindCrash && r.Rank == m.A.Rank:
+					case r.Kind == chaos.KindFail && r.DeadRank() == m.A.Rank:
+					case r.Kind == chaos.KindAbort && r.Rank == m.A.Rank:
 					default:
 						kept = append(kept, r)
 					}
 				}
 				out = kept
 			} else {
-				i, err := find(m.A, KindFail)
+				i, err := find(m.A, chaos.KindFail)
 				if err != nil {
 					return nil, err
 				}
 				out = append(out[:i], out[i+1:]...)
 			}
 		case OpCrashEarlier:
-			i, err := find(m.A, KindFail)
+			i, err := find(m.A, chaos.KindFail)
 			if err != nil {
 				return nil, err
 			}
@@ -303,12 +287,12 @@ func ApplyMutations(recs []Record, muts []Mutation) ([]Record, error) {
 			}
 			clone := out[i]
 			clone.Seq--
-			if _, clash := idx[clone.RecordKey()]; clash {
-				return nil, fmt.Errorf("sched: %s collides with existing %s", m.Op, clone.RecordKey())
+			if _, clash := idx[clone.Key()]; clash {
+				return nil, fmt.Errorf("sched: %s collides with existing %s", m.Op, clone.Key())
 			}
 			out = append(out, clone)
 		case OpToggleSend:
-			i, err := find(m.A, KindSend)
+			i, err := find(m.A, chaos.KindSend)
 			if err != nil {
 				return nil, err
 			}

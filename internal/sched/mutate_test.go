@@ -15,35 +15,41 @@ import (
 func mutableRecorder() *Recorder {
 	r := NewRecorder()
 	r.SetPlan(chaos.Plan{Seed: 11, CrashRank: 1, CrashAfterCalls: 2})
-	r.RecordMatch(0, 0, 2, chaos.MsgID{Rank: 2, TID: 0, Seq: 1})
-	r.RecordMatch(0, 0, 5, chaos.MsgID{Rank: 3, TID: 1, Seq: 4})
-	r.RecordLockGrant(0, 0, 7, 1)
-	r.RecordLockGrant(0, 1, 3, 2)
-	r.RecordSingleWin(2, 0, 1)
-	r.RecordCollJoin(0, 0, 9, chaos.CollOrder{Comm: 0, Seq: 1, Ord: 1, NewComm: -1})
-	r.RecordCollJoin(2, 1, 6, chaos.CollOrder{Comm: 0, Seq: 1, Ord: 2, NewComm: -1})
-	r.RecordSend(3, 0, 1, chaos.SendFault{})
-	r.RecordSend(3, 1, 2, chaos.SendFault{Retries: 1, BackoffNs: 500})
-	r.RecordCrash(1)
-	r.RecordFail(1, 0, 4, 1) // the crashed rank observes itself
-	r.RecordFail(0, 1, 6, 1)
-	r.RecordAbort(1, 0, 5)
+	r.Record(Record{Kind: chaos.KindSend, Rank: 3, TID: 0, Seq: 1})
+	r.Record(Record{Kind: chaos.KindSend, Rank: 3, TID: 1, Seq: 2, Retries: 1, BackoffNs: 500})
+	in := observer(r)
+	in.ObserveMatch(0, 0, 2, chaos.MsgID{Rank: 2, TID: 0, Seq: 1})
+	in.ObserveMatch(0, 0, 5, chaos.MsgID{Rank: 3, TID: 1, Seq: 4})
+	in.ObserveLockGrant(0, 0, 7, 1)
+	in.ObserveLockGrant(0, 1, 3, 2)
+	in.ObserveSingleWin(2, 0, 1)
+	in.ObserveCollJoin(0, 0, 9, chaos.CollOrder{Comm: 0, Seq: 1, Ord: 1, NewComm: -1})
+	in.ObserveCollJoin(2, 1, 6, chaos.CollOrder{Comm: 0, Seq: 1, Ord: 2, NewComm: -1})
+	in.ObserveCrash(1)
+	in.ObserveFail(1, 0, 4, 1) // the crashed rank observes itself
+	in.ObserveFail(0, 1, 6, 1)
+	in.ObserveAbort(1, 0, 5)
 	return r
+}
+
+// key spells a record key positionally.
+func key(kind string, rank, tid int, seq uint64) Key {
+	return Key{Kind: kind, Rank: rank, TID: tid, Seq: seq}
 }
 
 // oneOfEach returns one valid mutation per operator against the
 // mutableRecorder record list.
 func oneOfEach() []Mutation {
 	return []Mutation{
-		{Op: OpFlipMatch, A: Key{KindMatch, 0, 0, 2}, B: Key{KindMatch, 0, 0, 5}},
-		{Op: OpSwapLocks, A: Key{KindLock, 0, 0, 7}, B: Key{KindLock, 0, 1, 3}},
-		{Op: OpReassignSingle, A: Key{KindSingle, 2, 0, 1}, Arg: 1},
-		{Op: OpPermuteColl, A: Key{KindColl, 0, 0, 9}, B: Key{KindColl, 2, 1, 6}},
-		{Op: OpCrashLater, A: Key{KindFail, 0, 1, 6}},
-		{Op: OpCrashLater, A: Key{Kind: KindCrash, Rank: 1}},
-		{Op: OpCrashEarlier, A: Key{KindFail, 0, 1, 6}},
-		{Op: OpToggleSend, A: Key{KindSend, 3, 0, 1}},
-		{Op: OpToggleSend, A: Key{KindSend, 3, 1, 2}},
+		{Op: OpFlipMatch, A: key(chaos.KindMatch, 0, 0, 2), B: key(chaos.KindMatch, 0, 0, 5)},
+		{Op: OpSwapLocks, A: key(chaos.KindLock, 0, 0, 7), B: key(chaos.KindLock, 0, 1, 3)},
+		{Op: OpReassignSingle, A: key(chaos.KindSingle, 2, 0, 1), Arg: 1},
+		{Op: OpPermuteColl, A: key(chaos.KindColl, 0, 0, 9), B: key(chaos.KindColl, 2, 1, 6)},
+		{Op: OpCrashLater, A: key(chaos.KindFail, 0, 1, 6)},
+		{Op: OpCrashLater, A: Key{Kind: chaos.KindCrash, Rank: 1}},
+		{Op: OpCrashEarlier, A: key(chaos.KindFail, 0, 1, 6)},
+		{Op: OpToggleSend, A: key(chaos.KindSend, 3, 0, 1)},
+		{Op: OpToggleSend, A: key(chaos.KindSend, 3, 1, 2)},
 	}
 }
 
@@ -102,10 +108,10 @@ func TestMutationsKeepSeqMonotone(t *testing.T) {
 			last := map[thread]uint64{}
 			seen := map[Key]struct{}{}
 			for _, rec := range mutated {
-				if rec.Kind == KindCrash {
+				if rec.Kind == chaos.KindCrash {
 					continue
 				}
-				k := rec.RecordKey()
+				k := rec.Key()
 				if _, dup := seen[k]; dup {
 					t.Fatalf("duplicate key %s", k)
 				}
@@ -126,10 +132,10 @@ func TestMutationsKeepSeqMonotone(t *testing.T) {
 func TestMutationsComposeAndMinimize(t *testing.T) {
 	_, seed := mutableRecorder().snapshot()
 	muts := []Mutation{
-		{Op: OpFlipMatch, A: Key{KindMatch, 0, 0, 2}, B: Key{KindMatch, 0, 0, 5}},
-		{Op: OpSwapLocks, A: Key{KindLock, 0, 0, 7}, B: Key{KindLock, 0, 1, 3}},
-		{Op: OpToggleSend, A: Key{KindSend, 3, 0, 1}},
-		{Op: OpCrashLater, A: Key{Kind: KindCrash, Rank: 1}},
+		{Op: OpFlipMatch, A: key(chaos.KindMatch, 0, 0, 2), B: key(chaos.KindMatch, 0, 0, 5)},
+		{Op: OpSwapLocks, A: key(chaos.KindLock, 0, 0, 7), B: key(chaos.KindLock, 0, 1, 3)},
+		{Op: OpToggleSend, A: key(chaos.KindSend, 3, 0, 1)},
+		{Op: OpCrashLater, A: Key{Kind: chaos.KindCrash, Rank: 1}},
 	}
 	if _, err := ApplyMutations(seed, muts); err != nil {
 		t.Fatalf("stack does not apply: %v", err)
@@ -147,14 +153,14 @@ func TestMutationsComposeAndMinimize(t *testing.T) {
 func TestMutationErrors(t *testing.T) {
 	_, seed := mutableRecorder().snapshot()
 	bad := []Mutation{
-		{Op: OpFlipMatch, A: Key{KindMatch, 0, 0, 2}, B: Key{KindMatch, 0, 0, 2}}, // same record
-		{Op: OpFlipMatch, A: Key{KindMatch, 9, 0, 1}, B: Key{KindMatch, 0, 0, 5}}, // missing
-		{Op: OpSwapLocks, A: Key{KindLock, 0, 0, 7}, B: Key{KindMatch, 0, 0, 5}},  // wrong kind
-		{Op: OpReassignSingle, A: Key{KindSingle, 2, 0, 1}, Arg: 0},               // own thread
-		{Op: OpPermuteColl, A: Key{KindColl, 0, 0, 9}, B: Key{KindLock, 0, 1, 3}}, // wrong kind
-		{Op: OpCrashLater, A: Key{Kind: KindCrash, Rank: 7}},                      // no such crash
-		{Op: OpCrashEarlier, A: Key{KindFail, 1, 1, 1}},                           // missing
-		{Op: "spin-wildly", A: Key{KindSend, 3, 0, 1}},                            // unknown op
+		{Op: OpFlipMatch, A: key(chaos.KindMatch, 0, 0, 2), B: key(chaos.KindMatch, 0, 0, 2)}, // same record
+		{Op: OpFlipMatch, A: key(chaos.KindMatch, 9, 0, 1), B: key(chaos.KindMatch, 0, 0, 5)}, // missing
+		{Op: OpSwapLocks, A: key(chaos.KindLock, 0, 0, 7), B: key(chaos.KindMatch, 0, 0, 5)},  // wrong kind
+		{Op: OpReassignSingle, A: key(chaos.KindSingle, 2, 0, 1), Arg: 0},                     // own thread
+		{Op: OpPermuteColl, A: key(chaos.KindColl, 0, 0, 9), B: key(chaos.KindLock, 0, 1, 3)}, // wrong kind
+		{Op: OpCrashLater, A: Key{Kind: chaos.KindCrash, Rank: 7}},                            // no such crash
+		{Op: OpCrashEarlier, A: key(chaos.KindFail, 1, 1, 1)},                                 // missing
+		{Op: "spin-wildly", A: key(chaos.KindSend, 3, 0, 1)},                                  // unknown op
 	}
 	for _, m := range bad {
 		if _, err := ApplyMutations(seed, []Mutation{m}); err == nil {
@@ -162,8 +168,8 @@ func TestMutationErrors(t *testing.T) {
 		}
 	}
 	// crash-earlier at seq 1 has no earlier point.
-	early := []Record{{Kind: KindFail, Rank: 0, TID: 0, Seq: 1, Dead1: 2}}
-	if _, err := ApplyMutations(early, []Mutation{{Op: OpCrashEarlier, A: Key{KindFail, 0, 0, 1}}}); err == nil {
+	early := []Record{{Kind: chaos.KindFail, Rank: 0, TID: 0, Seq: 1, Dead1: 2}}
+	if _, err := ApplyMutations(early, []Mutation{{Op: OpCrashEarlier, A: key(chaos.KindFail, 0, 0, 1)}}); err == nil {
 		t.Error("crash-earlier at seq 1: expected error")
 	}
 }
@@ -173,17 +179,17 @@ func TestMutationErrors(t *testing.T) {
 // aborts — and nothing else.
 func TestCrashLaterRevival(t *testing.T) {
 	_, seed := mutableRecorder().snapshot()
-	out, err := ApplyMutations(seed, []Mutation{{Op: OpCrashLater, A: Key{Kind: KindCrash, Rank: 1}}})
+	out, err := ApplyMutations(seed, []Mutation{{Op: OpCrashLater, A: Key{Kind: chaos.KindCrash, Rank: 1}}})
 	if err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 	for _, rec := range out {
 		switch {
-		case rec.Kind == KindCrash:
+		case rec.Kind == chaos.KindCrash:
 			t.Errorf("crash record survived revival: %+v", rec)
-		case rec.Kind == KindFail && rec.DeadRank() == 1:
+		case rec.Kind == chaos.KindFail && rec.DeadRank() == 1:
 			t.Errorf("death observation survived revival: %+v", rec)
-		case rec.Kind == KindAbort && rec.Rank == 1:
+		case rec.Kind == chaos.KindAbort && rec.Rank == 1:
 			t.Errorf("abort survived revival: %+v", rec)
 		}
 	}
@@ -200,13 +206,13 @@ func TestValidateRecordsRejects(t *testing.T) {
 		rec  Record
 	}{
 		{"unknown kind", Record{Kind: "warp", Rank: 0}},
-		{"negative rank", Record{Kind: KindSend, Rank: -1}},
-		{"fail without dead rank", Record{Kind: KindFail, Rank: 0, Seq: 1}},
-		{"match without sender", Record{Kind: KindMatch, Rank: 0, Seq: 1, SrcSeq: 3}},
-		{"coll without ordinal", Record{Kind: KindColl, Rank: 0, Seq: 1, Comm1: 1, CollSeq: 1}},
-		{"lock without ticket", Record{Kind: KindLock, Rank: 0, Seq: 1}},
-		{"inverted chunk", Record{Kind: KindChunk, Rank: 0, Seq: 1, Base: 5, End: 2}},
-		{"negative send retries", Record{Kind: KindSend, Rank: 0, Seq: 1, Retries: -1}},
+		{"negative rank", Record{Kind: chaos.KindSend, Rank: -1}},
+		{"fail without dead rank", Record{Kind: chaos.KindFail, Rank: 0, Seq: 1}},
+		{"match without sender", Record{Kind: chaos.KindMatch, Rank: 0, Seq: 1, SrcSeq: 3}},
+		{"coll without ordinal", Record{Kind: chaos.KindColl, Rank: 0, Seq: 1, Comm1: 1, CollSeq: 1}},
+		{"lock without ticket", Record{Kind: chaos.KindLock, Rank: 0, Seq: 1}},
+		{"inverted chunk", Record{Kind: chaos.KindChunk, Rank: 0, Seq: 1, Base: 5, End: 2}},
+		{"negative send retries", Record{Kind: chaos.KindSend, Rank: 0, Seq: 1, Retries: -1}},
 	}
 	for _, c := range cases {
 		if err := ValidateRecords([]Record{c.rec}); err == nil {
@@ -214,8 +220,8 @@ func TestValidateRecordsRejects(t *testing.T) {
 		}
 	}
 	if err := ValidateRecords([]Record{
-		{Kind: KindSend, Rank: 0, Seq: 1},
-		{Kind: KindSend, Rank: 0, Seq: 1},
+		{Kind: chaos.KindSend, Rank: 0, Seq: 1},
+		{Kind: chaos.KindSend, Rank: 0, Seq: 1},
 	}); err == nil {
 		t.Error("duplicate keys: expected error")
 	}
@@ -227,8 +233,8 @@ func TestValidateRecordsRejects(t *testing.T) {
 // schedule stays loadable.
 func TestEchoDuplicateCollapse(t *testing.T) {
 	r := NewRecorder()
-	r.RecordMatch(2, 0, 20, chaos.MsgID{Rank: 1, TID: 0, Seq: 3})
-	r.RecordMatch(2, 0, 20, chaos.MsgID{Rank: 1, TID: 0, Seq: 3})
+	observer(r).ObserveMatch(2, 0, 20, chaos.MsgID{Rank: 1, TID: 0, Seq: 3})
+	observer(r).ObserveMatch(2, 0, 20, chaos.MsgID{Rank: 1, TID: 0, Seq: 3})
 	if r.Len() != 2 {
 		t.Fatalf("raw len = %d", r.Len())
 	}
@@ -240,8 +246,8 @@ func TestEchoDuplicateCollapse(t *testing.T) {
 	}
 	// Same key, different payload: still rejected.
 	r2 := NewRecorder()
-	r2.RecordMatch(2, 0, 20, chaos.MsgID{Rank: 1, TID: 0, Seq: 3})
-	r2.RecordMatch(2, 0, 20, chaos.MsgID{Rank: 0, TID: 1, Seq: 5})
+	observer(r2).ObserveMatch(2, 0, 20, chaos.MsgID{Rank: 1, TID: 0, Seq: 3})
+	observer(r2).ObserveMatch(2, 0, 20, chaos.MsgID{Rank: 0, TID: 1, Seq: 5})
 	if _, err := r2.Schedule(); err == nil {
 		t.Error("conflicting duplicates should be rejected")
 	}

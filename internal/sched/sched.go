@@ -5,10 +5,14 @@
 // whether a survivor's receive matched before the failure propagated,
 // which message a wildcard receive claimed. sched captures every such
 // realized decision and nondeterministic resolution during a run — as
-// a compact, versioned JSONL stream keyed by (rank, tid, seq) — and
-// replays it so the identical interleaving, and therefore the
-// identical home.Report, is forced on re-execution (the seed-hash
-// fault path is disabled during replay).
+// a compact, versioned JSONL stream of chaos.Record entries keyed by
+// (kind, rank, tid, seq) — and replays it so the identical
+// interleaving, and therefore the identical home.Report, is forced on
+// re-execution (the seed-hash fault path is disabled during replay).
+// A Recorder takes records through chaos.Recorder's one method, a
+// Schedule answers chaos.Source's one Lookup; the chaos.Injector's
+// typed Observe*/Replay* helpers convert between records and the
+// values the runtime substrates use.
 //
 // Record kinds:
 //
@@ -24,8 +28,7 @@
 //	poll   a non-blocking poll (MPI_Test, MPI_Iprobe) succeeded here
 //	crash  the given rank crash-stopped (no point key)
 //
-// Format v2 adds the *order* families, which pin virtual time (see
-// docs/ROBUSTNESS.md):
+// The *order* families pin virtual time (see docs/ROBUSTNESS.md):
 //
 //	coll   the arrival at this schedule point joined the identified
 //	       collective instance (communicator, instance seq, arrival
@@ -36,125 +39,43 @@
 //	lock   the OpenMP lock acquire at this point was granted as the
 //	       lock's ticket-th acquisition
 //	single the thread won the `single` first-arriver election at this
-//	       construct ordinal (keyed by ordinal, not schedule point)
+//	       construct (keyed by the thread's run-wide construct count,
+//	       sim.Ctx.ConstructSeq, not a schedule point)
 //	chunk  the thread claimed iteration range [base, end) from a
-//	       dynamic/guided loop (keyed by ordinal and claim index)
+//	       dynamic/guided loop (keyed by construct count and claim
+//	       index)
 //
 // Absence is meaningful: a point with no record realized no fault,
-// observed no failure, and matched no message. Wall-clock payloads
+// observed no failure, and matched no message. Only format version 2
+// is read; version-1 streams, which lacked the order families, are
+// rejected. Wall-clock payloads
 // (jitter, stall pauses) are recorded but not re-applied on replay —
 // they exist only to provoke host races, which replay forces instead.
 package sched
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"home/internal/chaos"
 )
 
-// Record kinds (the "k" field of the wire format).
-const (
-	KindSend  = "send"
-	KindStall = "stall"
-	KindRMA   = "rma"
-	KindFail  = "fail"
-	KindAbort = "abort"
-	KindMatch = "match"
-	KindPoll  = "poll"
-	KindCrash = "crash"
+// Record is one realized decision (see chaos.Record for its fields).
+type Record = chaos.Record
 
-	// Order families (format v2): collective membership, lock grants,
-	// single elections and worksharing chunk claims.
-	KindColl   = "coll"
-	KindLock   = "lock"
-	KindSingle = "single"
-	KindChunk  = "chunk"
-)
+// Key identifies one record of a schedule: its kind plus its schedule
+// point. Crash records, which carry no point, use TID 0 and Seq 0.
+type Key = chaos.Key
 
-// orderKind reports whether the kind belongs to the v2 order families
+// orderKind reports whether the kind belongs to the order families
 // that pin virtual time.
 func orderKind(kind string) bool {
 	switch kind {
-	case KindColl, KindLock, KindSingle, KindChunk:
+	case chaos.KindColl, chaos.KindLock, chaos.KindSingle, chaos.KindChunk:
 		return true
 	}
 	return false
-}
-
-// Record is one realized decision. Key fields are always present;
-// payload fields are per-kind. Rank-valued payload fields (Dead1,
-// Src1, STID1) are stored 1-based so the zero value can mean "absent"
-// under omitempty — use the accessor methods, not the raw fields.
-type Record struct {
-	Kind string `json:"k"`
-	Rank int    `json:"r"`
-	TID  int    `json:"t"`
-	Seq  uint64 `json:"q,omitempty"` // crash records carry no point
-
-	// send / rma payload (rma uses DelayNs only)
-	DelayNs   int64 `json:"delay,omitempty"`
-	Reorder   bool  `json:"reorder,omitempty"`
-	Retries   int   `json:"retries,omitempty"`
-	BackoffNs int64 `json:"backoff,omitempty"`
-	JitterNs  int64 `json:"jitter,omitempty"`
-
-	// stall payload
-	StallNs     int64 `json:"stall,omitempty"`
-	StallWallNs int64 `json:"stallw,omitempty"`
-
-	// fail payload: 1-based rank whose failure was observed
-	Dead1 int `json:"dead,omitempty"`
-
-	// match / poll payload: 1-based sender rank and tid plus the
-	// sender's schedule stamp (stamps are >= 1, so SrcSeq == 0 means
-	// "no message identity" — a bare completion poll)
-	Src1   int    `json:"src,omitempty"`
-	STID1  int    `json:"stid,omitempty"`
-	SrcSeq uint64 `json:"sseq,omitempty"`
-
-	// coll payload: 1-based communicator id, instance seq within the
-	// communicator (>= 1), 1-based arrival index, and the 1-based
-	// duplicated communicator id a completed Comm_dup allocated (0 =
-	// not a Comm_dup)
-	Comm1    int   `json:"comm,omitempty"`
-	CollSeq  int64 `json:"cseq,omitempty"`
-	Ord      int   `json:"ord,omitempty"`
-	NewComm1 int   `json:"ncomm,omitempty"`
-
-	// lock payload: 1-based per-lock grant ticket
-	Ticket uint64 `json:"ticket,omitempty"`
-
-	// chunk payload: claimed iteration range [base, end); plain values
-	// (omitempty only elides literal zeros, which decode back to zero)
-	Base int64 `json:"base,omitempty"`
-	End  int64 `json:"end,omitempty"`
-}
-
-// DeadRank returns the observed failed rank of a fail record.
-func (r Record) DeadRank() int { return r.Dead1 - 1 }
-
-// Msg returns the message identity of a match/poll record (zero MsgID
-// when the record carries none).
-func (r Record) Msg() chaos.MsgID {
-	if r.SrcSeq == 0 {
-		return chaos.MsgID{}
-	}
-	return chaos.MsgID{Rank: r.Src1 - 1, TID: r.STID1 - 1, Seq: r.SrcSeq}
-}
-
-// CollOrder returns the instance assignment of a coll record.
-func (r Record) CollOrder() chaos.CollOrder {
-	return chaos.CollOrder{Comm: r.Comm1 - 1, Seq: r.CollSeq, Ord: r.Ord, NewComm: r.NewComm1 - 1}
-}
-
-type key struct {
-	kind string
-	rank int
-	tid  int
-	seq  uint64
 }
 
 // Recorder accumulates the realized schedule of one run. It
@@ -184,92 +105,15 @@ func (r *Recorder) Len() int {
 	return len(r.recs)
 }
 
-func (r *Recorder) add(rec Record) {
+// Record implements chaos.Recorder.
+func (r *Recorder) Record(rec Record) {
 	r.mu.Lock()
 	r.recs = append(r.recs, rec)
 	r.mu.Unlock()
 }
 
-// RecordSend implements chaos.Recorder.
-func (r *Recorder) RecordSend(rank, tid int, seq uint64, f chaos.SendFault) {
-	r.add(Record{
-		Kind: KindSend, Rank: rank, TID: tid, Seq: seq,
-		DelayNs: f.DelayNs, Reorder: f.Reorder,
-		Retries: f.Retries, BackoffNs: f.BackoffNs,
-		JitterNs: int64(f.JitterWall),
-	})
-}
-
-// RecordStall implements chaos.Recorder.
-func (r *Recorder) RecordStall(rank, tid int, seq uint64, s chaos.Stall) {
-	r.add(Record{
-		Kind: KindStall, Rank: rank, TID: tid, Seq: seq,
-		StallNs: s.VirtualNs, StallWallNs: int64(s.Wall),
-	})
-}
-
-// RecordRMADelay implements chaos.Recorder.
-func (r *Recorder) RecordRMADelay(rank, tid int, seq uint64, delayNs int64) {
-	r.add(Record{Kind: KindRMA, Rank: rank, TID: tid, Seq: seq, DelayNs: delayNs})
-}
-
-// RecordFail implements chaos.Recorder.
-func (r *Recorder) RecordFail(rank, tid int, seq uint64, dead int) {
-	r.add(Record{Kind: KindFail, Rank: rank, TID: tid, Seq: seq, Dead1: dead + 1})
-}
-
-// RecordAbort implements chaos.Recorder.
-func (r *Recorder) RecordAbort(rank, tid int, seq uint64) {
-	r.add(Record{Kind: KindAbort, Rank: rank, TID: tid, Seq: seq})
-}
-
-// RecordMatch implements chaos.Recorder.
-func (r *Recorder) RecordMatch(rank, tid int, seq uint64, m chaos.MsgID) {
-	r.add(Record{
-		Kind: KindMatch, Rank: rank, TID: tid, Seq: seq,
-		Src1: m.Rank + 1, STID1: m.TID + 1, SrcSeq: m.Seq,
-	})
-}
-
-// RecordPoll implements chaos.Recorder.
-func (r *Recorder) RecordPoll(rank, tid int, seq uint64, m chaos.MsgID) {
-	rec := Record{Kind: KindPoll, Rank: rank, TID: tid, Seq: seq}
-	if !m.Zero() {
-		rec.Src1, rec.STID1, rec.SrcSeq = m.Rank+1, m.TID+1, m.Seq
-	}
-	r.add(rec)
-}
-
-// RecordCrash implements chaos.Recorder.
-func (r *Recorder) RecordCrash(rank int) {
-	r.add(Record{Kind: KindCrash, Rank: rank})
-}
-
-// RecordCollJoin implements chaos.Recorder.
-func (r *Recorder) RecordCollJoin(rank, tid int, seq uint64, o chaos.CollOrder) {
-	r.add(Record{
-		Kind: KindColl, Rank: rank, TID: tid, Seq: seq,
-		Comm1: o.Comm + 1, CollSeq: o.Seq, Ord: o.Ord, NewComm1: o.NewComm + 1,
-	})
-}
-
-// RecordLockGrant implements chaos.Recorder.
-func (r *Recorder) RecordLockGrant(rank, tid int, seq uint64, ticket uint64) {
-	r.add(Record{Kind: KindLock, Rank: rank, TID: tid, Seq: seq, Ticket: ticket})
-}
-
-// RecordSingleWin implements chaos.Recorder.
-func (r *Recorder) RecordSingleWin(rank, tid int, ord uint64) {
-	r.add(Record{Kind: KindSingle, Rank: rank, TID: tid, Seq: ord})
-}
-
-// RecordChunk implements chaos.Recorder.
-func (r *Recorder) RecordChunk(rank, tid int, seq uint64, base, end int64) {
-	r.add(Record{Kind: KindChunk, Rank: rank, TID: tid, Seq: seq, Base: base, End: end})
-}
-
 // OrderLen returns how many of the accumulated records belong to the
-// v2 order families (collective membership, lock grants, elections,
+// order families (collective membership, lock grants, elections,
 // chunk claims) — the decisions that pin virtual time.
 func (r *Recorder) OrderLen() int {
 	r.mu.Lock()
@@ -297,19 +141,7 @@ func (r *Recorder) snapshot() (chaos.Plan, []Record) {
 	copy(recs, r.recs)
 	plan := r.plan
 	r.mu.Unlock()
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		if a.TID != b.TID {
-			return a.TID < b.TID
-		}
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
-		}
-		return a.Kind < b.Kind
-	})
+	SortRecords(recs)
 	uniq := recs[:0]
 	for i, rec := range recs {
 		if i > 0 && rec == uniq[len(uniq)-1] {
@@ -322,28 +154,26 @@ func (r *Recorder) snapshot() (chaos.Plan, []Record) {
 
 // Schedule is a recorded schedule loaded for replay. It implements
 // chaos.Source; lookups are read-only after construction and safe for
-// concurrent use (the forced-hit counter is atomic).
+// concurrent use (the forced-hit counters are atomic).
 type Schedule struct {
 	plan        chaos.Plan
-	byKey       map[key]Record
+	byKey       map[Key]Record
 	recs        []Record
 	crashes     []int
-	n           int
-	version     int
 	forced      atomic.Int64
 	orderForced atomic.Int64
 }
 
-func newSchedule(plan chaos.Plan, version int, recs []Record) (*Schedule, error) {
-	s := &Schedule{plan: plan, version: version, byKey: make(map[key]Record, len(recs)), n: len(recs), recs: recs}
+func newSchedule(plan chaos.Plan, recs []Record) (*Schedule, error) {
+	s := &Schedule{plan: plan, byKey: make(map[Key]Record, len(recs)), recs: recs}
 	for _, rec := range recs {
-		if rec.Kind == KindCrash {
+		if rec.Kind == chaos.KindCrash {
 			s.crashes = append(s.crashes, rec.Rank)
 			continue
 		}
-		k := key{rec.Kind, rec.Rank, rec.TID, rec.Seq}
+		k := rec.Key()
 		if _, dup := s.byKey[k]; dup {
-			return nil, fmt.Errorf("sched: duplicate record for %s@(%d,%d,%d)", rec.Kind, rec.Rank, rec.TID, rec.Seq)
+			return nil, fmt.Errorf("sched: duplicate record for %s", k)
 		}
 		s.byKey[k] = rec
 	}
@@ -355,9 +185,10 @@ func newSchedule(plan chaos.Plan, version int, recs []Record) (*Schedule, error)
 func (s *Schedule) Plan() chaos.Plan { return s.plan }
 
 // Len returns the number of records in the schedule.
-func (s *Schedule) Len() int { return s.n }
+func (s *Schedule) Len() int { return len(s.recs) }
 
-// Crashes returns the ranks that crash-stopped in the recorded run.
+// Crashes implements chaos.Source: the ranks that crash-stopped in the
+// recorded run.
 func (s *Schedule) Crashes() []int { return append([]int(nil), s.crashes...) }
 
 // Forced returns how many lookups have hit a record so far — the
@@ -367,20 +198,13 @@ func (s *Schedule) Crashes() []int { return append([]int(nil), s.crashes...) }
 func (s *Schedule) Forced() int64 { return s.forced.Load() }
 
 // OrderForced returns how many of the forced decisions belonged to the
-// v2 order families (subset of Forced; same reuse caveat).
+// order families (subset of Forced; same reuse caveat).
 func (s *Schedule) OrderForced() int64 { return s.orderForced.Load() }
 
-// Version returns the wire-format version the schedule was decoded
-// from (1 for streams recorded before the order families existed).
-func (s *Schedule) Version() int { return s.version }
-
-// PinsOrders implements chaos.Source: only v2+ streams carry the
-// membership/acquisition order records that make virtual time replay
-// exactly; older streams replay with the report-identity guarantee.
-func (s *Schedule) PinsOrders() bool { return s.version >= 2 }
-
-func (s *Schedule) lookup(kind string, rank, tid int, seq uint64) (Record, bool) {
-	rec, ok := s.byKey[key{kind, rank, tid, seq}]
+// Lookup implements chaos.Source: the record at (kind, rank, tid,
+// seq), if any. Every hit counts as a forced decision.
+func (s *Schedule) Lookup(kind string, rank, tid int, seq uint64) (Record, bool) {
+	rec, ok := s.byKey[Key{Kind: kind, Rank: rank, TID: tid, Seq: seq}]
 	if ok {
 		s.forced.Add(1)
 		if orderKind(kind) {
@@ -388,100 +212,4 @@ func (s *Schedule) lookup(kind string, rank, tid int, seq uint64) (Record, bool)
 		}
 	}
 	return rec, ok
-}
-
-// SendFault implements chaos.Source.
-func (s *Schedule) SendFault(rank, tid int, seq uint64) (chaos.SendFault, bool) {
-	rec, ok := s.lookup(KindSend, rank, tid, seq)
-	if !ok {
-		return chaos.SendFault{}, false
-	}
-	return chaos.SendFault{
-		DelayNs: rec.DelayNs, Reorder: rec.Reorder,
-		Retries: rec.Retries, BackoffNs: rec.BackoffNs,
-	}, true
-}
-
-// Stall implements chaos.Source.
-func (s *Schedule) Stall(rank, tid int, seq uint64) (chaos.Stall, bool) {
-	rec, ok := s.lookup(KindStall, rank, tid, seq)
-	if !ok {
-		return chaos.Stall{}, false
-	}
-	return chaos.Stall{VirtualNs: rec.StallNs}, true
-}
-
-// RMADelay implements chaos.Source.
-func (s *Schedule) RMADelay(rank, tid int, seq uint64) (int64, bool) {
-	rec, ok := s.lookup(KindRMA, rank, tid, seq)
-	if !ok {
-		return 0, false
-	}
-	return rec.DelayNs, true
-}
-
-// Fail implements chaos.Source.
-func (s *Schedule) Fail(rank, tid int, seq uint64) (int, bool) {
-	rec, ok := s.lookup(KindFail, rank, tid, seq)
-	if !ok {
-		return 0, false
-	}
-	return rec.DeadRank(), true
-}
-
-// Abort implements chaos.Source.
-func (s *Schedule) Abort(rank, tid int, seq uint64) bool {
-	_, ok := s.lookup(KindAbort, rank, tid, seq)
-	return ok
-}
-
-// Match implements chaos.Source.
-func (s *Schedule) Match(rank, tid int, seq uint64) (chaos.MsgID, bool) {
-	rec, ok := s.lookup(KindMatch, rank, tid, seq)
-	if !ok {
-		return chaos.MsgID{}, false
-	}
-	return rec.Msg(), true
-}
-
-// Poll implements chaos.Source.
-func (s *Schedule) Poll(rank, tid int, seq uint64) (chaos.MsgID, bool) {
-	rec, ok := s.lookup(KindPoll, rank, tid, seq)
-	if !ok {
-		return chaos.MsgID{}, false
-	}
-	return rec.Msg(), true
-}
-
-// CollJoin implements chaos.Source.
-func (s *Schedule) CollJoin(rank, tid int, seq uint64) (chaos.CollOrder, bool) {
-	rec, ok := s.lookup(KindColl, rank, tid, seq)
-	if !ok {
-		return chaos.CollOrder{}, false
-	}
-	return rec.CollOrder(), true
-}
-
-// LockGrant implements chaos.Source.
-func (s *Schedule) LockGrant(rank, tid int, seq uint64) (uint64, bool) {
-	rec, ok := s.lookup(KindLock, rank, tid, seq)
-	if !ok {
-		return 0, false
-	}
-	return rec.Ticket, true
-}
-
-// SingleWin implements chaos.Source.
-func (s *Schedule) SingleWin(rank, tid int, ord uint64) bool {
-	_, ok := s.lookup(KindSingle, rank, tid, ord)
-	return ok
-}
-
-// Chunk implements chaos.Source.
-func (s *Schedule) Chunk(rank, tid int, seq uint64) (base, end int64, ok bool) {
-	rec, found := s.lookup(KindChunk, rank, tid, seq)
-	if !found {
-		return 0, 0, false
-	}
-	return rec.Base, rec.End, true
 }

@@ -13,27 +13,47 @@ import (
 
 // fullRecorder builds a recorder exercising every record kind, with
 // payload values chosen to stress the 1-based encodings (rank 0, tid 0
-// must survive omitempty).
+// must survive omitempty). Decisions with a typed Observe helper go
+// through the injector, the one encoder the runtime uses; send, stall
+// and RMA records are realized by the injector's seed rolls, so they
+// are written directly.
 func fullRecorder() *Recorder {
 	r := NewRecorder()
 	r.SetPlan(chaos.Plan{Seed: 7, DelayProb: 0.5, MaxDelayNs: 1000, CrashRank: 1, CrashAfterCalls: 3})
-	r.RecordSend(1, 0, 2, chaos.SendFault{DelayNs: 40, Reorder: true, Retries: 2, BackoffNs: 10, JitterWall: 3 * time.Millisecond})
-	r.RecordStall(0, 1, 1, chaos.Stall{VirtualNs: 500, Wall: time.Millisecond})
-	r.RecordRMADelay(2, 1, 4, 77)
-	r.RecordFail(0, 0, 3, 0) // observes rank 0's failure: Dead1 encoding
-	r.RecordAbort(1, 1, 5)
-	r.RecordMatch(0, 1, 2, chaos.MsgID{Rank: 0, TID: 0, Seq: 1}) // rank 0, tid 0 sender
-	r.RecordPoll(1, 0, 6, chaos.MsgID{})                         // bare completion poll
-	r.RecordPoll(1, 0, 7, chaos.MsgID{Rank: 2, TID: 1, Seq: 9})
-	r.RecordCrash(0)
-	// v2 order families. Comm 0 (the world) must survive the 1-based
+	r.Record(Record{Kind: chaos.KindSend, Rank: 1, TID: 0, Seq: 2, DelayNs: 40, Reorder: true, Retries: 2, BackoffNs: 10, JitterNs: int64(3 * time.Millisecond)})
+	r.Record(Record{Kind: chaos.KindStall, Rank: 0, TID: 1, Seq: 1, StallNs: 500, StallWallNs: int64(time.Millisecond)})
+	r.Record(Record{Kind: chaos.KindRMA, Rank: 2, TID: 1, Seq: 4, DelayNs: 77})
+	in := observer(r)
+	in.ObserveFail(0, 0, 3, 0) // observes rank 0's failure: Dead1 encoding
+	in.ObserveAbort(1, 1, 5)
+	in.ObserveMatch(0, 1, 2, chaos.MsgID{Rank: 0, TID: 0, Seq: 1}) // rank 0, tid 0 sender
+	in.ObservePoll(1, 0, 6, chaos.MsgID{})                         // bare completion poll
+	in.ObservePoll(1, 0, 7, chaos.MsgID{Rank: 2, TID: 1, Seq: 9})
+	in.ObserveCrash(0)
+	// Order families. Comm 0 (the world) must survive the 1-based
 	// encoding; NewComm -1 (not a Comm_dup) must stay absent.
-	r.RecordCollJoin(0, 0, 8, chaos.CollOrder{Comm: 0, Seq: 1, Ord: 1, NewComm: -1})
-	r.RecordCollJoin(2, 0, 8, chaos.CollOrder{Comm: 1, Seq: 3, Ord: 2, NewComm: 2})
-	r.RecordLockGrant(1, 1, 9, 1)
-	r.RecordSingleWin(0, 1, 4)
-	r.RecordChunk(2, 2, 1<<20, 10, 20)
+	in.ObserveCollJoin(0, 0, 8, chaos.CollOrder{Comm: 0, Seq: 1, Ord: 1, NewComm: -1})
+	in.ObserveCollJoin(2, 0, 8, chaos.CollOrder{Comm: 1, Seq: 3, Ord: 2, NewComm: 2})
+	in.ObserveLockGrant(1, 1, 9, 1)
+	in.ObserveSingleWin(0, 1, 4)
+	in.ObserveChunk(2, 2, 1<<20, 10, 20)
 	return r
+}
+
+// observer returns an injector recording into r, so tests encode
+// decisions through the same Observe helpers the runtime uses.
+func observer(r *Recorder) *chaos.Injector {
+	in := chaos.New(&chaos.Plan{}, nil)
+	in.SetRecorder(r)
+	return in
+}
+
+// replayer returns an injector replaying s, so tests decode records
+// through the same Replay helpers the runtime uses.
+func replayer(s chaos.Source) *chaos.Injector {
+	in := chaos.New(&chaos.Plan{}, nil)
+	in.SetSource(s)
+	return in
 }
 
 func TestScheduleRoundTrip(t *testing.T) {
@@ -48,56 +68,54 @@ func TestScheduleRoundTrip(t *testing.T) {
 	if s.Len() != rec.Len() {
 		t.Errorf("len = %d, recorded %d", s.Len(), rec.Len())
 	}
+	in := replayer(s)
 
-	if f, ok := s.SendFault(1, 0, 2); !ok || f.DelayNs != 40 || !f.Reorder || f.Retries != 2 || f.BackoffNs != 10 {
-		t.Errorf("send fault = %+v, %v", f, ok)
+	if f := in.SendFault(1, 0, 2); f.DelayNs != 40 || !f.Reorder || f.Retries != 2 || f.BackoffNs != 10 {
+		t.Errorf("send fault = %+v", f)
 	} else if f.JitterWall != 0 {
 		// Wall-clock payloads are recorded for diagnosis but never
 		// re-applied: replay forces the race the jitter provoked.
 		t.Errorf("replayed send re-applies wall jitter: %v", f.JitterWall)
 	}
-	if st, ok := s.Stall(0, 1, 1); !ok || st.VirtualNs != 500 || st.Wall != 0 {
+	if st, ok := in.StallAt(0, 1, 1); !ok || st.VirtualNs != 500 || st.Wall != 0 {
 		t.Errorf("stall = %+v, %v", st, ok)
 	}
-	if d, ok := s.RMADelay(2, 1, 4); !ok || d != 77 {
+	if d, ok := in.RMADelay(2, 1, 4); !ok || d != 77 {
 		t.Errorf("rma delay = %d, %v", d, ok)
 	}
-	if dead, ok := s.Fail(0, 0, 3); !ok || dead != 0 {
+	if dead, ok := in.ReplayFail(0, 0, 3); !ok || dead != 0 {
 		t.Errorf("fail = %d, %v (rank 0 must survive the 1-based encoding)", dead, ok)
 	}
-	if !s.Abort(1, 1, 5) {
+	if !in.ReplayAbort(1, 1, 5) {
 		t.Error("abort record missing")
 	}
-	if m, ok := s.Match(0, 1, 2); !ok || (m != chaos.MsgID{Rank: 0, TID: 0, Seq: 1}) {
+	if m, ok := in.ReplayMatch(0, 1, 2); !ok || (m != chaos.MsgID{Rank: 0, TID: 0, Seq: 1}) {
 		t.Errorf("match = %+v, %v (rank 0/tid 0 sender must survive)", m, ok)
 	}
-	if m, ok := s.Poll(1, 0, 6); !ok || !m.Zero() {
+	if m, ok := in.ReplayPoll(1, 0, 6); !ok || !m.Zero() {
 		t.Errorf("bare poll = %+v, %v", m, ok)
 	}
-	if m, ok := s.Poll(1, 0, 7); !ok || (m != chaos.MsgID{Rank: 2, TID: 1, Seq: 9}) {
+	if m, ok := in.ReplayPoll(1, 0, 7); !ok || (m != chaos.MsgID{Rank: 2, TID: 1, Seq: 9}) {
 		t.Errorf("identified poll = %+v, %v", m, ok)
 	}
-	if got := s.Crashes(); len(got) != 1 || got[0] != 0 {
+	if got := in.ReplayCrashes(); len(got) != 1 || got[0] != 0 {
 		t.Errorf("crashes = %v", got)
 	}
 
-	// v2 order families.
-	if !s.PinsOrders() {
-		t.Error("v2 schedule does not pin orders")
-	}
-	if o, ok := s.CollJoin(0, 0, 8); !ok || o.Comm != 0 || o.Seq != 1 || o.Ord != 1 || o.NewComm != -1 {
+	// Order families.
+	if o, ok := in.ReplayCollJoin(0, 0, 8); !ok || o.Comm != 0 || o.Seq != 1 || o.Ord != 1 || o.NewComm != -1 {
 		t.Errorf("coll join = %+v, %v (comm 0 must survive, NewComm must decode -1)", o, ok)
 	}
-	if o, ok := s.CollJoin(2, 0, 8); !ok || o.Comm != 1 || o.Seq != 3 || o.Ord != 2 || o.NewComm != 2 {
+	if o, ok := in.ReplayCollJoin(2, 0, 8); !ok || o.Comm != 1 || o.Seq != 3 || o.Ord != 2 || o.NewComm != 2 {
 		t.Errorf("comm-dup join = %+v, %v", o, ok)
 	}
-	if tk, ok := s.LockGrant(1, 1, 9); !ok || tk != 1 {
+	if tk, ok := in.ReplayLockGrant(1, 1, 9); !ok || tk != 1 {
 		t.Errorf("lock grant = %d, %v", tk, ok)
 	}
-	if !s.SingleWin(0, 1, 4) {
+	if !in.ReplaySingleWin(0, 1, 4) {
 		t.Error("single win record missing")
 	}
-	if b, e, ok := s.Chunk(2, 2, 1<<20); !ok || b != 10 || e != 20 {
+	if b, e, ok := in.ReplayChunk(2, 2, 1<<20); !ok || b != 10 || e != 20 {
 		t.Errorf("chunk = [%d,%d), %v", b, e, ok)
 	}
 	if got := s.OrderForced(); got != 5 {
@@ -105,45 +123,38 @@ func TestScheduleRoundTrip(t *testing.T) {
 	}
 
 	// Absent points: no fault, no failure, no match.
-	if _, ok := s.SendFault(1, 0, 99); ok {
-		t.Error("phantom send fault")
+	if f := in.SendFault(1, 0, 99); f != (chaos.SendFault{}) {
+		t.Errorf("phantom send fault %+v", f)
 	}
-	if _, ok := s.Fail(3, 3, 3); ok {
+	if _, ok := in.ReplayFail(3, 3, 3); ok {
 		t.Error("phantom failure")
 	}
-	if s.Abort(0, 0, 1) {
+	if in.ReplayAbort(0, 0, 1) {
 		t.Error("phantom abort")
 	}
-	if s.SingleWin(3, 0, 4) {
+	if in.ReplaySingleWin(3, 0, 4) {
 		t.Error("phantom single win")
 	}
-	if _, _, ok := s.Chunk(2, 2, 1<<20|1); ok {
+	if _, _, ok := in.ReplayChunk(2, 2, 1<<20|1); ok {
 		t.Error("phantom chunk (claim index 1 was never recorded)")
+	}
+	// A record answers only its own kind.
+	if _, ok := s.Lookup(chaos.KindMatch, 1, 1, 5); ok {
+		t.Error("abort record answered a match lookup")
 	}
 }
 
 // TestScheduleBytesCanonical pins that serialization is independent of
 // the host interleaving the records arrived in: the same decisions
-// added in a different order serialize byte-identically.
+// added in reverse order serialize byte-identically.
 func TestScheduleBytesCanonical(t *testing.T) {
 	a := fullRecorder()
 
 	b := NewRecorder()
-	b.SetPlan(chaos.Plan{Seed: 7, DelayProb: 0.5, MaxDelayNs: 1000, CrashRank: 1, CrashAfterCalls: 3})
-	b.RecordChunk(2, 2, 1<<20, 10, 20)
-	b.RecordCrash(0)
-	b.RecordLockGrant(1, 1, 9, 1)
-	b.RecordPoll(1, 0, 7, chaos.MsgID{Rank: 2, TID: 1, Seq: 9})
-	b.RecordMatch(0, 1, 2, chaos.MsgID{Rank: 0, TID: 0, Seq: 1})
-	b.RecordCollJoin(2, 0, 8, chaos.CollOrder{Comm: 1, Seq: 3, Ord: 2, NewComm: 2})
-	b.RecordAbort(1, 1, 5)
-	b.RecordPoll(1, 0, 6, chaos.MsgID{})
-	b.RecordSingleWin(0, 1, 4)
-	b.RecordFail(0, 0, 3, 0)
-	b.RecordRMADelay(2, 1, 4, 77)
-	b.RecordCollJoin(0, 0, 8, chaos.CollOrder{Comm: 0, Seq: 1, Ord: 1, NewComm: -1})
-	b.RecordStall(0, 1, 1, chaos.Stall{VirtualNs: 500, Wall: time.Millisecond})
-	b.RecordSend(1, 0, 2, chaos.SendFault{DelayNs: 40, Reorder: true, Retries: 2, BackoffNs: 10, JitterWall: 3 * time.Millisecond})
+	b.SetPlan(a.plan)
+	for i := len(a.recs) - 1; i >= 0; i-- {
+		b.Record(a.recs[i])
+	}
 
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Errorf("serialization is order-dependent:\n%s\nvs\n%s", a.Bytes(), b.Bytes())
@@ -176,22 +187,19 @@ func TestReadTruncatedSalvagesPrefix(t *testing.T) {
 	}
 	// The salvaged prefix still replays: canonical order puts
 	// (rank 0, tid 1, seq 1) first.
-	if st, ok := s.Stall(0, 1, 1); !ok || st.VirtualNs != 500 {
+	in := replayer(s)
+	if st, ok := in.StallAt(0, 1, 1); !ok || st.VirtualNs != 500 {
 		t.Errorf("salvaged stall = %+v, %v", st, ok)
 	}
-	// Order records inside the salvaged prefix still force, and the
-	// salvaged stream still reports the v2 guarantee.
-	if !s.PinsOrders() {
-		t.Error("salvaged v2 prefix does not pin orders")
-	}
-	if o, ok := s.CollJoin(0, 0, 8); !ok || o.Ord != 1 {
+	// Order records inside the salvaged prefix still force.
+	if o, ok := in.ReplayCollJoin(0, 0, 8); !ok || o.Ord != 1 {
 		t.Errorf("salvaged coll join = %+v, %v", o, ok)
 	}
-	if tk, ok := s.LockGrant(1, 1, 9); !ok || tk != 1 {
+	if tk, ok := in.ReplayLockGrant(1, 1, 9); !ok || tk != 1 {
 		t.Errorf("salvaged lock grant = %d, %v", tk, ok)
 	}
 	// The cut record is absent — meaningful absence, not an error.
-	if _, _, ok := s.Chunk(2, 2, 1<<20); ok {
+	if _, _, ok := in.ReplayChunk(2, 2, 1<<20); ok {
 		t.Error("cut chunk record resurfaced")
 	}
 }
@@ -221,8 +229,8 @@ func TestReadRejectsDuplicateKeys(t *testing.T) {
 	// The recorder collapses identical duplicates (echo mode books a
 	// forced decision twice), so build the corrupt stream directly.
 	data := EncodeRecords(chaos.Plan{Seed: 1}, []Record{
-		{Kind: KindAbort, Rank: 0, TID: 0, Seq: 1},
-		{Kind: KindAbort, Rank: 0, TID: 0, Seq: 1},
+		{Kind: chaos.KindAbort, Rank: 0, TID: 0, Seq: 1},
+		{Kind: chaos.KindAbort, Rank: 0, TID: 0, Seq: 1},
 	})
 	if _, err := Read(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("err = %v, want duplicate-record rejection", err)
@@ -265,45 +273,29 @@ func TestWriteStreams(t *testing.T) {
 	}
 }
 
-// TestV1StreamStillReplays pins backward compatibility: a v2 reader
-// accepts a v1 stream without error, replays its decisions, and
-// reports the v1 guarantee (orders not pinned) so the substrates use
-// the legacy resolution paths.
-func TestV1StreamStillReplays(t *testing.T) {
+// TestV1StreamRejected pins that version-1 streams, which lack the
+// order records, no longer replay: both containers reject them with an
+// error naming the version, and salvage nothing.
+func TestV1StreamRejected(t *testing.T) {
 	v1 := `{"format":"home-sched","version":1,"plan":{"Seed":7,"DelayProb":0,"MaxDelayNs":0,"ReorderProb":0,"SendFailProb":0,"MaxRetries":0,"RetryBackoffNs":0,"JitterProb":0,"JitterWall":0,"CrashRank":1,"CrashAfterCalls":3,"StallProb":0,"StallNs":0,"StallWall":0,"RMAProb":0,"MaxRMADelayNs":0}}
 {"k":"crash","r":1}
 {"k":"fail","r":0,"t":0,"q":3,"dead":2}
 {"k":"match","r":0,"t":1,"q":2,"src":1,"stid":1,"sseq":1}
 {"k":"abort","r":1,"t":1,"q":5}
 `
-	s, err := Read(strings.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 stream rejected: %v", err)
+	bin := fullRecorder().BytesBinary()
+	if bin[len(BinaryMagic)] != Version {
+		t.Fatalf("base-version byte = %d, want %d", bin[len(BinaryMagic)], Version)
 	}
-	if s.Version() != 1 {
-		t.Errorf("Version = %d, want 1", s.Version())
-	}
-	if s.PinsOrders() {
-		t.Error("v1 stream claims to pin orders")
-	}
-	if dead, ok := s.Fail(0, 0, 3); !ok || dead != 1 {
-		t.Errorf("v1 fail = %d, %v", dead, ok)
-	}
-	if m, ok := s.Match(0, 1, 2); !ok || (m != chaos.MsgID{Rank: 0, TID: 0, Seq: 1}) {
-		t.Errorf("v1 match = %+v, %v", m, ok)
-	}
-	if !s.Abort(1, 1, 5) {
-		t.Error("v1 abort record missing")
-	}
-	if got := s.Crashes(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("v1 crashes = %v", got)
-	}
-	// Order lookups on a v1 stream are always absent.
-	if _, ok := s.CollJoin(0, 0, 3); ok {
-		t.Error("phantom coll join on v1 stream")
-	}
-	if got := s.OrderForced(); got != 0 {
-		t.Errorf("OrderForced = %d on a v1 stream", got)
+	bin[len(BinaryMagic)] = 1 // the same stream claiming base version 1
+	for name, data := range map[string][]byte{"jsonl": []byte(v1), "hsb3": bin} {
+		s, err := Read(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), "version 1") {
+			t.Errorf("%s: v1 stream err = %v, want a rejection naming version 1", name, err)
+		}
+		if errors.Is(err, ErrTruncated) || s != nil {
+			t.Errorf("%s: v1 stream salvaged %v (err %v), want a hard error", name, s, err)
+		}
 	}
 }
 

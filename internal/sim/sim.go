@@ -120,6 +120,12 @@ type Ctx struct {
 	// on instrumentation events (the timeline export's flow arrows).
 	MsgSeq uint64
 
+	// ConstructSeq counts the OpenMP constructs this thread has
+	// encountered across all its teams. Single-election and loop-chunk
+	// schedule records are keyed on it, so they stay unique when the
+	// thread runs several parallel regions.
+	ConstructSeq uint64
+
 	// LastCollSeq is the per-communicator instance number of the most
 	// recent collective this thread completed. The collective runtime
 	// stores it here (the Ctx is thread-owned) so the interpreter can
