@@ -15,8 +15,10 @@ import (
 
 	"home"
 	"home/internal/baseline"
+	"home/internal/detect"
 	"home/internal/harness"
 	"home/internal/npb"
+	"home/internal/spec"
 )
 
 // benchCfg is the shared experiment configuration for the benches.
@@ -151,4 +153,47 @@ int main() {
 			b.Fatal("violation missed")
 		}
 	}
+}
+
+// npbRaceLog records the event log of injected BT-MZ at class B on
+// 64 procs, the largest npb-check shape: about 21k events, 6k races
+// and 1.2k violations.
+func npbRaceLog(b *testing.B) []home.TraceEvent {
+	b.Helper()
+	o := npb.PaperInjections(npb.BT)
+	o.Class = 'B'
+	// Explain keeps the run's event log in rep.Trace.
+	rep, err := home.Check(npb.Generate(npb.BT, o).Text, home.Options{Procs: 64, Seed: 1, Explain: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep.Trace
+}
+
+// BenchmarkAnalyzeNPB measures the race detector alone on the
+// npb-check log.
+func BenchmarkAnalyzeNPB(b *testing.B) {
+	events := npbRaceLog(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rep *detect.Report
+	for i := 0; i < b.N; i++ {
+		rep = detect.Analyze(events, detect.Options{})
+	}
+	b.ReportMetric(float64(len(events)), "events")
+	b.ReportMetric(float64(len(rep.Races)), "races")
+}
+
+// BenchmarkMatchNPB measures the specification matcher alone on the
+// npb-check log and its race report.
+func BenchmarkMatchNPB(b *testing.B) {
+	events := npbRaceLog(b)
+	rep := detect.Analyze(events, detect.Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var vs []spec.Violation
+	for i := 0; i < b.N; i++ {
+		vs = spec.Match(events, rep)
+	}
+	b.ReportMetric(float64(len(vs)), "violations")
 }

@@ -40,7 +40,9 @@
 package detect
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -179,17 +181,6 @@ func (r *Report) Concurrent(rank int, name string) bool {
 	return false
 }
 
-// RacesOn returns the races on one location.
-func (r *Report) RacesOn(rank int, name string) []Race {
-	var out []Race
-	for _, rc := range r.Races {
-		if rc.Loc.Rank == rank && rc.Loc.Name == name {
-			out = append(out, rc)
-		}
-	}
-	return out
-}
-
 // threadState is the replay state of one logical thread.
 type threadState struct {
 	clock *vclock.Packed
@@ -210,6 +201,7 @@ type accessRec struct {
 	call  *trace.MPICall
 	ix    uint64    // per-lane event index
 	clock vclock.VC // full clock snapshot (Explain only)
+	side  int32     // 1 + its index in analyzer.sides once a race names it
 }
 
 // locState is the detector state of one location: its history window
@@ -218,7 +210,14 @@ type accessRec struct {
 type locState struct {
 	window  []accessRec
 	classes []epochClass
-	races   []Race
+	races   []raceRec
+}
+
+// raceRec is a race as the scan stores it: its two accesses, as
+// indexes into analyzer.sides in canonical order, and its verdicts.
+type raceRec struct {
+	first, second  int32
+	lsRace, hbRace bool
 }
 
 // analyzer carries the replay state.
@@ -239,6 +238,9 @@ type analyzer struct {
 	lockClocks map[trace.LockID]*vclock.Packed
 	locksets   locksets
 	locs       map[trace.Loc]*locState
+	// sides holds every access a race names, built once, in the order
+	// the scan first named them.
+	sides []Access
 
 	tally pairTally
 	st    analyzerStats
@@ -316,40 +318,55 @@ func newAnalyzer(opts Options) *analyzer {
 	}
 }
 
-// report assembles the current races with a stable order.
+// report assembles the races in canonical order: by location (rank,
+// name), then by the lane coordinates of First and then Second. Each
+// race is copied once, into a list allocated at its final length; a
+// report without races keeps a nil list.
 func (a *analyzer) report() *Report {
 	rep := &Report{Mode: a.opts.Mode}
-	var locs []trace.Loc
+	type locRaces struct {
+		loc   trace.Loc
+		races []raceRec
+	}
+	var locs []locRaces
+	n := 0
 	for l, ls := range a.locs {
 		if len(ls.races) > 0 {
-			locs = append(locs, l)
+			locs = append(locs, locRaces{l, ls.races})
+			n += len(ls.races)
 		}
 	}
-	sort.Slice(locs, func(i, j int) bool {
-		if locs[i].Rank != locs[j].Rank {
-			return locs[i].Rank < locs[j].Rank
+	if n == 0 {
+		return rep
+	}
+	slices.SortFunc(locs, func(x, y locRaces) int {
+		if c := cmp.Compare(x.loc.Rank, y.loc.Rank); c != 0 {
+			return c
 		}
-		return locs[i].Name < locs[j].Name
+		return strings.Compare(x.loc.Name, y.loc.Name)
 	})
+	rep.Races = make([]Race, 0, n)
 	for _, l := range locs {
 		// Arrival order within a location depends on how the host
 		// interleaved the threads; sort by the canonical pair
 		// coordinates so reports are stable.
-		races := a.locs[l].races
-		sort.Slice(races, func(i, j int) bool {
-			if !accessEq(races[i].First, races[j].First) {
-				return laneAfter(races[j].First, races[i].First)
+		slices.SortFunc(l.races, func(x, y raceRec) int {
+			if c := laneCmp(&a.sides[x.first], &a.sides[y.first]); c != 0 {
+				return c
 			}
-			return laneAfter(races[j].Second, races[i].Second)
+			return laneCmp(&a.sides[x.second], &a.sides[y.second])
 		})
-		rep.Races = append(rep.Races, races...)
+		for _, r := range l.races {
+			rep.Races = append(rep.Races, Race{
+				Loc:         l.loc,
+				First:       a.sides[r.first],
+				Second:      a.sides[r.second],
+				LocksetRace: r.lsRace,
+				HBRace:      r.hbRace,
+			})
+		}
 	}
 	return rep
-}
-
-// accessEq compares the schedule-stable coordinates of two accesses.
-func accessEq(a, b Access) bool {
-	return a.Rank == b.Rank && a.TID == b.TID && a.Ix == b.Ix
 }
 
 // Analyze replays the event log and returns the race report.
@@ -529,7 +546,7 @@ func (a *analyzer) access(e trace.Event, st *threadState, gid vclock.TID, ix uin
 		rec.clock = st.clock.ToVC()
 	}
 	if emit {
-		a.reportPairs(e.Loc, l, &rec, st.clock)
+		a.reportPairs(l, &rec, st.clock)
 	}
 	if keep {
 		l.window = append(l.window, rec)
@@ -642,7 +659,7 @@ func upperBound(evs []uint64, seen uint64) int {
 // reportPairs walks the location's history window in arrival order
 // and appends the races rec, observing clock, forms with it until the
 // location reaches MaxRacesPerLoc.
-func (a *analyzer) reportPairs(loc trace.Loc, l *locState, rec *accessRec, clock *vclock.Packed) {
+func (a *analyzer) reportPairs(l *locState, rec *accessRec, clock *vclock.Packed) {
 	for i := range l.window {
 		if len(l.races) >= a.opts.MaxRacesPerLoc {
 			break
@@ -659,41 +676,41 @@ func (a *analyzer) reportPairs(loc trace.Loc, l *locState, rec *accessRec, clock
 		if !a.reports(lsRace, hbRace) {
 			continue
 		}
-		first, second := a.toAccess(prev), a.toAccess(rec)
+		first, second := a.side(prev), a.side(rec)
 		// The pair order is canonical — by schedule-stable lane
 		// coordinate rather than log arrival order — so reports do
 		// not depend on the host schedule.
-		if laneAfter(first, second) {
+		if laneCmp(&a.sides[first], &a.sides[second]) > 0 {
 			first, second = second, first
 		}
-		l.races = append(l.races, Race{
-			Loc:         loc,
-			First:       first,
-			Second:      second,
-			LocksetRace: lsRace,
-			HBRace:      hbRace,
+		l.races = append(l.races, raceRec{first, second, lsRace, hbRace})
+	}
+}
+
+// side returns the index of r in a.sides, building its Access the
+// first time a race names it.
+func (a *analyzer) side(r *accessRec) int32 {
+	if r.side == 0 {
+		a.sides = append(a.sides, Access{
+			Rank: r.rank, TID: r.tid, Time: r.time,
+			Op: r.op, Lockset: a.locksets.names[r.ls], Call: r.call,
+			Ix: r.ix, Clock: r.clock,
 		})
+		r.side = int32(len(a.sides))
 	}
+	return r.side - 1
 }
 
-func (a *analyzer) toAccess(r *accessRec) Access {
-	return Access{
-		Rank: r.rank, TID: r.tid, Time: r.time,
-		Op: r.op, Lockset: append([]string{}, a.locksets.names[r.ls]...), Call: r.call,
-		Ix: r.ix, Clock: r.clock,
-	}
-}
-
-// laneAfter orders accesses by their schedule-stable coordinate
+// laneCmp orders accesses by their schedule-stable coordinate
 // (rank, tid, lane index).
-func laneAfter(a, b Access) bool {
-	if a.Rank != b.Rank {
-		return a.Rank > b.Rank
+func laneCmp(a, b *Access) int {
+	if c := cmp.Compare(a.Rank, b.Rank); c != 0 {
+		return c
 	}
-	if a.TID != b.TID {
-		return a.TID > b.TID
+	if c := cmp.Compare(a.TID, b.TID); c != 0 {
+		return c
 	}
-	return a.Ix > b.Ix
+	return cmp.Compare(a.Ix, b.Ix)
 }
 
 // lsID names an interned lockset; 0 is the empty set.
@@ -703,6 +720,8 @@ type lsID int32
 // thread's set changes one name at a time, so the acquire and release
 // transitions are memoized, as is the disjointness of each id pair:
 // the replay and the pair checks never build or compare sets per access.
+// Every access of a reported race shares its set's names slice, which
+// is never nil, so an empty lockset renders as [].
 type locksets struct {
 	names [][]string // sorted lock names per id
 	ids   map[string]lsID
@@ -718,7 +737,7 @@ type lsMove struct {
 
 func newLocksets() locksets {
 	return locksets{
-		names: [][]string{nil},
+		names: [][]string{{}},
 		ids:   map[string]lsID{"": 0},
 		moves: make(map[lsMove]lsID),
 		disj:  make(map[[2]lsID]bool),

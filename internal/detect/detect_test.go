@@ -280,9 +280,8 @@ func TestCallRecordAttachedToRace(t *testing.T) {
 		Loc: trace.Loc{Rank: 0, Name: trace.VarTag}, Call: call1})
 	b.add(trace.Event{Rank: 0, TID: 1, Op: trace.OpWrite,
 		Loc: trace.Loc{Rank: 0, Name: trace.VarTag}, Call: call2})
-	rep := analyzeDefault(b)
-	races := rep.RacesOn(0, trace.VarTag)
-	if len(races) != 1 {
+	races := analyzeDefault(b).Races
+	if len(races) != 1 || races[0].Loc != (trace.Loc{Rank: 0, Name: trace.VarTag}) {
 		t.Fatalf("races = %v", races)
 	}
 	if races[0].First.Call != call1 || races[0].Second.Call != call2 {

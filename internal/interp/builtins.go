@@ -282,6 +282,13 @@ func (tc *threadCtx) tagColl(rec *trace.MPICall) {
 
 // ---- builtin dispatch ----
 
+// mathBuiltins are the one-argument math library builtins.
+var mathBuiltins = map[string]func(float64) float64{
+	"sqrt": math.Sqrt, "fabs": math.Abs, "floor": math.Floor,
+	"ceil": math.Ceil, "exp": math.Exp, "log": math.Log,
+	"sin": math.Sin, "cos": math.Cos,
+}
+
 // callBuiltin executes builtin functions; handled reports whether the
 // name was recognized.
 func (tc *threadCtx) callBuiltin(c *minic.Call) (Value, bool, error) {
@@ -324,12 +331,7 @@ func (tc *threadCtx) callBuiltin(c *minic.Call) (Value, bool, error) {
 		if err != nil {
 			return Value{}, true, err
 		}
-		fns := map[string]func(float64) float64{
-			"sqrt": math.Sqrt, "fabs": math.Abs, "floor": math.Floor,
-			"ceil": math.Ceil, "exp": math.Exp, "log": math.Log,
-			"sin": math.Sin, "cos": math.Cos,
-		}
-		return floatVal(fns[c.Name](v.Num)), true, nil
+		return floatVal(mathBuiltins[c.Name](v.Num)), true, nil
 	case "fmin", "fmax", "pow":
 		if len(c.Args) < 2 {
 			return Value{}, true, runtimeError(c.Line, "%s needs two arguments", c.Name)

@@ -384,3 +384,20 @@ int main() {
 		t.Fatalf("global array updates = %d", res.ExitCodes[0])
 	}
 }
+
+// A runtime error in a pragma clause reports the pragma's line.
+func TestPragmaClauseRuntimeErrorLine(t *testing.T) {
+	res := run(t, `int main() {
+  int provided;
+  MPI_Init_thread(MPI_THREAD_MULTIPLE, &provided);
+  int n = 0;
+  #pragma omp parallel for schedule(dynamic, 4/n)
+  for (int i = 0; i < 4; i++) { }
+  MPI_Finalize();
+  return 0;
+}`, Config{})
+	err := res.FirstError()
+	if err == nil || !strings.Contains(err.Error(), "line 5: division by zero") {
+		t.Fatalf("error = %v, want it at line 5", err)
+	}
+}

@@ -470,6 +470,11 @@ func parsePragmaText(text string, line int) (*OmpStmt, error) {
 	if err != nil {
 		return nil, fmt.Errorf("line %d: bad pragma: %v", line, err)
 	}
+	// The text is one source line, tokenized from line 1: move its
+	// tokens to the pragma's line, so clause expressions carry it.
+	for i := range toks {
+		toks[i].Line += line - 1
+	}
 	pp := &Parser{toks: toks}
 	if w, err := pp.expect(TIdent); err != nil || w.Lit != "omp" {
 		return nil, fmt.Errorf("line %d: only 'omp' pragmas are supported", line)
@@ -531,7 +536,7 @@ func parseClauses(pp *Parser, o *OmpStmt, line int) error {
 			}
 			e, err := pp.parseExpr()
 			if err != nil {
-				return fmt.Errorf("line %d: %v", line, err)
+				return err
 			}
 			o.NumThreads = e
 			if _, err := pp.expect(TRParen); err != nil {
@@ -559,7 +564,7 @@ func parseClauses(pp *Parser, o *OmpStmt, line int) error {
 				pp.next()
 				e, err := pp.parseExpr()
 				if err != nil {
-					return fmt.Errorf("line %d: %v", line, err)
+					return err
 				}
 				o.Chunk = e
 			}

@@ -254,3 +254,15 @@ func TestSemaFollowsInterpreterBinding(t *testing.T) {
   return 0;
 }`, `line 3: undeclared identifier "i"`)
 }
+
+// A pragma's clauses are tokenized from its own text, yet their
+// expressions report the pragma's source line.
+func TestSemaPragmaClauseLine(t *testing.T) {
+	wantDiags(t, `int main() {
+  int provided;
+  MPI_Init_thread(MPI_THREAD_MULTIPLE, &provided);
+  #pragma omp parallel num_threads(m)
+  { }
+  return 0;
+}`, `line 4: undeclared identifier "m"`)
+}

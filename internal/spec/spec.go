@@ -10,8 +10,11 @@
 package spec
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"home/internal/detect"
@@ -122,19 +125,13 @@ func (v Violation) String() string {
 		v.Kind, v.Rank, strings.Join(lines, ","), v.Message)
 }
 
-// key is the dedup identity of a violation.
-func (v Violation) key() string {
-	return fmt.Sprintf("%d|%d|%v", v.Kind, v.Rank, v.Lines)
-}
-
 // rankInfo aggregates per-rank evidence from the event log.
 type rankInfo struct {
 	level       int // provided thread level (-1 unknown)
 	initTID     int
-	hasInit     bool
-	initEvent   trace.Event // the recorded init call, when hasInit
+	initEvent   *trace.Event // the recorded init call, if any
 	hasParallel bool
-	calls       []trace.Event // OpMPICall records, sorted by (tid, seq)
+	calls       []*trace.Event // OpMPICall records, sorted by (tid, seq)
 }
 
 // Match evaluates the specification against the event log and the
@@ -149,7 +146,8 @@ func Match(events []trace.Event, rep *detect.Report) []Violation {
 		}
 		return ri
 	}
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		switch e.Op {
 		case trace.OpBegin:
 			info(e.Rank).hasParallel = true
@@ -159,7 +157,6 @@ func Match(events []trace.Event, rep *detect.Report) []Violation {
 			case trace.CallInit, trace.CallInitThread:
 				ri.level = e.Call.Level
 				ri.initTID = e.TID
-				ri.hasInit = true
 				ri.initEvent = e
 			}
 			ri.calls = append(ri.calls, e)
@@ -170,28 +167,23 @@ func Match(events []trace.Event, rep *detect.Report) []Violation {
 	// by (tid, seq) makes matchRank's iteration — and therefore which
 	// evidence a deduplicated violation keeps — deterministic.
 	for _, ri := range ranks {
-		calls := ri.calls
-		sort.Slice(calls, func(i, j int) bool {
-			if calls[i].TID != calls[j].TID {
-				return calls[i].TID < calls[j].TID
+		slices.SortFunc(ri.calls, func(a, b *trace.Event) int {
+			if c := cmp.Compare(a.TID, b.TID); c != 0 {
+				return c
 			}
-			return calls[i].Seq < calls[j].Seq
+			return cmp.Compare(a.Seq, b.Seq)
 		})
 	}
 
-	seen := map[string]bool{}
-	var out []Violation
-	add := func(v Violation) {
-		sort.Ints(v.Lines)
-		sort.Ints(v.Threads)
-		if !seen[v.key()] {
-			seen[v.key()] = true
-			out = append(out, v)
+	m := &matcher{seen: map[vkey]bool{}, byLoc: map[trace.Loc][]*detect.Race{}}
+	for i := range rep.Races {
+		r := &rep.Races[i]
+		m.matchRace(r)
+		// matchRank reads the races on the finalize variable and, on a
+		// SERIALIZED rank, those on the other monitored variables.
+		if ri := ranks[r.Loc.Rank]; r.Loc.Name == trace.VarFinalize || (ri != nil && ri.level == mpi.ThreadSerialized) {
+			m.byLoc[r.Loc] = append(m.byLoc[r.Loc], r)
 		}
-	}
-
-	for _, race := range rep.Races {
-		matchRace(race, add)
 	}
 	rankIDs := make([]int, 0, len(ranks))
 	for r := range ranks {
@@ -199,18 +191,118 @@ func Match(events []trace.Event, rep *detect.Report) []Violation {
 	}
 	sort.Ints(rankIDs)
 	for _, r := range rankIDs {
-		matchRank(r, ranks[r], rep, add)
+		m.matchRank(r, ranks[r])
 	}
+	return m.sorted()
+}
 
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
+// matcher collects the violations of one Match. The first candidate
+// with a given identity wins, and a violation is built only once its
+// identity is known to be new.
+type matcher struct {
+	seen  map[vkey]bool
+	out   []Violation
+	byLoc map[trace.Loc][]*detect.Race // the races matchRank reads, per location, in report order
+}
+
+// vkey is the dedup identity of a violation: kind, rank and its one
+// or two sorted lines.
+type vkey struct {
+	kind  Kind
+	rank  int
+	n     int
+	lines [2]int
+}
+
+// add appends a violation of kind on rank at the call sites lines,
+// by the threads tids, unless one with the same identity was added
+// before. It returns the new violation, for the caller to fill in
+// the message and evidence, or nil.
+func (m *matcher) add(kind Kind, rank int, lines, tids [2]int, n int) *Violation {
+	if n == 2 {
+		if lines[1] < lines[0] {
+			lines[0], lines[1] = lines[1], lines[0]
 		}
-		if out[i].Rank != out[j].Rank {
-			return out[i].Rank < out[j].Rank
+		if tids[1] < tids[0] {
+			tids[0], tids[1] = tids[1], tids[0]
 		}
-		return fmt.Sprint(out[i].Lines) < fmt.Sprint(out[j].Lines)
+	}
+	k := vkey{kind, rank, n, lines}
+	if m.seen[k] {
+		return nil
+	}
+	m.seen[k] = true
+	// Lines and Threads share one allocation; each is capped at its
+	// own length.
+	ints := append(append(make([]int, 0, 2*n), lines[:n]...), tids[:n]...)
+	m.out = append(m.out, Violation{Kind: kind, Rank: rank, Lines: ints[:n:n], Threads: ints[n:]})
+	return &m.out[len(m.out)-1]
+}
+
+// addRace adds the violation of kind that race r backs; see add.
+func (m *matcher) addRace(kind Kind, r *detect.Race) *Violation {
+	v := m.add(kind, r.Loc.Rank,
+		[2]int{r.First.Call.Line, r.Second.Call.Line}, [2]int{r.First.TID, r.Second.TID}, 2)
+	if v != nil {
+		v.Evidence = &Evidence{Race: r}
+	}
+	return v
+}
+
+// addSite adds the call-ordering violation of kind that call e
+// commits, with establish (the init or finalize call, if recorded)
+// as the ordering evidence; see add.
+func (m *matcher) addSite(kind Kind, rank int, establish, e *trace.Event) *Violation {
+	v := m.add(kind, rank, [2]int{e.Call.Line}, [2]int{e.TID}, 1)
+	if v != nil {
+		ev := &Evidence{}
+		if establish != nil {
+			ev.Sites = append(ev.Sites, *establish)
+		}
+		ev.Sites = append(ev.Sites, *e)
+		v.Evidence = ev
+	}
+	return v
+}
+
+// sorted returns the violations ordered by kind, rank and the string
+// form of their lines as fmt.Sprint renders it (so [12] sorts after
+// [100]), built once per violation without fmt.
+func (m *matcher) sorted() []Violation {
+	if len(m.out) == 0 {
+		return nil
+	}
+	type sortKey struct {
+		kind  Kind
+		rank  int
+		lines string
+		i     int
+	}
+	keys := make([]sortKey, len(m.out))
+	var buf []byte
+	for i, v := range m.out {
+		buf = append(buf[:0], '[')
+		for j, l := range v.Lines {
+			if j > 0 {
+				buf = append(buf, ' ')
+			}
+			buf = strconv.AppendInt(buf, int64(l), 10)
+		}
+		keys[i] = sortKey{v.Kind, v.Rank, string(append(buf, ']')), i}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if c := cmp.Compare(a.kind, b.kind); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.rank, b.rank); c != 0 {
+			return c
+		}
+		return strings.Compare(a.lines, b.lines)
 	})
+	out := make([]Violation, len(keys))
+	for i, k := range keys {
+		out[i] = m.out[k.i]
+	}
 	return out
 }
 
@@ -232,79 +324,61 @@ func isRMA(k trace.CallKind) bool { return k.IsRMA() || k == trace.CallWinFence 
 
 // matchRace maps one concurrency report to the per-pair violation
 // predicates (ConcurrentRecv, ConcurrentRequest, Probe, Collective).
-func matchRace(r detect.Race, add func(Violation)) {
-	a, b := r.First, r.Second
+func (m *matcher) matchRace(r *detect.Race) {
+	a, b := &r.First, &r.Second
 	if a.Call == nil || b.Call == nil || a.TID == b.TID {
 		return
 	}
 	ak, bk := a.Call.Kind, b.Call.Kind
-	lines := []int{a.Call.Line, b.Call.Line}
-	threads := []int{a.TID, b.TID}
-	ev := &Evidence{Race: &r}
+	sameTriple := a.Call.Peer == b.Call.Peer && a.Call.Tag == b.Call.Tag && a.Call.Comm == b.Call.Comm
 
 	switch {
 	case isRecv(ak) && isRecv(bk):
-		if a.Call.Peer == b.Call.Peer && a.Call.Tag == b.Call.Tag && a.Call.Comm == b.Call.Comm {
-			add(Violation{
-				Kind: ConcurrentRecvViolation, Rank: r.Loc.Rank,
-				Lines: lines, Threads: threads, Evidence: ev,
-				Message: fmt.Sprintf("threads %d and %d concurrently receive with identical (source=%d, tag=%d, comm=%d); message delivery order is undefined",
-					a.TID, b.TID, a.Call.Peer, a.Call.Tag, a.Call.Comm),
-			})
+		if !sameTriple {
+			break
+		}
+		if v := m.addRace(ConcurrentRecvViolation, r); v != nil {
+			v.Message = fmt.Sprintf("threads %d and %d concurrently receive with identical (source=%d, tag=%d, comm=%d); message delivery order is undefined",
+				a.TID, b.TID, a.Call.Peer, a.Call.Tag, a.Call.Comm)
 		}
 	case isWaitTest(ak) && isWaitTest(bk):
-		if a.Call.Request == b.Call.Request && a.Call.Request >= 0 {
-			add(Violation{
-				Kind: ConcurrentRequestViolation, Rank: r.Loc.Rank,
-				Lines: lines, Threads: threads, Evidence: ev,
-				Message: fmt.Sprintf("threads %d and %d concurrently wait/test the same request #%d",
-					a.TID, b.TID, a.Call.Request),
-			})
+		if a.Call.Request != b.Call.Request || a.Call.Request < 0 {
+			break
+		}
+		if v := m.addRace(ConcurrentRequestViolation, r); v != nil {
+			v.Message = fmt.Sprintf("threads %d and %d concurrently wait/test the same request #%d",
+				a.TID, b.TID, a.Call.Request)
 		}
 	case (isProbe(ak) && (isProbe(bk) || isRecv(bk))) || (isProbe(bk) && (isProbe(ak) || isRecv(ak))):
-		if a.Call.Peer == b.Call.Peer && a.Call.Tag == b.Call.Tag && a.Call.Comm == b.Call.Comm {
-			add(Violation{
-				Kind: ProbeViolation, Rank: r.Loc.Rank,
-				Lines: lines, Threads: threads, Evidence: ev,
-				Message: fmt.Sprintf("threads %d and %d concurrently probe/receive with identical (source=%d, tag=%d, comm=%d); the probed message may be stolen",
-					a.TID, b.TID, a.Call.Peer, a.Call.Tag, a.Call.Comm),
-			})
+		if !sameTriple {
+			break
+		}
+		if v := m.addRace(ProbeViolation, r); v != nil {
+			v.Message = fmt.Sprintf("threads %d and %d concurrently probe/receive with identical (source=%d, tag=%d, comm=%d); the probed message may be stolen",
+				a.TID, b.TID, a.Call.Peer, a.Call.Tag, a.Call.Comm)
 		}
 	case isRMA(ak) && isRMA(bk):
-		if a.Call.Win == b.Call.Win {
-			add(Violation{
-				Kind: WindowViolation, Rank: r.Loc.Rank,
-				Lines: lines, Threads: threads, Evidence: ev,
-				Message: fmt.Sprintf("threads %d and %d concurrently access RMA window %d (%s, %s) within one epoch",
-					a.TID, b.TID, a.Call.Win, ak, bk),
-			})
+		if a.Call.Win != b.Call.Win {
+			break
+		}
+		if v := m.addRace(WindowViolation, r); v != nil {
+			v.Message = fmt.Sprintf("threads %d and %d concurrently access RMA window %d (%s, %s) within one epoch",
+				a.TID, b.TID, a.Call.Win, ak, bk)
 		}
 	case ak.IsCollective() && bk.IsCollective():
-		if a.Call.Comm == b.Call.Comm {
-			add(Violation{
-				Kind: CollectiveCallViolation, Rank: r.Loc.Rank,
-				Lines: lines, Threads: threads, Evidence: ev,
-				Message: fmt.Sprintf("threads %d and %d concurrently issue collectives (%s, %s) on communicator %d",
-					a.TID, b.TID, ak, bk, a.Call.Comm),
-			})
+		if a.Call.Comm != b.Call.Comm {
+			break
+		}
+		if v := m.addRace(CollectiveCallViolation, r); v != nil {
+			v.Message = fmt.Sprintf("threads %d and %d concurrently issue collectives (%s, %s) on communicator %d",
+				a.TID, b.TID, ak, bk, a.Call.Comm)
 		}
 	}
 }
 
 // matchRank evaluates the rank-level predicates (Initialization,
 // Finalization).
-func matchRank(rank int, ri *rankInfo, rep *detect.Report, add func(Violation)) {
-	// sites builds call-ordering evidence: the establishing call (when
-	// recorded) followed by the offending one.
-	sites := func(establish trace.Event, has bool, offend trace.Event) *Evidence {
-		ev := &Evidence{}
-		if has {
-			ev.Sites = append(ev.Sites, establish)
-		}
-		ev.Sites = append(ev.Sites, offend)
-		return ev
-	}
-
+func (m *matcher) matchRank(rank int, ri *rankInfo) {
 	// Initialization violations.
 	switch ri.level {
 	case mpi.ThreadSingle:
@@ -315,47 +389,35 @@ func matchRank(rank int, ri *rankInfo, rep *detect.Report, add func(Violation)) 
 			if k == trace.CallInit || k == trace.CallInitThread {
 				continue
 			}
-			if ri.hasParallel {
-				add(Violation{
-					Kind: InitializationViolation, Rank: rank,
-					Lines: []int{e.Call.Line}, Threads: []int{e.TID},
-					Message:  fmt.Sprintf("MPI initialized with MPI_THREAD_SINGLE but %s is issued inside an omp parallel region", k),
-					Evidence: sites(ri.initEvent, ri.hasInit, e),
-				})
+			if !ri.hasParallel {
+				continue
+			}
+			if v := m.addSite(InitializationViolation, rank, ri.initEvent, e); v != nil {
+				v.Message = fmt.Sprintf("MPI initialized with MPI_THREAD_SINGLE but %s is issued inside an omp parallel region", k)
 			}
 		}
 	case mpi.ThreadFunneled:
 		for _, e := range ri.calls {
 			k := e.Call.Kind
-			if k == trace.CallInit || k == trace.CallInitThread {
+			if k == trace.CallInit || k == trace.CallInitThread || e.TID == ri.initTID {
 				continue
 			}
-			if e.TID != ri.initTID {
-				add(Violation{
-					Kind: InitializationViolation, Rank: rank,
-					Lines: []int{e.Call.Line}, Threads: []int{e.TID},
-					Message:  fmt.Sprintf("MPI_THREAD_FUNNELED requires the main thread to make all MPI calls, but thread %d issued %s", e.TID, k),
-					Evidence: sites(ri.initEvent, ri.hasInit, e),
-				})
+			if v := m.addSite(InitializationViolation, rank, ri.initEvent, e); v != nil {
+				v.Message = fmt.Sprintf("MPI_THREAD_FUNNELED requires the main thread to make all MPI calls, but thread %d issued %s", e.TID, k)
 			}
 		}
 	case mpi.ThreadSerialized:
 		// Any concurrent pair of monitored MPI calls violates the
 		// one-at-a-time requirement.
 		for _, name := range []string{trace.VarSrc, trace.VarTag, trace.VarComm, trace.VarRequest, trace.VarCollective} {
-			for _, race := range rep.RacesOn(rank, name) {
+			for _, race := range m.byLoc[trace.Loc{Rank: rank, Name: name}] {
 				if race.First.Call == nil || race.Second.Call == nil || race.First.TID == race.Second.TID {
 					continue
 				}
-				rc := race
-				add(Violation{
-					Kind: InitializationViolation, Rank: rank,
-					Lines:   []int{race.First.Call.Line, race.Second.Call.Line},
-					Threads: []int{race.First.TID, race.Second.TID},
-					Message: fmt.Sprintf("MPI_THREAD_SERIALIZED allows one MPI call at a time, but threads %d and %d call %s and %s concurrently",
-						race.First.TID, race.Second.TID, race.First.Call.Kind, race.Second.Call.Kind),
-					Evidence: &Evidence{Race: &rc},
-				})
+				if v := m.addRace(InitializationViolation, race); v != nil {
+					v.Message = fmt.Sprintf("MPI_THREAD_SERIALIZED allows one MPI call at a time, but threads %d and %d call %s and %s concurrently",
+						race.First.TID, race.Second.TID, race.First.Call.Kind, race.Second.Call.Kind)
+				}
 				break // one representative per monitored variable
 			}
 		}
@@ -364,50 +426,38 @@ func matchRank(rank int, ri *rankInfo, rep *detect.Report, add func(Violation)) 
 	// Finalization violations. finalizeEv tracks the latest (by log
 	// order) finalize call — iteration order over ri.calls no longer
 	// follows the log, so the latest is selected explicitly.
-	var finalizeEv trace.Event
-	var finalized bool
+	var finalizeEv *trace.Event
 	for _, e := range ri.calls {
 		if e.Call.Kind != trace.CallFinalize {
 			continue
 		}
-		if !finalized || e.Seq > finalizeEv.Seq {
+		if finalizeEv == nil || e.Seq > finalizeEv.Seq {
 			finalizeEv = e
 		}
-		finalized = true
-		if e.TID != ri.initTID {
-			add(Violation{
-				Kind: FinalizationViolation, Rank: rank,
-				Lines: []int{e.Call.Line}, Threads: []int{e.TID},
-				Message:  fmt.Sprintf("MPI_Finalize must be called by the main thread, but thread %d called it", e.TID),
-				Evidence: sites(ri.initEvent, ri.hasInit, e),
-			})
+		if e.TID == ri.initTID {
+			continue
+		}
+		if v := m.addSite(FinalizationViolation, rank, ri.initEvent, e); v != nil {
+			v.Message = fmt.Sprintf("MPI_Finalize must be called by the main thread, but thread %d called it", e.TID)
 		}
 	}
-	if finalized {
+	if finalizeEv != nil {
 		for _, e := range ri.calls {
 			if e.Call.Kind == trace.CallFinalize || e.Seq <= finalizeEv.Seq {
 				continue
 			}
-			add(Violation{
-				Kind: FinalizationViolation, Rank: rank,
-				Lines: []int{e.Call.Line}, Threads: []int{e.TID},
-				Message:  fmt.Sprintf("%s issued after MPI_Finalize (pending thread-level communication at finalize time)", e.Call.Kind),
-				Evidence: sites(finalizeEv, true, e),
-			})
+			if v := m.addSite(FinalizationViolation, rank, finalizeEv, e); v != nil {
+				v.Message = fmt.Sprintf("%s issued after MPI_Finalize (pending thread-level communication at finalize time)", e.Call.Kind)
+			}
 		}
 	}
-	for _, race := range rep.RacesOn(rank, trace.VarFinalize) {
+	for _, race := range m.byLoc[trace.Loc{Rank: rank, Name: trace.VarFinalize}] {
 		if race.First.Call == nil || race.Second.Call == nil {
 			continue
 		}
-		rc := race
-		add(Violation{
-			Kind: FinalizationViolation, Rank: rank,
-			Lines:    []int{race.First.Call.Line, race.Second.Call.Line},
-			Threads:  []int{race.First.TID, race.Second.TID},
-			Message:  "MPI_Finalize races with concurrent MPI activity in another thread",
-			Evidence: &Evidence{Race: &rc},
-		})
+		if v := m.addRace(FinalizationViolation, race); v != nil {
+			v.Message = "MPI_Finalize races with concurrent MPI activity in another thread"
+		}
 	}
 }
 

@@ -329,18 +329,6 @@ func (l *Log) Len() int {
 	return int(l.n)
 }
 
-// Calls extracts the MPI call records in sequence order.
-func (l *Log) Calls() []Event {
-	all := l.Events()
-	out := all[:0:0]
-	for _, e := range all {
-		if e.Op == OpMPICall {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // TeeSink duplicates events to multiple sinks.
 type TeeSink []Sink
 

@@ -85,18 +85,6 @@ func TestLogEventsIsSnapshot(t *testing.T) {
 	}
 }
 
-func TestLogCallsFiltersRecords(t *testing.T) {
-	l := NewLog()
-	l.Emit(Event{Op: OpWrite})
-	l.Emit(Event{Op: OpMPICall, Call: &MPICall{Kind: CallSend}})
-	l.Emit(Event{Op: OpBarrier})
-	l.Emit(Event{Op: OpMPICall, Call: &MPICall{Kind: CallRecv}})
-	calls := l.Calls()
-	if len(calls) != 2 || calls[0].Call.Kind != CallSend || calls[1].Call.Kind != CallRecv {
-		t.Fatalf("calls = %v", calls)
-	}
-}
-
 func TestTeeSink(t *testing.T) {
 	a, b := NewLog(), NewLog()
 	tee := TeeSink{a, b}
