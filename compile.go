@@ -184,14 +184,12 @@ func CheckCompiled(c *Compiled, opts Options) (*Report, error) {
 		Chaos:              chaosPlan,
 		SchedRecorder:      schedRec,
 		SchedSource:        schedSrc,
-		WatchdogGraceNs:    opts.WatchdogGraceNs,
 		Live:               lh,
 	})
 	sp.SetVirtual(run.Makespan)
 	sp.End()
 	// Capture the "what was everyone doing" table the moment the run
-	// stops abnormally — watchdog expiry trips the deadlock latch in
-	// this runtime, so run.Deadlocked covers both.
+	// stops abnormally: a global deadlock or a crash-stop.
 	if run.Deadlocked {
 		lh.AutoDump("deadlock")
 	} else if len(run.DeadRanks) > 0 {

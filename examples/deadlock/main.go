@@ -57,8 +57,8 @@ func main() {
 	res := interp.Run(prog, interp.Config{Procs: 1, Threads: 2, Seed: 1, EnforceThreadLevel: true})
 	if res.Deadlocked {
 		fmt.Println("the run deadlocked, as the paper describes; wait-for snapshot:")
-		for _, op := range res.BlockedOps {
-			fmt.Println("  ", op)
+		for _, op := range res.BlockedTable {
+			fmt.Println("  ", op.String())
 		}
 	} else {
 		fmt.Println("unexpected: the run completed")

@@ -208,10 +208,6 @@ type Options struct {
 	// injection (message perturbation, crash-stop ranks, thread stalls;
 	// see docs/ROBUSTNESS.md). Crash-stop plans yield partial reports.
 	Chaos *ChaosPlan
-	// WatchdogGraceNs is the deadlock watchdog's wall-clock grace for
-	// all-blocked states containing injected transient stalls (0 =
-	// default). Irrelevant without chaos stalls: detection stays exact.
-	WatchdogGraceNs int64
 
 	// RecordSchedule, when non-nil, records the run's realized fault
 	// schedule (every fault decision and nondeterministic resolution)
@@ -574,7 +570,6 @@ func RunBase(prog *Program, opts Options) (*interp.Result, error) {
 		Chaos:              chaosPlan,
 		SchedRecorder:      schedRec,
 		SchedSource:        schedSrc,
-		WatchdogGraceNs:    opts.WatchdogGraceNs,
 	})
 	recordSchedStats(&opts, forced0, orderForced0)
 	return res, nil
@@ -598,18 +593,17 @@ func MessageRaces(prog *Program, opts Options) ([]MessageRace, error) {
 	log := trace.NewLog()
 	chaosPlan, schedRec, schedSrc := resolveSched(&opts)
 	res := interp.Run(prog, interp.Config{
-		Procs:           opts.Procs,
-		Threads:         opts.Threads,
-		Seed:            opts.Seed,
-		Costs:           opts.Costs,
-		MaxSteps:        opts.MaxSteps,
-		MaxArrayElems:   opts.MaxArrayElems,
-		Instrument:      func(int) bool { return true },
-		Sink:            log,
-		Chaos:           chaosPlan,
-		SchedRecorder:   schedRec,
-		SchedSource:     schedSrc,
-		WatchdogGraceNs: opts.WatchdogGraceNs,
+		Procs:         opts.Procs,
+		Threads:       opts.Threads,
+		Seed:          opts.Seed,
+		Costs:         opts.Costs,
+		MaxSteps:      opts.MaxSteps,
+		MaxArrayElems: opts.MaxArrayElems,
+		Instrument:    func(int) bool { return true },
+		Sink:          log,
+		Chaos:         chaosPlan,
+		SchedRecorder: schedRec,
+		SchedSource:   schedSrc,
 	})
 	// A deadlocked or crash-truncated run still yields a usable prefix.
 	_ = res

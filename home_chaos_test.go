@@ -63,32 +63,37 @@ func TestCheckChaosLegalPlanIsClean(t *testing.T) {
 	}
 }
 
-// TestChaosWatchdogGraceNoFalsePositive pins the satellite
-// requirement: injected slow-thread stalls that briefly leave every
-// live thread blocked must NOT trip the deadlock watchdog when the
-// configured grace outlives the stalls.
-func TestChaosWatchdogGraceNoFalsePositive(t *testing.T) {
-	plan := ChaosPerturb(11)
-	plan.StallProb = 1 // stall at every decision point
-	plan.StallWall = 5 * time.Millisecond
-	rep, err := Check(cleanHybrid, Options{
-		Procs: 2, Seed: 1,
-		Chaos:           plan,
-		WatchdogGraceNs: int64(2 * time.Second),
-	})
+// TestChaosStallNoFalseDeadlock pins that injected slow-thread stalls
+// never trip the deadlock watchdog, however long they last: a stalled
+// thread sleeps, it is not blocked. The 300ms case outlives any
+// wall-clock grace a watchdog could reasonably grant.
+func TestChaosStallNoFalseDeadlock(t *testing.T) {
+	base, err := Check(cleanHybrid, Options{Procs: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Deadlocked {
-		t.Fatal("watchdog tripped on transient injected stalls")
-	}
-	for _, rerr := range rep.RunErrors {
-		if errors.Is(rerr, mpi.ErrDeadlock) {
-			t.Fatalf("false-positive DeadlockError: %v", rerr)
+	for _, wall := range []time.Duration{5 * time.Millisecond, 300 * time.Millisecond} {
+		plan := ChaosPerturb(11)
+		plan.StallProb = 1 // stall at every decision point
+		plan.StallWall = wall
+		rep, err := Check(cleanHybrid, Options{Procs: 2, Seed: 1, Chaos: plan})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(rep.Violations) != 0 {
-		t.Fatalf("stall plan changed verdicts: %v", rep.Violations)
+		if rep.Deadlocked {
+			t.Fatalf("stall %v: watchdog tripped on injected stalls", wall)
+		}
+		for _, rerr := range rep.RunErrors {
+			if errors.Is(rerr, mpi.ErrDeadlock) {
+				t.Fatalf("stall %v: false-positive DeadlockError: %v", wall, rerr)
+			}
+		}
+		if rep.EventsAnalyzed != base.EventsAnalyzed {
+			t.Fatalf("stall %v: analyzed %d events, want %d", wall, rep.EventsAnalyzed, base.EventsAnalyzed)
+		}
+		if len(rep.Violations) != 0 {
+			t.Fatalf("stall %v: stall plan changed verdicts: %v", wall, rep.Violations)
+		}
 	}
 }
 

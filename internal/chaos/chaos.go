@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"home/internal/obs"
+	"home/internal/sim"
 )
 
 // Plan is a declarative fault-injection plan. The zero value injects
@@ -79,9 +80,9 @@ type Plan struct {
 
 	// StallProb is the per-decision-point probability that a thread
 	// stalls: StallNs virtual ns (default 100µs) plus a StallWall
-	// wall-clock pause (default 2ms) during which the thread counts as
-	// transiently blocked, exercising the deadlock watchdog's grace
-	// logic.
+	// wall-clock sleep (default 2ms) that perturbs goroutine
+	// interleaving. The sleeping thread is running, not blocked, so
+	// the deadlock watchdog is unaffected however long it lasts.
 	StallProb float64
 	StallNs   int64
 	StallWall time.Duration
@@ -311,8 +312,8 @@ type SendFault struct {
 type Stall struct {
 	// VirtualNs is charged to the thread's virtual clock.
 	VirtualNs int64
-	// Wall is the wall-clock pause, taken as a transient block so the
-	// deadlock watchdog can tell it from a genuine hang.
+	// Wall is the wall-clock sleep; 0 under replay, which never
+	// re-applies it.
 	Wall time.Duration
 }
 
@@ -717,6 +718,23 @@ func (in *Injector) StallAt(rank, tid int, seq uint64) (Stall, bool) {
 	in.stats.stalls.Inc()
 	in.stats.stallVns.Add(s.VirtualNs)
 	return s, true
+}
+
+// StallThread applies the stall, if any, at the thread's next chaos
+// decision point: virtual time on its clock plus a plain wall-clock
+// sleep. A sleeping thread is running, not blocked, so the deadlock
+// watchdog never sees the pause. Replays carry no wall pause. A nil
+// injector draws no decision point.
+func (in *Injector) StallThread(ctx *sim.Ctx) {
+	if in == nil {
+		return
+	}
+	if st, ok := in.StallAt(ctx.Rank, ctx.TID, ctx.NextChaosSeq()); ok {
+		ctx.Advance(st.VirtualNs)
+		if st.Wall > 0 {
+			time.Sleep(st.Wall)
+		}
+	}
 }
 
 // RMADelay returns the extra virtual latency to charge before the RMA

@@ -79,7 +79,6 @@ func HomeCheck(args []string, stdout, stderr io.Writer) int {
 	hotspots := fs.Bool("hotspots", false, "print the phase/hot-counter profile table (see docs/OBSERVABILITY.md)")
 	spansOut := fs.String("spans", "", "write pipeline phase spans as Chrome trace_event JSON to this file")
 	chaosSpec := fs.String("chaos", "", "inject faults from a chaos plan, e.g. seed=3 or seed=3,crash=1@5 (see docs/ROBUSTNESS.md)")
-	graceMs := fs.Int64("watchdog-grace-ms", 0, "deadlock watchdog grace window under transient stalls (0 = default)")
 	recordSched := fs.String("record-sched", "", "record the run's realized fault schedule to this file (replay it with -replay-sched)")
 	replaySched := fs.String("replay-sched", "", "replay a recorded (version 2) fault schedule, forcing the recorded interleaving and virtual time (plan comes from the schedule; excludes -chaos)")
 	exploreFlag := fs.Bool("explore", false, "run a schedule-space exploration campaign around the seed schedule (-replay-sched, or a fresh recording under -chaos; see docs/ROBUSTNESS.md)")
@@ -131,9 +130,6 @@ func HomeCheck(args []string, stdout, stderr io.Writer) int {
 		}
 		opts.Chaos = plan
 		fmt.Fprintf(stderr, "chaos: injecting faults from plan %s\n", plan)
-	}
-	if *graceMs > 0 {
-		opts.WatchdogGraceNs = *graceMs * 1e6
 	}
 	if *introspect != "" {
 		plane := live.NewPlane()
@@ -344,14 +340,13 @@ func runExploreCampaign(src string, opts home.Options, seed int64, budget int, o
 		}
 	}
 	res, err := explore.Run(prog, seedSched, explore.Config{
-		Procs:           opts.Procs,
-		Threads:         opts.Threads,
-		Seed:            seed,
-		Budget:          budget,
-		MutantTimeout:   timeout,
-		WatchdogGraceNs: opts.WatchdogGraceNs,
-		OutDir:          outDir,
-		Live:            opts.Live,
+		Procs:         opts.Procs,
+		Threads:       opts.Threads,
+		Seed:          seed,
+		Budget:        budget,
+		MutantTimeout: timeout,
+		OutDir:        outDir,
+		Live:          opts.Live,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "homecheck:", err)
@@ -423,8 +418,8 @@ func HomeRun(args []string, stdout, stderr io.Writer) int {
 	status := 0
 	if res.Deadlocked {
 		fmt.Fprintln(stderr, "DEADLOCK: the watchdog found all live threads blocked:")
-		for _, op := range res.BlockedOps {
-			fmt.Fprintln(stderr, "  ", op)
+		for _, op := range res.BlockedTable {
+			fmt.Fprintln(stderr, "  ", op.String())
 		}
 	}
 	for rank, err := range res.Errs {

@@ -140,6 +140,35 @@ func TestHomeRunReportsDeadlockWaitFor(t *testing.T) {
 	}
 }
 
+// The wait-for snapshot lists blocked threads in numeric rank order:
+// a 12-rank receive ring prints rank 2 before rank 10, not after it.
+func TestHomeRunWaitForInRankOrder(t *testing.T) {
+	var out, errb bytes.Buffer
+	src := writeTemp(t, "ring.c", `int main() {
+  int provided;
+  MPI_Init_thread(MPI_THREAD_MULTIPLE, &provided);
+  int rank = MPI_Comm_rank(MPI_COMM_WORLD);
+  int size = MPI_Comm_size(MPI_COMM_WORLD);
+  double a[1];
+  MPI_Recv(a, 1, (rank + 1) % size, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+  MPI_Finalize();
+  return 0;
+}`)
+	if code := HomeRun([]string{"-procs", "12", src}, &out, &errb); code != 1 {
+		t.Fatalf("exit = %d, stderr = %s", code, errb.String())
+	}
+	var ranks []string
+	for _, line := range strings.Split(errb.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 4 && f[0] == "rank" && f[4] == "blocked" {
+			ranks = append(ranks, f[1])
+		}
+	}
+	want := "0 1 2 3 4 5 6 7 8 9 10 11"
+	if got := strings.Join(ranks, " "); got != want {
+		t.Fatalf("wait-for ranks = %s, want %s\nstderr:\n%s", got, want, errb.String())
+	}
+}
+
 func TestHomeFmtModes(t *testing.T) {
 	messy := "int main( ) {   return   0 ; }"
 	path := writeTemp(t, "messy.c", messy)

@@ -80,8 +80,6 @@ type Config struct {
 	// MinimizeBudget caps replays spent minimizing one new verdict
 	// (default 24).
 	MinimizeBudget int
-	// WatchdogGraceNs tunes the deadlock watchdog of mutant replays.
-	WatchdogGraceNs int64
 	// Stats receives the explore.* campaign counters (nil-safe).
 	Stats *obs.Registry
 	// OutDir receives repro-NNN.sched / repro-NNN.witness.json pairs
@@ -447,15 +445,14 @@ func (e *engine) tryMutant(muts []sched.Mutation) (*mutantRun, error) {
 func (e *engine) runSchedule(ms *sched.Schedule) mutantRun {
 	rec := sched.NewRecorder()
 	opts := home.Options{
-		Procs:           e.cfg.Procs,
-		Threads:         e.cfg.Threads,
-		MaxSteps:        e.cfg.MaxSteps,
-		WatchdogGraceNs: e.cfg.WatchdogGraceNs,
-		ReplaySchedule:  ms,
-		RecordSchedule:  rec,
-		Explain:         true,
-		Live:            e.cfg.Live,
-		LiveName:        "explore-mutant",
+		Procs:          e.cfg.Procs,
+		Threads:        e.cfg.Threads,
+		MaxSteps:       e.cfg.MaxSteps,
+		ReplaySchedule: ms,
+		RecordSchedule: rec,
+		Explain:        true,
+		Live:           e.cfg.Live,
+		LiveName:       "explore-mutant",
 	}
 	forced0 := ms.Forced()
 	rep, err, timedOut := CheckCompiledBounded(e.compiled(), opts, e.cfg.MutantTimeout)

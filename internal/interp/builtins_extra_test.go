@@ -65,10 +65,10 @@ int main() {
 	if !res.Deadlocked {
 		t.Fatal("expected deadlock")
 	}
-	if len(res.BlockedOps) == 0 {
+	if len(res.BlockedTable) == 0 {
 		t.Fatal("no wait-for snapshot")
 	}
-	if !strings.Contains(res.BlockedOps[0], "rank 0") {
-		t.Fatalf("blocked ops = %v", res.BlockedOps)
+	if !strings.Contains(res.BlockedTable[0].String(), "rank 0") {
+		t.Fatalf("blocked ops = %v", res.BlockedTable)
 	}
 }

@@ -88,9 +88,6 @@ type Config struct {
 	// instead of deciding faults from the plan seed; passes through to
 	// the MPI runtime.
 	SchedSource chaos.Source
-	// WatchdogGraceNs passes through to the MPI runtime's deadlock
-	// watchdog (grace for injected transient stalls; 0 = default).
-	WatchdogGraceNs int64
 
 	// Live, when non-nil, is the run's telemetry-plane handle: the
 	// interpreter attaches the runtime's watchdog to it (the source of
@@ -115,9 +112,9 @@ type Result struct {
 	Output string
 	// ExitCodes holds main's return value per rank.
 	ExitCodes []int
-	// BlockedOps describes, when Deadlocked, what every stuck thread
-	// was waiting for.
-	BlockedOps []string
+	// BlockedTable is, when Deadlocked, the wait-for snapshot: what
+	// every stuck thread was waiting for, sorted by (rank, tid).
+	BlockedTable []sim.BlockedOp
 	// DeadRanks lists ranks that crash-stopped during the run (chaos
 	// fault injection), sorted.
 	DeadRanks []int
@@ -220,7 +217,6 @@ func Run(prog *minic.Program, conf Config) *Result {
 		Chaos:              conf.Chaos,
 		SchedRecorder:      conf.SchedRecorder,
 		SchedSource:        conf.SchedSource,
-		WatchdogGraceNs:    conf.WatchdogGraceNs,
 	})
 	conf.Live.AttachActivity(world.Activity())
 	out := &output{}
@@ -262,13 +258,13 @@ func Run(prog *minic.Program, conf Config) *Result {
 	conf.Stats.Counter("interp.statements").Add(atomic.LoadInt64(&steps))
 
 	return &Result{
-		Makespan:   res.Makespan,
-		Deadlocked: res.Deadlocked,
-		Errs:       res.Errs,
-		Output:     out.String(),
-		ExitCodes:  exitCodes,
-		BlockedOps: res.BlockedOps,
-		DeadRanks:  res.DeadRanks,
+		Makespan:     res.Makespan,
+		Deadlocked:   res.Deadlocked,
+		Errs:         res.Errs,
+		Output:       out.String(),
+		ExitCodes:    exitCodes,
+		BlockedTable: res.BlockedTable,
+		DeadRanks:    res.DeadRanks,
 	}
 }
 

@@ -145,7 +145,7 @@ func (p *Proc) arrive(ctx *sim.Ctx, comm CommID, kind collKind, root int, op Red
 	}
 	c := p.world.costs
 	ctx.Advance(c.MPICallNs)
-	p.maybeStall(ctx)
+	p.world.chaos.StallThread(ctx)
 
 	// One schedule point covers every outcome of the collective: the
 	// fail-fast below, a failAll wake and the own-abort withdrawal all

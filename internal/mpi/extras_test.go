@@ -118,15 +118,15 @@ func TestDeadlockReportNamesBlockedOps(t *testing.T) {
 	if !res.Deadlocked {
 		t.Fatal("expected deadlock")
 	}
-	if len(res.BlockedOps) != 2 {
-		t.Fatalf("blocked ops = %v", res.BlockedOps)
+	if len(res.BlockedTable) != 2 {
+		t.Fatalf("blocked ops = %v", res.BlockedTable)
 	}
-	joined := strings.Join(res.BlockedOps, "\n")
+	joined := res.BlockedTable[0].String() + "\n" + res.BlockedTable[1].String()
 	if !strings.Contains(joined, "MPI_Wait") && !strings.Contains(joined, "receive") {
-		t.Errorf("no receive-side description: %v", res.BlockedOps)
+		t.Errorf("no receive-side description: %v", res.BlockedTable)
 	}
 	if !strings.Contains(joined, "Barrier") {
-		t.Errorf("no barrier description: %v", res.BlockedOps)
+		t.Errorf("no barrier description: %v", res.BlockedTable)
 	}
 }
 
@@ -134,8 +134,8 @@ func TestCleanRunHasNoBlockedOps(t *testing.T) {
 	res := runWorld(t, 2, func(p *Proc, ctx *sim.Ctx) error {
 		return p.Barrier(ctx, CommWorld)
 	})
-	if res.Deadlocked || len(res.BlockedOps) != 0 {
-		t.Fatalf("deadlocked=%v blocked=%v", res.Deadlocked, res.BlockedOps)
+	if res.Deadlocked || len(res.BlockedTable) != 0 {
+		t.Fatalf("deadlocked=%v blocked=%v", res.Deadlocked, res.BlockedTable)
 	}
 }
 
@@ -147,7 +147,7 @@ func TestDeadlockReportNamesProbe(t *testing.T) {
 	if !res.Deadlocked {
 		t.Fatal("expected deadlock")
 	}
-	if len(res.BlockedOps) != 1 || !strings.Contains(res.BlockedOps[0], "MPI_Probe(source=0, tag=9") {
-		t.Fatalf("blocked ops = %v", res.BlockedOps)
+	if len(res.BlockedTable) != 1 || !strings.Contains(res.BlockedTable[0].String(), "MPI_Probe(source=0, tag=9") {
+		t.Fatalf("blocked ops = %v", res.BlockedTable)
 	}
 }

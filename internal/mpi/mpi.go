@@ -163,12 +163,6 @@ type Config struct {
 	// Crash-stop propagation is suppressed — failures surface exactly
 	// where the recorded run observed them.
 	SchedSource chaos.Source
-
-	// WatchdogGraceNs is the deadlock watchdog's wall-clock grace for
-	// all-blocked states that contain injected transient stalls
-	// (0 = sim.DefaultGraceNs). Without chaos stalls it never applies:
-	// detection stays exact and immediate.
-	WatchdogGraceNs int64
 }
 
 // World is one simulated cluster run: a set of ranks sharing
@@ -219,7 +213,6 @@ func NewWorld(cfg Config) *World {
 		comms:     make(map[CommID]*commState),
 		nextComm:  CommWorld + 1,
 	}
-	w.activity.SetGrace(cfg.WatchdogGraceNs)
 	w.chaos.SetRecorder(cfg.SchedRecorder)
 	w.chaos.SetSource(cfg.SchedSource)
 	w.comms[CommWorld] = newCommState(CommWorld, cfg.Procs)
@@ -400,12 +393,9 @@ type RunResult struct {
 	// for clean ranks).
 	Errs []error
 
-	// BlockedOps describes, when Deadlocked, what every stuck thread
-	// was waiting for (the wait-for snapshot of the deadlock report).
-	BlockedOps []string
-
-	// BlockedTable is the structured form of BlockedOps: per blocked
-	// thread, the operation's kind, peer, tag and communicator.
+	// BlockedTable is, when Deadlocked, the wait-for snapshot of the
+	// deadlock report: per blocked thread, sorted by (rank, tid), the
+	// operation's kind, peer, tag and communicator.
 	BlockedTable []sim.BlockedOp
 
 	// DeadRanks lists ranks that crash-stopped during the run (chaos
@@ -450,7 +440,6 @@ func (w *World) Run(body func(p *Proc, ctx *sim.Ctx) error) *RunResult {
 	res.Deadlocked = w.activity.Deadlocked()
 	res.DeadRanks = w.DeadRanks()
 	if res.Deadlocked {
-		res.BlockedOps = w.activity.StuckOps()
 		res.BlockedTable = w.activity.StuckTable()
 		w.st.blockedOps.Observe(int64(len(res.BlockedTable)))
 	}

@@ -280,19 +280,6 @@ func (p *Proc) observeFailAt(ctx *sim.Ctx, q uint64, err error) {
 	}
 }
 
-// maybeStall applies an injected thread stall at a blocking call site:
-// virtual time on the thread's clock plus a transient wall-clock pause
-// the deadlock watchdog knows will end on its own.
-func (p *Proc) maybeStall(ctx *sim.Ctx) {
-	if p.world.chaos == nil {
-		return
-	}
-	if st, ok := p.world.chaos.StallAt(p.rank, ctx.TID, ctx.NextChaosSeq()); ok {
-		ctx.Advance(st.VirtualNs)
-		p.world.activity.StallPause(st.Wall)
-	}
-}
-
 // failWaitersFor wakes this (surviving) rank's blocked operations that
 // only the dead rank could satisfy: posted receives and probes
 // selecting it by explicit source. Wildcard operations are left alone —
@@ -638,7 +625,7 @@ func (p *Proc) Wait(ctx *sim.Ctx, req *Request) (Status, error) {
 		return Status{}, p.hangForever(ctx)
 	}
 	ctx.Advance(p.world.costs.MPICallNs)
-	p.maybeStall(ctx)
+	p.world.chaos.StallThread(ctx)
 	qf := p.schedPoint(ctx)
 	if dead, ok := p.replayFailAt(ctx, qf); ok {
 		// The recorded wait observed a rank failure. Withdraw the
@@ -861,7 +848,7 @@ func (p *Proc) Probe(ctx *sim.Ctx, source, tag int, comm CommID) (Status, error)
 		return Status{}, p.hangForever(ctx)
 	}
 	ctx.Advance(p.world.costs.MPICallNs)
-	p.maybeStall(ctx)
+	p.world.chaos.StallThread(ctx)
 	qm := p.schedPoint(ctx)
 	qf := p.schedPoint(ctx)
 	replaying := p.world.chaos.Replaying()

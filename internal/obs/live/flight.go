@@ -209,9 +209,9 @@ func (f *FlightRecorder) Dump(reason string) *FlightDump {
 	return d
 }
 
-// String renders the dump as the human-readable table printed on
-// watchdog expiry: blocked ops first, then each lane's last few
-// events newest-last.
+// String renders the dump as the human-readable table printed when a
+// run stops making progress: blocked ops first, then each lane's last
+// few events newest-last.
 func (d *FlightDump) String() string {
 	if d == nil {
 		return ""

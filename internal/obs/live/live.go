@@ -492,8 +492,8 @@ func (h *RunHandle) Blocked() []sim.BlockedOp {
 }
 
 // AutoDump captures a flight-recorder dump for the given reason
-// (watchdog expiry, deadlock, crash-stop, explicit signal), retains
-// it as the run's last dump and counts it.
+// (deadlock, crash-stop, explicit signal), retains it as the run's
+// last dump and counts it.
 func (h *RunHandle) AutoDump(reason string) *FlightDump {
 	if h == nil {
 		return nil

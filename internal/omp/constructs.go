@@ -43,7 +43,7 @@ func (m *Member) Barrier() error {
 // barrierAt implements the rendezvous for a given construct ordinal.
 func (m *Member) barrierAt(ord uint64) error {
 	t := m.team
-	t.rt.maybeStall(m.Ctx)
+	t.rt.chaos.StallThread(m.Ctx)
 	// Whether a member completes the rendezvous or is torn out of it by
 	// a crash-stop abort is host-racy: record/replay forces the
 	// recorded outcome at this schedule point.

@@ -40,7 +40,7 @@ func TestJoinWorkerExitWithMasterBlockedInBody(t *testing.T) {
 	if !activity.Deadlocked() {
 		t.Fatal("watchdog did not trip")
 	}
-	ops := activity.StuckOps()
+	ops := activity.StuckTable()
 	if len(ops) != 1 {
 		t.Fatalf("stuck ops = %v", ops)
 	}

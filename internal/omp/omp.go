@@ -96,19 +96,6 @@ func NewRuntime(rank int, activity *sim.Activity) *Runtime {
 // boundaries.
 func (rt *Runtime) SetChaos(in *chaos.Injector) { rt.chaos = in }
 
-// maybeStall applies an injected thread stall at a construct boundary:
-// virtual time on the thread's clock plus a transient wall-clock pause
-// the deadlock watchdog knows will end on its own.
-func (rt *Runtime) maybeStall(ctx *sim.Ctx) {
-	if rt.chaos == nil {
-		return
-	}
-	if st, ok := rt.chaos.StallAt(ctx.Rank, ctx.TID, ctx.NextChaosSeq()); ok {
-		ctx.Advance(st.VirtualNs)
-		rt.activity.StallPause(st.Wall)
-	}
-}
-
 // schedPoint allocates the thread's next schedule point when record/
 // replay is active (0 otherwise). As in the MPI substrate, points are
 // allocated unconditionally at fixed code sites so record and replay

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Activity tracks how many simulated threads exist and how many are
@@ -25,33 +24,22 @@ import (
 //   - A woken thread does not decrement; its waker already did. A
 //     thread abandoning a wait for another reason calls Unblock itself.
 //
-// Two extensions serve the chaos layer:
+// Every transition into an all-blocked state goes through BlockOp or
+// DoneThread, and both check for it, so detection is exact and
+// immediate with no timer. A thread pausing for an injected chaos
+// stall or send jitter simply sleeps: it is running, not blocked.
 //
-//   - Transient blocks (StallPause): an injected stall parks its
-//     thread for a bounded wall-clock pause. It counts as blocked, but
-//     an all-blocked state that includes transient blocks is not an
-//     immediate deadlock — the stalled thread will wake on its own.
-//     Instead of tripping, the watchdog arms a wall-clock grace timer
-//     (SetGrace); if no progress happens within the grace, the state
-//     is treated as a hang after all. With no transient blocks the
-//     original exact, immediate detection is unchanged.
-//   - Per-rank aborts (AbortRank): when a rank crash-stops, its
-//     blocked threads must wake and unwind even though the world keeps
-//     running. The channel Block returns is a per-rank latch that
-//     closes on either the global deadlock trip or the rank's abort;
-//     woken sites consult Deadlocked to tell the two apart.
+// Per-rank aborts (AbortRank) serve the crash-stop fault: when a rank
+// crash-stops, its blocked threads must wake and unwind even though
+// the world keeps running. The channel BlockOp returns is a per-rank
+// latch that closes on either the global deadlock trip or the rank's
+// abort; woken sites consult Deadlocked to tell the two apart.
 type Activity struct {
-	mu        sync.Mutex
-	active    int
-	blocked   int
-	transient int // blocked threads that will wake on their own (injected stalls)
-	dead      chan struct{}
-	tripped   bool
-
-	// Watchdog grace for transient blocks.
-	graceNs    int64
-	graceGen   uint64
-	graceArmed bool
+	mu      sync.Mutex
+	active  int
+	blocked int
+	dead    chan struct{}
+	tripped bool
 
 	// ranks holds the per-rank deadlock-or-abort latches; aborted
 	// records ranks whose latch closed by AbortRank.
@@ -69,13 +57,6 @@ type rankLatch struct {
 	ch     chan struct{}
 	closed bool
 }
-
-// DefaultGraceNs is the wall-clock grace granted to an all-blocked
-// state that contains transient (self-waking) blocks before it is
-// declared a deadlock anyway. Injected stall pauses are a couple of
-// milliseconds; anything "transient" outliving this is treated as a
-// hang.
-const DefaultGraceNs = 250 * int64(time.Millisecond)
 
 // BlockedOp describes one operation blocked inside the runtime: who
 // is waiting (rank, thread) and what for. Op/Peer/Tag/Comm carry the
@@ -115,14 +96,6 @@ func NewActivity() *Activity {
 	}
 }
 
-// SetGrace sets the wall-clock grace (nanoseconds) for all-blocked
-// states containing transient blocks; ns <= 0 keeps DefaultGraceNs.
-func (a *Activity) SetGrace(ns int64) {
-	a.mu.Lock()
-	a.graceNs = ns
-	a.mu.Unlock()
-}
-
 // AddThreads registers n newly started threads.
 func (a *Activity) AddThreads(n int) {
 	a.mu.Lock()
@@ -139,18 +112,12 @@ func (a *Activity) DoneThread() {
 	a.mu.Unlock()
 }
 
-// Block marks the calling thread as blocked and returns the deadlock
-// latch channel to select on alongside the thread's wake channel.
-func (a *Activity) Block() <-chan struct{} {
-	d, _ := a.BlockDesc(-1, -1, "")
-	return d
-}
-
-// BlockDesc is Block with a wait-for description for deadlock
-// reports. The returned release function removes the description; a
-// thread that wakes normally calls it, while one abandoned by the
-// deadlock trip leaves its entry in place so StuckOps can report what
-// everybody was waiting for.
+// BlockDesc marks the calling thread as blocked and returns the
+// deadlock latch channel to select on alongside the thread's wake
+// channel. desc is the wait-for description for deadlock reports; the
+// returned release function removes it. A thread that wakes normally
+// calls it, while one abandoned by the deadlock trip leaves its entry
+// in place so StuckTable can report what everybody was waiting for.
 func (a *Activity) BlockDesc(rank, tid int, desc string) (<-chan struct{}, func()) {
 	return a.BlockOp(BlockedOp{Rank: rank, TID: tid, Peer: NoArg, Tag: NoArg, Comm: NoArg, Detail: desc})
 }
@@ -223,40 +190,6 @@ func (a *Activity) RankAborted(rank int) bool {
 	return a.aborted[rank]
 }
 
-// StallPause marks the calling thread transiently blocked for the
-// given wall-clock pause, then resumes it. The pause models an
-// injected thread stall: the watchdog counts the thread as blocked
-// but knows it will wake on its own.
-func (a *Activity) StallPause(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	a.mu.Lock()
-	a.blocked++
-	a.transient++
-	a.checkLocked()
-	a.mu.Unlock()
-	time.Sleep(d)
-	a.mu.Lock()
-	a.blocked--
-	a.transient--
-	a.graceGen++ // progress: invalidate any pending grace check
-	a.mu.Unlock()
-}
-
-// StuckOps returns the descriptions of operations that were blocked
-// when (or since) the deadlock latch tripped, sorted for stable
-// reports.
-func (a *Activity) StuckOps() []string {
-	ops := a.StuckTable()
-	out := make([]string, 0, len(ops))
-	for _, op := range ops {
-		out = append(out, op.String())
-	}
-	sort.Strings(out)
-	return out
-}
-
 // StuckTable returns the structured wait-for snapshot, sorted by
 // (rank, tid) for stable reports.
 func (a *Activity) StuckTable() []BlockedOp {
@@ -283,7 +216,6 @@ func (a *Activity) StuckTable() []BlockedOp {
 func (a *Activity) Unblock() {
 	a.mu.Lock()
 	a.blocked--
-	a.graceGen++ // progress: invalidate any pending grace check
 	a.mu.Unlock()
 }
 
@@ -301,18 +233,6 @@ func (a *Activity) checkLocked() {
 	if a.tripped || a.active <= 0 || a.blocked < a.active {
 		return
 	}
-	if a.transient > 0 {
-		// Some blocked threads are injected stalls that will wake on
-		// their own; grant a wall-clock grace instead of tripping. If
-		// nothing has made progress when the grace expires, treat the
-		// state as a hang after all.
-		a.armGraceLocked()
-		return
-	}
-	a.tripLocked()
-}
-
-func (a *Activity) tripLocked() {
 	a.tripped = true
 	close(a.dead)
 	for _, rl := range a.ranks {
@@ -321,39 +241,6 @@ func (a *Activity) tripLocked() {
 			close(rl.ch)
 		}
 	}
-}
-
-// armGraceLocked schedules the delayed re-check for an all-blocked
-// state that contains transient blocks.
-func (a *Activity) armGraceLocked() {
-	if a.graceArmed {
-		return
-	}
-	a.graceArmed = true
-	gen := a.graceGen
-	ns := a.graceNs
-	if ns <= 0 {
-		ns = DefaultGraceNs
-	}
-	time.AfterFunc(time.Duration(ns), func() {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		a.graceArmed = false
-		if a.tripped {
-			return
-		}
-		if gen == a.graceGen && a.active > 0 && a.blocked >= a.active {
-			// No progress for the whole grace: the "transient" block
-			// outlived its budget; declare the deadlock.
-			a.tripLocked()
-			return
-		}
-		// Progress happened; if we are all-blocked again with
-		// transients, re-arm for the new episode.
-		if a.active > 0 && a.blocked >= a.active && a.transient > 0 {
-			a.armGraceLocked()
-		}
-	})
 }
 
 // Counts returns the current (active, blocked) thread counts; useful

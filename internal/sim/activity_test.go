@@ -5,65 +5,42 @@ import (
 	"time"
 )
 
-// An injected stall that resolves within the grace window must not
-// trip the watchdog, even though the stall briefly makes every live
-// thread count as blocked.
-func TestActivityStallGraceNoFalseTrip(t *testing.T) {
+// A thread sleeping outside the watchdog (an injected chaos stall or
+// send jitter) is running, not blocked: however long it sleeps while
+// its peer blocks, the latch stays open.
+func TestActivitySleeperNeverTrips(t *testing.T) {
 	a := NewActivity()
-	a.SetGrace(int64(100 * time.Millisecond))
 	a.AddThreads(2)
-
-	wake := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		d, release := a.BlockDesc(0, 0, "peer wait")
-		select {
-		case <-wake:
-			release()
-		case <-d:
-		}
-	}()
-
-	// Give the other goroutine time to register as blocked, then stall
-	// this thread: 2 live threads, 1 real block + 1 transient.
-	time.Sleep(10 * time.Millisecond)
-	a.StallPause(20 * time.Millisecond)
-
-	// Wait out the grace window; the stall resolved, so no trip.
-	time.Sleep(150 * time.Millisecond)
-	if a.Deadlocked() {
-		t.Fatal("watchdog tripped on a transient stall that resolved")
-	}
-
-	a.Unblock()
-	wake <- struct{}{}
-	<-done
-	a.DoneThread()
-	a.DoneThread()
-}
-
-// A real hang that merely looks transient (the stall outlives the
-// grace) must still be declared a deadlock once the grace expires.
-func TestActivityGraceTripsOnRealHang(t *testing.T) {
-	a := NewActivity()
-	a.SetGrace(int64(30 * time.Millisecond))
-	a.AddThreads(2)
-
-	go func() {
-		d, _ := a.BlockDesc(0, 0, "forever wait")
-		<-d
-	}()
-	time.Sleep(10 * time.Millisecond)
-	go a.StallPause(2 * time.Second) // "transient" block outliving the grace
-
+	a.BlockDesc(0, 0, "peer wait")
+	time.Sleep(20 * time.Millisecond) // the other thread's stall
 	select {
 	case <-a.Dead():
-	case <-time.After(5 * time.Second):
-		t.Fatal("watchdog never tripped on a hang containing a transient block")
+		t.Fatal("watchdog tripped while a thread was sleeping")
+	default:
+	}
+	if act, blk := a.Counts(); act != 2 || blk != 1 {
+		t.Fatalf("counts = %d,%d, want 2,1", act, blk)
+	}
+}
+
+// When the sleeper then blocks as well, every live thread is blocked,
+// and the latch closes inside that very call, with no timer.
+func TestActivityTripsWhenSleeperBlocks(t *testing.T) {
+	a := NewActivity()
+	a.AddThreads(2)
+	a.BlockDesc(0, 0, "peer wait")
+	time.Sleep(20 * time.Millisecond)
+	d, _ := a.BlockDesc(0, 1, "sleeper wait")
+	select {
+	case <-d:
+	default:
+		t.Fatal("latch still open with every live thread blocked")
 	}
 	if !a.Deadlocked() {
 		t.Fatal("latch closed but Deadlocked() is false")
+	}
+	if ops := a.StuckTable(); len(ops) != 2 || ops[0].TID != 0 || ops[1].TID != 1 {
+		t.Fatalf("wait-for snapshot = %v", ops)
 	}
 }
 

@@ -152,7 +152,7 @@ func TestActivityLifecycle(t *testing.T) {
 	if act, blk := a.Counts(); act != 2 || blk != 0 {
 		t.Fatalf("counts = %d,%d", act, blk)
 	}
-	_ = a.Block()
+	a.BlockDesc(-1, -1, "")
 	if a.Deadlocked() {
 		t.Fatal("one of two blocked should not trip")
 	}
@@ -167,8 +167,8 @@ func TestActivityLifecycle(t *testing.T) {
 func TestActivityTripsWhenAllBlocked(t *testing.T) {
 	a := NewActivity()
 	a.AddThreads(2)
-	_ = a.Block()
-	dead := a.Block()
+	a.BlockDesc(-1, -1, "")
+	dead, _ := a.BlockDesc(-1, -1, "")
 	select {
 	case <-dead:
 	default:
@@ -182,8 +182,8 @@ func TestActivityTripsWhenAllBlocked(t *testing.T) {
 func TestActivityTripsOnLastThreadExit(t *testing.T) {
 	a := NewActivity()
 	a.AddThreads(2)
-	_ = a.Block()  // thread 1 blocked forever
-	a.DoneThread() // thread 2 exits
+	a.BlockDesc(-1, -1, "") // thread 1 blocked forever
+	a.DoneThread()          // thread 2 exits
 	if !a.Deadlocked() {
 		t.Fatal("remaining thread is blocked; watchdog should trip")
 	}
@@ -198,18 +198,18 @@ func TestActivityNoTripWithZeroThreads(t *testing.T) {
 	}
 }
 
-func TestActivityTransientUnderCountTolerated(t *testing.T) {
+func TestActivityUnderCountTolerated(t *testing.T) {
 	// Waker-decrements-first protocol: Unblock before the waked
-	// thread's own Block must not trip or panic.
+	// thread's own BlockDesc must not trip or panic.
 	a := NewActivity()
 	a.AddThreads(2)
 	a.Unblock() // pre-decrement (blocked = -1)
-	_ = a.Block()
-	_ = a.Block()
+	a.BlockDesc(-1, -1, "")
+	a.BlockDesc(-1, -1, "")
 	if a.Deadlocked() {
-		t.Fatal("transient undercount should delay, not trip")
+		t.Fatal("an undercount should delay the trip, not cause one")
 	}
-	_ = a.Block() // compensation arrives
+	a.BlockDesc(-1, -1, "") // compensation arrives
 	if !a.Deadlocked() {
 		t.Fatal("all genuinely blocked now")
 	}
