@@ -44,19 +44,6 @@ func writeSpans(path string, spans []obs.Span) error {
 	return f.Close()
 }
 
-// parseMode maps the -mode flag value.
-func parseMode(mode string) (detect.Mode, bool) {
-	switch mode {
-	case "combined":
-		return detect.ModeCombined, true
-	case "lockset":
-		return detect.ModeLocksetOnly, true
-	case "hb":
-		return detect.ModeHappensBeforeOnly, true
-	}
-	return 0, false
-}
-
 // HomeCheck implements the homecheck command. Exit codes: 0 clean,
 // 1 violations found, 2 usage/program error.
 func HomeCheck(args []string, stdout, stderr io.Writer) int {
@@ -109,7 +96,7 @@ func HomeCheck(args []string, stdout, stderr io.Writer) int {
 		Interprocedural:    *inter,
 		EnforceThreadLevel: *enforce,
 	}
-	m, ok := parseMode(*mode)
+	m, ok := detect.ParseMode(*mode)
 	if !ok {
 		fmt.Fprintf(stderr, "homecheck: unknown -mode %q\n", *mode)
 		return 2
@@ -703,7 +690,7 @@ func traceReplay(args []string, stdout, stderr io.Writer) int {
 		Seed:           *seed,
 		ReplaySchedule: schedule,
 	}
-	m, ok := parseMode(*mode)
+	m, ok := detect.ParseMode(*mode)
 	if !ok {
 		traceUsage(stderr)
 		return 2
@@ -820,7 +807,7 @@ func traceAnalyze(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := detect.Options{IgnoreLocks: *ignoreLocks}
-	m, ok := parseMode(*mode)
+	m, ok := detect.ParseMode(*mode)
 	if !ok {
 		traceUsage(stderr)
 		return 2

@@ -77,6 +77,20 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
+// ParseMode maps a mode name as the command-line tools and the
+// daemon take it: "combined" (or "", the default), "lockset" or "hb".
+func ParseMode(name string) (Mode, bool) {
+	switch name {
+	case "", "combined":
+		return ModeCombined, true
+	case "lockset":
+		return ModeLocksetOnly, true
+	case "hb":
+		return ModeHappensBeforeOnly, true
+	}
+	return 0, false
+}
+
 // Options configures an analysis run.
 type Options struct {
 	Mode Mode
@@ -105,8 +119,9 @@ type Options struct {
 
 	// Explain captures the full vector clock observed at each access of
 	// a reported race (not just the epoch), the witness material
-	// package explain extracts the concurrency certificate from. Costs
-	// one clock copy per access kept in a history window or reported.
+	// package explain extracts the concurrency certificate from. Each
+	// access kept in a history window or reported takes an O(1) frozen
+	// snapshot; the thread's next join then clones its clock once.
 	Explain bool
 }
 
@@ -132,7 +147,7 @@ type Access struct {
 	// Clock is the thread's full vector clock at the access (before
 	// the access's own tick). Populated only under Options.Explain;
 	// explain uses it to extract the concurrency certificate.
-	Clock vclock.VC
+	Clock *vclock.Packed
 }
 
 // String renders the access by its lane coordinate, e.g.
@@ -199,9 +214,9 @@ type accessRec struct {
 	ev    uint64      // ... and component, pre-tick (FastTrack)
 	ls    lsID        // locks held
 	call  *trace.MPICall
-	ix    uint64    // per-lane event index
-	clock vclock.VC // full clock snapshot (Explain only)
-	side  int32     // 1 + its index in analyzer.sides once a race names it
+	ix    uint64         // per-lane event index
+	clock *vclock.Packed // frozen clock snapshot (Explain only)
+	side  int32          // 1 + its index in analyzer.sides once a race names it
 }
 
 // locState is the detector state of one location: its history window
@@ -543,7 +558,7 @@ func (a *analyzer) access(e trace.Event, st *threadState, gid vclock.TID, ix uin
 	emit := a.countPairs(l, &rec, st.clock) && len(l.races) < a.opts.MaxRacesPerLoc
 	keep := len(l.window) < a.opts.MaxHistoryPerLoc
 	if a.opts.Explain && (emit || keep) {
-		rec.clock = st.clock.ToVC()
+		rec.clock = st.clock.Snapshot()
 	}
 	if emit {
 		a.reportPairs(l, &rec, st.clock)

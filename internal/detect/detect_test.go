@@ -444,3 +444,21 @@ func TestRaceOutputIndependentOfInterleaving(t *testing.T) {
 			strings.Join(a, "\n"), strings.Join(b, "\n"))
 	}
 }
+
+func TestParseMode(t *testing.T) {
+	for name, want := range map[string]Mode{
+		"":         ModeCombined,
+		"combined": ModeCombined,
+		"lockset":  ModeLocksetOnly,
+		"hb":       ModeHappensBeforeOnly,
+	} {
+		if got, ok := ParseMode(name); !ok || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v, true", name, got, ok, want)
+		}
+	}
+	for _, name := range []string{"Combined", "happens-before", "both"} {
+		if _, ok := ParseMode(name); ok {
+			t.Errorf("ParseMode(%q) accepted an unknown mode", name)
+		}
+	}
+}

@@ -4,8 +4,9 @@
 // the two agree where it matters:
 //
 //   - vclock.Packed (dense slice + FastTrack-style own epoch,
-//     copy-on-write snapshots, O(1) adoption) against the map-backed
-//     vclock.VC reference, on randomized mirrored histories;
+//     copy-on-write snapshots, O(1) adoption) against VC, the
+//     map-backed reference clock that lives in this package
+//     (vc_test.go), on randomized mirrored histories;
 //   - internal/detect's pair scan, which counts each access's pairs
 //     per epoch class, against the exhaustive per-pair reference scan
 //     (reference_test.go), byte-for-byte on reports, violations,
@@ -14,6 +15,17 @@
 //   - the v3 binary schedule container against the JSONL container,
 //     via lossless v2→v3→v2 transcode identity, plus salvage and
 //     typed-error behaviour on truncated or corrupt streams.
+//
+// refAnalyze keeps its own copy of detect's clock replay; sharing one
+// would mean exporting detect's replay internals for a test's sake.
+// The copy cannot be an independent design either: the
+// detect.epoch_hits, detect.vc_joins and detect.vc_width stats it
+// must reproduce count the replay's individual Publish, Adopt and
+// Join calls, so only a replay making the same calls yields the same
+// stats. A change to the replay in detect.go is therefore made in
+// reference_test.go too. The oracle's independence lies elsewhere:
+// in its exhaustive pair scan and its plain-set locksets, not in the
+// clock replay.
 //
 // The clock equivalence test runs under a GOMAXPROCS 1/2/4 matrix,
 // and CI runs the package with -race. The corpus is built once per

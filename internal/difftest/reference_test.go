@@ -95,7 +95,7 @@ type refAccess struct {
 	call   *trace.MPICall
 	pclock *vclock.Packed
 	ix     uint64
-	clock  vclock.VC
+	clock  *vclock.Packed // pclock under Explain, else nil
 }
 
 type refAnalyzer struct {
@@ -178,7 +178,7 @@ func (a *refAnalyzer) step(e trace.Event) {
 			rec.locks[n] = struct{}{}
 		}
 		if a.opts.Explain {
-			rec.clock = st.clock.ToVC()
+			rec.clock = rec.pclock
 		}
 		a.locksetSize.Observe(int64(len(rec.locks)))
 		a.history[e.Loc] = append(a.history[e.Loc], rec)

@@ -398,17 +398,11 @@ func renderLockset(names []string) string {
 
 // renderClock renders a vector clock with (rank, thread) component
 // names, components sorted by thread identity.
-func renderClock(c vclock.VC) string {
-	gids := make([]vclock.TID, 0, len(c))
-	for g, v := range c {
-		if v != 0 {
-			gids = append(gids, g)
-		}
-	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	parts := make([]string, len(gids))
-	for i, g := range gids {
-		parts[i] = fmt.Sprintf("%s:%d", gidName(g), c.Get(g))
+func renderClock(c *vclock.Packed) string {
+	ents := c.Entries()
+	parts := make([]string, len(ents))
+	for i, e := range ents {
+		parts[i] = fmt.Sprintf("%s:%d", gidName(e.T), e.V)
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }

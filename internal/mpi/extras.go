@@ -31,18 +31,3 @@ func (p *Proc) Allgather(ctx *sim.Ctx, data []float64, comm CommID) ([]float64, 
 	}
 	return res.data, nil
 }
-
-// Waitall completes all of the given requests, returning their
-// statuses in order. On error (including deadlock) the statuses
-// completed so far are returned.
-func (p *Proc) Waitall(ctx *sim.Ctx, reqs []*Request) ([]Status, error) {
-	out := make([]Status, 0, len(reqs))
-	for _, r := range reqs {
-		st, err := p.Wait(ctx, r)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, st)
-	}
-	return out, nil
-}

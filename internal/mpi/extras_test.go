@@ -70,43 +70,6 @@ func TestAllgather(t *testing.T) {
 	}
 }
 
-func TestWaitallCompletesAll(t *testing.T) {
-	res := runWorld(t, 2, func(p *Proc, ctx *sim.Ctx) error {
-		if p.Rank() == 0 {
-			for i := 0; i < 3; i++ {
-				if err := p.Send(ctx, []float64{float64(i)}, 1, i, CommWorld); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		var reqs []*Request
-		for i := 0; i < 3; i++ {
-			r, err := p.Irecv(ctx, 0, i, CommWorld)
-			if err != nil {
-				return err
-			}
-			reqs = append(reqs, r)
-		}
-		sts, err := p.Waitall(ctx, reqs)
-		if err != nil {
-			return err
-		}
-		if len(sts) != 3 {
-			t.Fatalf("statuses = %v", sts)
-		}
-		for i, st := range sts {
-			if st.Tag != i {
-				t.Errorf("status %d tag = %d", i, st.Tag)
-			}
-		}
-		return nil
-	})
-	if err := res.FirstError(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDeadlockReportNamesBlockedOps(t *testing.T) {
 	res := runWorld(t, 2, func(p *Proc, ctx *sim.Ctx) error {
 		if p.Rank() == 0 {

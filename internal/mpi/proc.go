@@ -185,13 +185,6 @@ func (p *Proc) Finalize(ctx *sim.Ctx) error {
 	return nil
 }
 
-// Finalized reports whether this rank has called MPI_Finalize.
-func (p *Proc) Finalized() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.finalized
-}
-
 // checkState validates that the rank may issue MPI calls.
 func (p *Proc) checkState() error {
 	p.mu.Lock()

@@ -7,7 +7,7 @@ package sched
 // tickets, re-elect a `single` winner, permute collective arrival
 // ordinals, move a crash point, toggle a transient send fault — and
 // replays the mutant. Mutations operate on plain record lists keyed by
-// (kind, rank, tid, seq); ApplyMutations and FromRecords validate so
+// (kind, rank, tid, seq); ApplyMutations validates so
 // an infeasible edit surfaces as a typed error before any replay runs.
 
 import (
@@ -146,18 +146,6 @@ func ValidateRecords(recs []Record) error {
 		}
 	}
 	return nil
-}
-
-// FromRecords builds a replayable schedule from a plain record list
-// (current wire version), validating first. The input is not mutated.
-func FromRecords(plan chaos.Plan, recs []Record) (*Schedule, error) {
-	if err := ValidateRecords(recs); err != nil {
-		return nil, err
-	}
-	sorted := make([]Record, len(recs))
-	copy(sorted, recs)
-	SortRecords(sorted)
-	return newSchedule(plan, sorted)
 }
 
 // EncodeRecords serializes a record list as a schedule stream

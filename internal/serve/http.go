@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -205,11 +204,4 @@ func renderReport(rep *home.Report) []byte {
 		data, _ = json.Marshal(map[string]string{"error": err.Error()})
 	}
 	return append(data, '\n')
-}
-
-// IsParseError reports whether a cache/compile error is the typed
-// front-end parse failure (exposed for handler tests).
-func IsParseError(err error) bool {
-	var pe *home.ParseError
-	return errors.As(err, &pe)
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"home"
+	"home/internal/detect"
 	"home/internal/explore"
 	"home/internal/obs"
 	"home/internal/obs/live"
@@ -286,7 +287,7 @@ func (s *Server) submitJob(req JobRequest) (*Job, *apiError) {
 	if req.Threads < 0 || req.Threads > s.cfg.MaxThreads {
 		return nil, badRequest("bad-request", fmt.Sprintf("threads must be in [0, %d]", s.cfg.MaxThreads))
 	}
-	mode, ok := parseMode(req.Mode)
+	mode, ok := detect.ParseMode(req.Mode)
 	if !ok {
 		return nil, badRequest("bad-request", fmt.Sprintf("unknown mode %q (want combined, lockset or hb)", req.Mode))
 	}
@@ -441,17 +442,4 @@ func (s *Server) jobStatuses() []JobStatus {
 		out = append(out, j.status())
 	}
 	return out
-}
-
-// parseMode maps a submission's mode string ("" = combined).
-func parseMode(mode string) (home.AnalysisMode, bool) {
-	switch mode {
-	case "", "combined":
-		return home.ModeCombined, true
-	case "lockset":
-		return home.ModeLocksetOnly, true
-	case "hb":
-		return home.ModeHappensBeforeOnly, true
-	}
-	return 0, false
 }

@@ -74,7 +74,7 @@ func (k Kind) String() string {
 func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
 // AllKinds lists the paper's six violation classes in declaration
-// order (the extension kinds are separate; see ExtensionKinds).
+// order (the extension kind WindowViolation is not among them).
 func AllKinds() []Kind {
 	return []Kind{
 		InitializationViolation, FinalizationViolation,
@@ -82,9 +82,6 @@ func AllKinds() []Kind {
 		ProbeViolation, CollectiveCallViolation,
 	}
 }
-
-// ExtensionKinds lists the violation classes added beyond the paper.
-func ExtensionKinds() []Kind { return []Kind{WindowViolation} }
 
 // Violation is one matched thread-safety violation.
 type Violation struct {

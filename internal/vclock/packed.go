@@ -1,28 +1,51 @@
-package vclock
-
-// Packed is the dense, slice-backed fast path for the detector's
-// clock algebra. The map-backed VC stays as the reference
-// implementation (internal/difftest proves the two agree); Packed
-// exists to make the hot operations cheap:
+// Package vclock implements vector clocks for establishing the
+// happens-before partial order among events of concurrently executing
+// threads, in the style of Lamport's logical clocks generalized to
+// vectors (one component per thread).
+//
+// A vector clock maps a thread identity to the number of "epochs" that
+// thread has completed. Clock C1 happens-before clock C2 iff every
+// component of C1 is <= the corresponding component of C2 and the two
+// clocks differ. Two clocks neither of which happens-before the other
+// are concurrent; that is the condition the race detectors test.
+//
+// Thread identities are opaque int64 values so a single clock space can
+// span MPI ranks and OpenMP threads: callers typically encode
+// (rank, tid) pairs via a scheme of their choosing.
+//
+// Packed is the one clock type. It is dense and slice-backed, built
+// to make the detector's hot operations cheap (internal/difftest
+// proves it against a map-backed reference on randomized histories):
 //
 //   - Components live in a slice indexed by dense Slot numbers that a
-//     shared Space interns from sparse TIDs, so comparisons and joins
-//     are linear scans over contiguous memory instead of map walks.
+//     shared Space interns from sparse TIDs, so joins are linear scans
+//     over contiguous memory instead of map walks.
 //   - A clock owned by a thread carries its own component out-of-line
 //     as a FastTrack-style epoch (own slot, own value). Tick is O(1)
 //     and never touches the slice, so a clock whose slice is shared
-//     with a snapshot can keep ticking without copying.
+//     with a snapshot can keep ticking without copying. The detector
+//     orders an access before a clock with one epoch read (AtSlot).
 //   - Snapshot freezes the slice and shares it (O(1)); the owner
 //     clones lazily on its next structural mutation (copy-on-write).
-//   - Leq/Concurrent first try the O(1) epoch refutation — the owner's
-//     component is the strict maximum across the system for that slot,
-//     so one comparison usually settles the direction — and fall back
-//     to the full O(width) scan only when the epoch is inconclusive.
 //   - Adopt replaces a clock's components wholesale with a frozen
 //     snapshot's (sharing the slice) when the join result would equal
 //     the snapshot plus the clock's own component — the common case at
 //     fork→begin, end→join accumulation and barrier completion. The
 //     validity check is a read-only scan; no allocation, no writes.
+package vclock
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+)
+
+// TID identifies a logical thread within a clock space.
+type TID int64
+
+// Packed is a vector clock over the slots of one Space. Packed values
+// are not safe for concurrent mutation; callers synchronize
+// externally (the detectors own their clocks).
 type Packed struct {
 	sp     *Space
 	base   []uint64
@@ -223,49 +246,8 @@ func (c *Packed) Adopt(other *Packed) bool {
 	return true
 }
 
-// refutes reports the O(1) epoch refutation of c.Leq(other): the
-// owner's component is inconsistent with other having observed c.
-func (c *Packed) refutes(other *Packed) bool {
-	return c.own >= 0 && c.ownV > other.at(c.own)
-}
-
-// Leq reports whether c happens-before-or-equals other. The own-epoch
-// refutation settles the common case in O(1); otherwise a full
-// O(width) scan decides.
-func (c *Packed) Leq(other *Packed) bool {
-	if c.refutes(other) {
-		return false
-	}
-	for i, v := range c.base {
-		if v != 0 && v > other.at(Slot(i)) {
-			return false
-		}
-	}
-	return true
-}
-
-// HappensBefore reports whether c strictly happens-before other.
-func (c *Packed) HappensBefore(other *Packed) bool {
-	return c.Leq(other) && !other.Leq(c)
-}
-
-// Concurrent reports whether neither clock happens-before the other.
-// When both epoch refutations fire the answer is settled in O(1).
-func (c *Packed) Concurrent(other *Packed) bool {
-	if c.refutes(other) && other.refutes(c) {
-		return true
-	}
-	return !c.Leq(other) && !other.Leq(c)
-}
-
-// Equal reports whether the clocks have identical components.
-func (c *Packed) Equal(other *Packed) bool {
-	return c.Leq(other) && other.Leq(c)
-}
-
 // Components returns the number of nonzero components — the width
-// statistic the detector's vc_width gauge tracks (matching the map
-// implementation's entry count).
+// statistic the detector's vc_width gauge tracks.
 func (c *Packed) Components() int {
 	n := 0
 	for i, v := range c.base {
@@ -280,8 +262,9 @@ func (c *Packed) Components() int {
 }
 
 // ExceedsAt returns the smallest thread identity whose component in c
-// strictly exceeds the one in other (the witness proving
-// !c.Leq(other)); ok is false when c.Leq(other).
+// strictly exceeds the one in other (the witness proving c is not
+// happens-before-or-equal to other); ok is false when no component
+// of c exceeds other's.
 func (c *Packed) ExceedsAt(other *Packed) (t TID, ok bool) {
 	found := false
 	consider := func(sl Slot) {
@@ -301,9 +284,44 @@ func (c *Packed) ExceedsAt(other *Packed) (t TID, ok bool) {
 	return t, found
 }
 
-// WhyConcurrentPacked extracts the concurrency certificate of two
-// packed clocks, matching WhyConcurrent on the equivalent VCs.
-func WhyConcurrentPacked(a, b *Packed) (cert Certificate, ok bool) {
+// Entry is one nonzero component of a clock.
+type Entry struct {
+	T TID
+	V uint64
+}
+
+// Entries returns the clock's nonzero components sorted by thread
+// identity — the form clocks are rendered and compared in.
+func (c *Packed) Entries() []Entry {
+	var out []Entry
+	for i := range c.base {
+		if v := c.at(Slot(i)); v != 0 {
+			out = append(out, Entry{c.sp.TIDOf(Slot(i)), v})
+		}
+	}
+	if c.own >= 0 && int(c.own) >= len(c.base) && c.ownV != 0 {
+		out = append(out, Entry{c.sp.TIDOf(c.own), c.ownV})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].T < out[j].T })
+	return out
+}
+
+// Certificate is a concurrency certificate for a clock pair (a, b):
+// component AT proves a is not happens-before-or-equal to b (a saw
+// AT-events b had not) and BT proves the converse. Together they
+// demonstrate that no happens-before edge orders the two stamped
+// events in either direction.
+type Certificate struct {
+	AT TID
+	AV uint64 // a[AT], with b[AT] < AV
+	BT TID
+	BV uint64 // b[BT], with a[BT] < BV
+}
+
+// WhyConcurrent extracts the concurrency certificate of two clocks,
+// choosing the smallest witness components for deterministic output.
+// ok is false when the clocks are ordered (no certificate exists).
+func WhyConcurrent(a, b *Packed) (cert Certificate, ok bool) {
 	at, aok := a.ExceedsAt(b)
 	bt, bok := b.ExceedsAt(a)
 	if !aok || !bok {
@@ -312,23 +330,17 @@ func WhyConcurrentPacked(a, b *Packed) (cert Certificate, ok bool) {
 	return Certificate{AT: at, AV: a.Get(at), BT: bt, BV: b.Get(bt)}, true
 }
 
-// ToVC converts to the reference map representation (nonzero
-// components only, matching what a VC built by Tick/Join would hold).
-func (c *Packed) ToVC() VC {
-	out := make(VC)
-	for i, v := range c.base {
-		if v != 0 {
-			out[c.sp.TIDOf(Slot(i))] = v
+// String renders the clock as {t1:v1, t2:v2, ...} with threads sorted,
+// for stable test output and diagnostics.
+func (c *Packed) String() string {
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, e := range c.Entries() {
+		if i > 0 {
+			b.WriteString(", ")
 		}
+		fmt.Fprintf(&b, "%d:%d", e.T, e.V)
 	}
-	if c.own >= 0 && c.ownV != 0 {
-		t := c.sp.TIDOf(c.own)
-		if c.ownV > out[t] {
-			out[t] = c.ownV
-		}
-	}
-	return out
+	b.WriteByte('}')
+	return b.String()
 }
-
-// String renders the clock like VC.String for diagnostics.
-func (c *Packed) String() string { return c.ToVC().String() }

@@ -11,6 +11,7 @@ import (
 
 	"home/internal/detect"
 	"home/internal/npb"
+	"home/internal/obs"
 	"home/internal/spec"
 	"home/internal/trace"
 )
@@ -24,24 +25,28 @@ import (
 // does not move with the host schedule. `go test -run RacePathGolden -update .` rewrites the
 // golden from the logs, and records a log afresh only if its file is
 // missing.
+//
+// Each log is analyzed a second time with Explain on, which snapshots
+// the live thread clocks at every kept access. That must not change
+// the analysis: the same races, violations and detect.* stats, with
+// both clocks captured on every race.
 func TestRacePathGolden(t *testing.T) {
 	var got strings.Builder
 	for _, bench := range npb.All() {
 		events := racePathLog(t, bench)
-		rep := detect.Analyze(events, detect.Options{})
-		vs := spec.Match(events, rep)
-		fmt.Fprintf(&got, "== %v: %d events, %d races, %d violations\n", bench, len(events), len(rep.Races), len(vs))
-		for _, r := range rep.Races {
-			locks, err := json.Marshal([2][]string{r.First.Lockset, r.Second.Lockset})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&got, "%v\n  times %d,%d locks %s lockset=%t hb=%t\n",
-				r, r.First.Time, r.Second.Time, locks, r.LocksetRace, r.HBRace)
+		text, stats, _ := racePathAnalyze(t, bench, events, false)
+		got.WriteString(text)
+		etext, estats, erep := racePathAnalyze(t, bench, events, true)
+		if etext != text {
+			t.Errorf("%v: Explain changed the races or violations:\n%s\nwithout Explain:\n%s", bench, etext, text)
 		}
-		for _, v := range vs {
-			fmt.Fprintf(&got, "violation %v rank %d lines %v threads %v: %s\n  evidence %s\n",
-				v.Kind, v.Rank, v.Lines, v.Threads, v.Message, evidenceCoords(v.Evidence))
+		if estats != stats {
+			t.Errorf("%v: Explain changed the stats:\n%s\nwithout Explain:\n%s", bench, estats, stats)
+		}
+		for _, r := range erep.Races {
+			if r.First.Clock == nil || r.Second.Clock == nil {
+				t.Errorf("%v: Explain left a clock uncaptured on %v", bench, r)
+			}
 		}
 	}
 	path := filepath.Join("testdata", "racepath.golden")
@@ -63,6 +68,34 @@ func TestRacePathGolden(t *testing.T) {
 	if empty := detect.Analyze(nil, detect.Options{}); empty.Races != nil {
 		t.Errorf("empty report races = %#v, want nil", empty.Races)
 	}
+}
+
+// racePathAnalyze renders one analysis of a benchmark's race-path
+// log as the golden's text, alongside its stats snapshot and report.
+func racePathAnalyze(t *testing.T, bench npb.Benchmark, events []trace.Event, explain bool) (text, stats string, rep *detect.Report) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	rep = detect.Analyze(events, detect.Options{Explain: explain, Stats: reg})
+	vs := spec.Match(events, rep)
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %v: %d events, %d races, %d violations\n", bench, len(events), len(rep.Races), len(vs))
+	for _, r := range rep.Races {
+		locks, err := json.Marshal([2][]string{r.First.Lockset, r.Second.Lockset})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%v\n  times %d,%d locks %s lockset=%t hb=%t\n",
+			r, r.First.Time, r.Second.Time, locks, r.LocksetRace, r.HBRace)
+	}
+	for _, v := range vs {
+		fmt.Fprintf(&b, "violation %v rank %d lines %v threads %v: %s\n  evidence %s\n",
+			v.Kind, v.Rank, v.Lines, v.Threads, v.Message, evidenceCoords(v.Evidence))
+	}
+	snap, err := json.Marshal(reg.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String(), string(snap), rep
 }
 
 // racePathLog reads a benchmark's committed event log, recording it
