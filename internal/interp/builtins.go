@@ -3,7 +3,6 @@ package interp
 import (
 	"math"
 	"strings"
-	"sync"
 
 	"home/internal/minic"
 	"home/internal/mpi"
@@ -79,9 +78,8 @@ func (tc *threadCtx) assignArg(c *minic.Call, i int, v Value) error {
 // scalar variable (one-element window with write-back).
 type buffer struct {
 	data []float64
-	mu   *sync.Mutex
 	// scalarCell is set for scalar windows: receives data[0] on
-	// writeBack.
+	// write.
 	scalarCell *cell
 }
 
@@ -91,23 +89,13 @@ func (b *buffer) read(count int) []float64 {
 		count = len(b.data)
 	}
 	out := make([]float64, count)
-	if b.mu != nil {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-	}
-	copy(out, b.data[:count])
+	mpi.LoadElems(out, b.data)
 	return out
 }
 
 // write copies data into the buffer (and the scalar cell if any).
 func (b *buffer) write(data []float64) {
-	if b.mu != nil {
-		b.mu.Lock()
-	}
-	copy(b.data, data)
-	if b.mu != nil {
-		b.mu.Unlock()
-	}
+	mpi.StoreElems(b.data, data)
 	if b.scalarCell != nil && len(data) > 0 {
 		b.scalarCell.store(floatVal(data[0]))
 	}
@@ -126,12 +114,12 @@ func (tc *threadCtx) bufferArg(c *minic.Call, i int) (*buffer, error) {
 		}
 		v := cl.load()
 		if v.Arr != nil {
-			return &buffer{data: v.Arr, mu: v.ArrMu}, nil
+			return &buffer{data: v.Arr}, nil
 		}
 		// Scalar window.
 		return &buffer{data: []float64{v.Num}, scalarCell: cl}, nil
 	case *minic.Index:
-		arr, mu, err := tc.arrayOf(a.Arr)
+		arr, err := tc.arrayOf(a.Arr)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +131,7 @@ func (tc *threadCtx) bufferArg(c *minic.Call, i int) (*buffer, error) {
 		if off < 0 || off > len(arr) {
 			return nil, runtimeError(a.Line, "buffer offset %d out of range", off)
 		}
-		return &buffer{data: arr[off:], mu: mu}, nil
+		return &buffer{data: arr[off:]}, nil
 	default:
 		// Expression buffers (e.g. a literal) read-only.
 		v, err := tc.evalExpr(c.Args[i])

@@ -1,9 +1,8 @@
 package interp
 
 import (
-	"sync"
-
 	"home/internal/minic"
+	"home/internal/mpi"
 	"home/internal/trace"
 )
 
@@ -38,7 +37,7 @@ func (tc *threadCtx) evalExpr(e minic.Expr) (Value, error) {
 		return Value{}, runtimeError(v.Line, "undefined variable %q", v.Name)
 
 	case *minic.Index:
-		arr, mu, err := tc.arrayOf(v.Arr)
+		arr, err := tc.arrayOf(v.Arr)
 		if err != nil {
 			return Value{}, err
 		}
@@ -51,10 +50,7 @@ func (tc *threadCtx) evalExpr(e minic.Expr) (Value, error) {
 			return Value{}, runtimeError(v.Line, "index %d out of range for %s[%d]", i, v.Arr.Name, len(arr))
 		}
 		tc.monitorAccess(trace.OpRead, v.Arr.Name)
-		mu.Lock()
-		n := arr[i]
-		mu.Unlock()
-		return floatVal(n), nil
+		return floatVal(mpi.LoadElem(arr, i)), nil
 
 	case *minic.Unary:
 		x, err := tc.evalExpr(v.X)
@@ -93,18 +89,17 @@ func (tc *threadCtx) evalExpr(e minic.Expr) (Value, error) {
 	return Value{}, runtimeError(e.Pos(), "unsupported expression %T", e)
 }
 
-// arrayOf resolves an identifier to its array storage and the shared
-// element lock.
-func (tc *threadCtx) arrayOf(id *minic.Ident) ([]float64, *sync.Mutex, error) {
+// arrayOf resolves an identifier to its array storage.
+func (tc *threadCtx) arrayOf(id *minic.Ident) ([]float64, error) {
 	c := tc.cell(id.Ref)
 	if c == nil {
-		return nil, nil, runtimeError(id.Line, "undefined array %q", id.Name)
+		return nil, runtimeError(id.Line, "undefined array %q", id.Name)
 	}
 	v := c.load()
 	if v.Arr == nil {
-		return nil, nil, runtimeError(id.Line, "%q is not an array", id.Name)
+		return nil, runtimeError(id.Line, "%q is not an array", id.Name)
 	}
-	return v.Arr, v.ArrMu, nil
+	return v.Arr, nil
 }
 
 func (tc *threadCtx) evalBinary(v *minic.Binary) (Value, error) {
@@ -220,7 +215,7 @@ func (tc *threadCtx) assign(line int, op minic.Kind, lhs minic.Expr, rhs Value) 
 		return c.load(), nil
 
 	case *minic.Index:
-		arr, mu, err := tc.arrayOf(lhs.Arr)
+		arr, err := tc.arrayOf(lhs.Arr)
 		if err != nil {
 			return Value{}, err
 		}
@@ -235,17 +230,12 @@ func (tc *threadCtx) assign(line int, op minic.Kind, lhs minic.Expr, rhs Value) 
 		nv := rhs
 		if op != minic.TAssign {
 			tc.monitorAccess(trace.OpRead, lhs.Arr.Name)
-			mu.Lock()
-			old := floatVal(arr[i])
-			mu.Unlock()
-			if nv, err = compound(line, op, old, rhs); err != nil {
+			if nv, err = compound(line, op, floatVal(mpi.LoadElem(arr, i)), rhs); err != nil {
 				return Value{}, err
 			}
 		}
 		tc.monitorAccess(trace.OpWrite, lhs.Arr.Name)
-		mu.Lock()
-		arr[i] = nv.Num
-		mu.Unlock()
+		mpi.StoreElem(arr, i, nv.Num)
 		return floatVal(nv.Num), nil
 	}
 	return Value{}, runtimeError(line, "assignment target must be a variable or array element")

@@ -162,7 +162,7 @@ type Instance struct {
 	world   *mpi.World
 	globals []*cell // by global slot (minic.Ref.Global)
 	out     *output
-	steps   *int64 // shared across ranks: global budget
+	steps   *atomic.Int64 // shared across ranks: global budget, added to in batches
 	maxStep int64
 	chaosOn bool
 
@@ -220,7 +220,7 @@ func Run(prog *minic.Program, conf Config) *Result {
 	})
 	conf.Live.AttachActivity(world.Activity())
 	out := &output{}
-	var steps int64
+	var steps atomic.Int64
 	exitCodes := make([]int, conf.Procs)
 
 	res := world.Run(func(p *mpi.Proc, ctx *sim.Ctx) error {
@@ -241,6 +241,7 @@ func Run(prog *minic.Program, conf Config) *Result {
 		in.rt.SetStats(conf.Stats)
 		in.rt.SetChaos(world.Chaos())
 		tc := &threadCtx{in: in, ctx: ctx}
+		defer tc.flushSteps()
 		// Evaluate globals per process (each rank has its own memory).
 		for _, g := range prog.Globals {
 			if _, err := tc.execStmt(g); err != nil {
@@ -255,7 +256,7 @@ func Run(prog *minic.Program, conf Config) *Result {
 		return nil
 	})
 
-	conf.Stats.Counter("interp.statements").Add(atomic.LoadInt64(&steps))
+	conf.Stats.Counter("interp.statements").Add(steps.Load())
 
 	return &Result{
 		Makespan:     res.Makespan,
@@ -279,7 +280,17 @@ type threadCtx struct {
 	frame  []*cell
 	status mpi.Status // last MPI status (per thread, like thread-local storage)
 	ret    Value      // value carried by ctrlReturn
+
+	// steps counts the lane's statements not yet added to the shared
+	// counter; stepBase is the shared counter as of the lane's last
+	// flush.
+	steps, stepBase int64
 }
+
+// stepBatch is how many statements a lane counts on its own before it
+// adds them to the run's shared counter, so no statement touches
+// shared state. A power of two that divides live.StepInterval.
+const stepBatch = 256
 
 // ctrl is statement-level control flow.
 type ctrl int
@@ -316,15 +327,19 @@ func (tc *threadCtx) bind(r minic.Ref, c *cell) {
 // per-statement virtual cost. On a crash-stopped rank it aborts the
 // thread's compute loops too, so a dead rank stops executing rather
 // than running on without a working MPI library.
+//
+// The budget test reads the shared counter as of the lane's last
+// flush. It is exact for a single lane, never trips a run that
+// executes at most MaxSteps statements in all, and stops a runaway run
+// within MaxSteps + lanes×stepBatch statements.
 func (tc *threadCtx) bumpStep() error {
-	n := atomic.AddInt64(tc.in.steps, 1)
-	if n > tc.in.maxStep {
+	tc.steps++
+	if tc.steps == stepBatch {
+		tc.flushSteps()
+	}
+	if tc.stepBase+tc.steps > tc.in.maxStep {
 		return ErrStepBudget
 	}
-	// Telemetry tick: each counter value is observed by exactly one
-	// thread, so the publication points are a deterministic function of
-	// the run; the tick itself only reads (no virtual-time effect).
-	tc.in.conf.Live.StepTick(n, tc.ctx.Now)
 	if tc.in.chaosOn {
 		if inj := tc.in.world.Chaos(); inj.SchedActive() {
 			// Which statement of a crash-stopped rank first observes
@@ -346,6 +361,21 @@ func (tc *threadCtx) bumpStep() error {
 	}
 	tc.ctx.Advance(tc.in.conf.StmtCostNs)
 	return nil
+}
+
+// flushSteps adds the lane's counted statements to the shared counter.
+// It runs every stepBatch statements and when the lane ends: main in
+// Run, a team member in execParallel, a pthread body in pthreadCreate.
+// Telemetry tick: the lane whose flush crosses a publication point
+// publishes it, so each point is observed by exactly one lane; the
+// tick itself only reads (no virtual-time effect).
+func (tc *threadCtx) flushSteps() {
+	if tc.steps == 0 {
+		return
+	}
+	n := tc.in.steps.Add(tc.steps)
+	tc.in.conf.Live.StepTick(n-tc.steps, n, tc.ctx.Now)
+	tc.stepBase, tc.steps = n, 0
 }
 
 // callFunction invokes a user function with evaluated arguments.
@@ -486,7 +516,7 @@ func (tc *threadCtx) declare(ds *minic.DeclStmt, d minic.Declarator) error {
 		if n < 0 || n > limit {
 			return runtimeError(ds.Line, "bad array size %d for %s", n, d.Name)
 		}
-		tc.bind(d.Ref, newCell(isFloat, true, Value{Arr: make([]float64, n), ArrMu: &sync.Mutex{}}))
+		tc.bind(d.Ref, newCell(isFloat, true, Value{Arr: make([]float64, n)}))
 		return nil
 	}
 	init := Value{}

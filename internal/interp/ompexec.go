@@ -92,6 +92,7 @@ func (tc *threadCtx) execParallel(v *minic.OmpStmt) error {
 	}
 	return tc.in.rt.Parallel(tc.ctx, n, func(m *omp.Member) error {
 		mtc := &threadCtx{in: tc.in, ctx: m.Ctx, member: m, frame: append([]*cell(nil), tc.frame...), status: tc.status}
+		defer mtc.flushSteps()
 		mtc.privatize(v)
 		redCells, err := mtc.initReduction(v)
 		if err != nil {
@@ -130,9 +131,7 @@ func (tc *threadCtx) privatize(v *minic.OmpStmt) {
 	for i, ref := range v.PrivRefs {
 		isFloat := false
 		if outer := tc.shadowed(ref, v.PrivOuter[i]); outer != nil {
-			outer.mu.Lock()
 			isFloat = outer.isFloat
-			outer.mu.Unlock()
 		}
 		tc.frame[ref.Slot] = newCell(isFloat, false, Value{})
 	}
@@ -160,9 +159,7 @@ func (tc *threadCtx) initReduction(v *minic.OmpStmt) ([]*cell, error) {
 	for i, ref := range v.RedRefs {
 		isFloat := true
 		if outer := tc.shadowed(ref, v.RedOuter[i]); outer != nil {
-			outer.mu.Lock()
 			isFloat = outer.isFloat
-			outer.mu.Unlock()
 		}
 		tc.frame[ref.Slot] = newCell(isFloat, false, floatVal(identity))
 	}
@@ -188,24 +185,22 @@ func (tc *threadCtx) combineReduction(v *minic.OmpStmt, cells []*cell, m *omp.Me
 			if outer == nil {
 				return runtimeError(v.Line, "reduction variable %q is not declared in the enclosing scope", name)
 			}
-			outer.mu.Lock()
-			cur := outer.v.Num
+			cur := outer.load()
 			switch v.Reduction {
 			case "+":
-				cur += priv
+				cur.Num += priv
 			case "*":
-				cur *= priv
+				cur.Num *= priv
 			case "max":
-				if priv > cur {
-					cur = priv
+				if priv > cur.Num {
+					cur.Num = priv
 				}
 			case "min":
-				if priv < cur {
-					cur = priv
+				if priv < cur.Num {
+					cur.Num = priv
 				}
 			}
-			outer.v.Num = cur
-			outer.mu.Unlock()
+			outer.set(cur)
 		}
 		return nil
 	})

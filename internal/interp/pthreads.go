@@ -116,6 +116,7 @@ func (tc *threadCtx) pthreadCreate(c *minic.Call) (Value, error) {
 	go func() {
 		child.ctx.Emit(trace.Event{Op: trace.OpBegin, Sync: syncID})
 		_, err := child.callFunction(fn, args, c.Line)
+		child.flushSteps()
 		child.ctx.Emit(trace.Event{Op: trace.OpEnd, Sync: syncID})
 		child.ctx.Finish()
 		pt.mu.Lock()

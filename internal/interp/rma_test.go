@@ -101,3 +101,44 @@ int main() {
 		t.Fatal("unknown window accepted")
 	}
 }
+
+// TestRMAPutRacesOwnerRead pins host safety of a window region, which
+// is the owner's array: rank 1 puts into rank 0's region in a loop
+// while rank 0 sums the same element in the same epoch. MPI calls the
+// program erroneous, but the host must not race: the put and the
+// owner's read both go through the atomic element helpers, so under
+// -race this run is clean and every read sees 0 or the put value.
+func TestRMAPutRacesOwnerRead(t *testing.T) {
+	res := mustRun(t, `
+int main() {
+  int p;
+  MPI_Init_thread(MPI_THREAD_MULTIPLE, &p);
+  int rank = MPI_Comm_rank(MPI_COMM_WORLD);
+  double region[1];
+  int win;
+  MPI_Win_create(region, 1, MPI_COMM_WORLD, &win);
+  double val[1];
+  val[0] = 1.0;
+  double sum = 0.0;
+  int bad = 0;
+  for (int k = 0; k < 2000; k++) {
+    if (rank == 1) {
+      MPI_Put(win, 0, 0, val, 1);
+    } else {
+      double x = region[0];
+      if (x != 0.0 && x != 1.0) { bad++; }
+      sum += x;
+    }
+  }
+  MPI_Win_fence(win);
+  if (rank == 0 && region[0] != 1.0) { bad++; }
+  MPI_Win_free(win);
+  MPI_Finalize();
+  return bad;
+}`, Config{Procs: 2})
+	for r, code := range res.ExitCodes {
+		if code != 0 {
+			t.Fatalf("rank %d saw %d values nobody wrote", r, code)
+		}
+	}
+}

@@ -3,7 +3,7 @@ package interp
 import (
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"home/internal/mpi"
 )
@@ -15,10 +15,10 @@ type Value struct {
 	Num     float64
 	IsFloat bool
 
-	// Arr is non-nil for array values; ArrMu guards concurrent
-	// element access (arrays are shared across OpenMP threads).
-	Arr   []float64
-	ArrMu *sync.Mutex
+	// Arr is non-nil for array values. Arrays are shared across
+	// threads and ranks, so elements are read and written only through
+	// mpi.LoadElem and mpi.StoreElem.
+	Arr []float64
 
 	// Req is non-nil for MPI_Request values.
 	Req *mpi.Request
@@ -57,26 +57,29 @@ func (v Value) String() string {
 	}
 }
 
-// cell is one variable's storage. The mutex keeps concurrent access
-// by simulated threads well-defined at the host level (the simulated
-// program may still race in the MiniHPC semantics — that is exactly
-// what the detectors look for).
+// cell is one variable's storage. Simulated threads may access it
+// concurrently, and a racy MiniHPC program does so without
+// synchronisation (exactly what the detectors look for), so every
+// access is one atomic word and no lock is taken: a number of the
+// declared type lives in num as its float64 bits, and any other value
+// (an array or a request) is boxed in ref. A load never sees a torn
+// value, only some earlier store.
 type cell struct {
-	mu      sync.Mutex
-	v       Value
-	isFloat bool // declared type coercion target
+	num     atomic.Uint64         // float64 bits of a number of the declared type
+	ref     atomic.Pointer[Value] // non-nil for any other value
+	isFloat bool                  // declared type coercion target
 	isArray bool
 }
 
 func (c *cell) load() Value {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
+	if p := c.ref.Load(); p != nil {
+		return *p
+	}
+	return Value{Num: math.Float64frombits(c.num.Load()), IsFloat: c.isFloat}
 }
 
+// store writes v coerced to the declared type.
 func (c *cell) store(v Value) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.isArray && v.Arr == nil && v.Req == nil {
 		if c.isFloat {
 			v = floatVal(v.Num)
@@ -84,7 +87,22 @@ func (c *cell) store(v Value) {
 			v = intVal(v.Num)
 		}
 	}
-	c.v = v
+	c.set(v)
+}
+
+// set writes v as it is. A number of the declared type is stored
+// unboxed, so storing it allocates nothing.
+func (c *cell) set(v Value) {
+	if v.Arr == nil && v.Req == nil && v.IsFloat == c.isFloat {
+		c.num.Store(math.Float64bits(v.Num))
+		if c.ref.Load() != nil {
+			c.ref.Store(nil)
+		}
+		return
+	}
+	p := new(Value)
+	*p = v
+	c.ref.Store(p)
 }
 
 // newCell creates a variable holding v coerced to its declared type.

@@ -21,12 +21,13 @@ var ErrWindowBounds = fmt.Errorf("mpi: RMA access outside the window region")
 
 // Win is a window: one exposed region per rank of the communicator.
 //
-// Host-level synchronization guards remote accesses against each
-// other; local accesses to an exposed region concurrent with remote
-// RMA are not synchronized — MPI itself declares such overlap within
-// an epoch erroneous (the separate-memory-model rule), so conforming
-// programs never do it, and the checker's WindowViolation extension
-// flags thread-level versions of the mistake.
+// mu keeps RMA operations atomic with respect to each other. A region
+// is the owner's array, so every element access, remote or local, is
+// an atomic word (LoadElem/StoreElem): an owner reading its region
+// while a peer puts into it in the same epoch reads some earlier
+// write. MPI itself declares such overlap erroneous (the
+// separate-memory-model rule), and the checker's WindowViolation
+// extension flags thread-level versions of the mistake.
 type Win struct {
 	ID   int
 	comm CommID
@@ -119,7 +120,7 @@ func (p *Proc) Put(ctx *sim.Ctx, win *Win, target, offset int, data []float64) e
 	if !ok || offset < 0 || offset+len(data) > len(region) {
 		return fmt.Errorf("%w: put [%d,%d) into rank %d region of %d", ErrWindowBounds, offset, offset+len(data), target, len(region))
 	}
-	copy(region[offset:], data)
+	StoreElems(region[offset:], data)
 	p.rmaCost(ctx, len(data))
 	return nil
 }
@@ -143,7 +144,7 @@ func (p *Proc) Get(ctx *sim.Ctx, win *Win, target, offset, count int) ([]float64
 		return nil, fmt.Errorf("%w: get [%d,%d) from rank %d region of %d", ErrWindowBounds, offset, offset+count, target, len(region))
 	}
 	out := make([]float64, count)
-	copy(out, region[offset:])
+	LoadElems(out, region[offset:])
 	p.rmaCost(ctx, count)
 	return out, nil
 }
@@ -171,7 +172,7 @@ func (p *Proc) Accumulate(ctx *sim.Ctx, win *Win, target, offset int, data []flo
 		return fmt.Errorf("%w: accumulate [%d,%d) into rank %d region of %d", ErrWindowBounds, offset, offset+len(data), target, len(region))
 	}
 	for i, v := range data {
-		region[offset+i] += v
+		StoreElem(region, offset+i, LoadElem(region, offset+i)+v)
 	}
 	p.rmaCost(ctx, len(data))
 	return nil

@@ -33,15 +33,13 @@ import (
 
 // StepInterval is the publication cadence of the interpreter loop: a
 // snapshot delta is published every time the shared statement counter
-// crosses a multiple of StepInterval (a power of two, so the hot-path
-// check is one mask). Each counter value is observed by exactly one
-// thread, so the number of periodic publications is a deterministic
-// function of the run — not that it matters for determinism, since
-// publication only reads.
+// crosses a multiple of StepInterval. Interpreter lanes add their
+// statements to the counter in batches, and the lane whose batch
+// crosses a multiple publishes for it, so each publication point is
+// observed by exactly one lane and the number of periodic publications
+// is a deterministic function of the run — not that it matters for
+// determinism, since publication only reads.
 const StepInterval = 4096
-
-// stepMask is the hot-path modulus check for StepInterval.
-const stepMask = StepInterval - 1
 
 // maxRetainedRuns bounds the plane's run table. An explorer campaign
 // registers hundreds of short mutant replays; beyond the cap the
@@ -428,12 +426,13 @@ func (h *RunHandle) Phase(name string) {
 	h.plane.broadcast(Event{Type: "phase", Run: h.id, Phase: name})
 }
 
-// StepTick is the interpreter hot-path hook: called with the shared
-// statement counter's post-increment value and the calling thread's
-// virtual clock. It maintains the virtual-time high-water mark and,
-// every StepInterval statements, publishes a snapshot delta. The hook
-// only reads run state — virtual time and schedules are untouched.
-func (h *RunHandle) StepTick(step int64, now int64) {
+// StepTick is the interpreter's statement-batch hook: called when a
+// lane moves the shared statement counter from prev to step, with the
+// lane's virtual clock. It maintains the virtual-time high-water mark
+// and publishes one snapshot delta per multiple of StepInterval in
+// (prev, step]. The hook only reads run state — virtual time and
+// schedules are untouched.
+func (h *RunHandle) StepTick(prev, step int64, now int64) {
 	if h == nil {
 		return
 	}
@@ -443,7 +442,7 @@ func (h *RunHandle) StepTick(step int64, now int64) {
 			break
 		}
 	}
-	if step&stepMask == 0 {
+	for k := step / StepInterval; k > prev/StepInterval; k-- {
 		h.publish("delta")
 	}
 }

@@ -78,7 +78,7 @@ func TestHandleDeltaStreamReconstructs(t *testing.T) {
 			stats.Histogram("lat").Observe(step)
 			stats.Gauge("hw").Observe(step)
 		}
-		h.StepTick(step, step*10)
+		h.StepTick(step-1, step, step*10)
 	}
 	h.Finish("clean")
 
@@ -196,7 +196,7 @@ func TestNilPlaneIsOff(t *testing.T) {
 	h.AttachStats(obs.NewRegistry())
 	h.AttachActivity(nil)
 	h.Phase("execute")
-	h.StepTick(StepInterval, 42)
+	h.StepTick(StepInterval-1, StepInterval, 42)
 	h.AutoDump("deadlock")
 	h.Finish("clean")
 	if h.ID() != "" || h.LastDump() != nil || h.Activity() != nil || h.Blocked() != nil {
