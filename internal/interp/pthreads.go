@@ -5,6 +5,7 @@ import (
 
 	"home/internal/minic"
 	"home/internal/mpi"
+	"home/internal/sim"
 	"home/internal/trace"
 )
 
@@ -35,15 +36,14 @@ const pthreadBase = 100
 
 // pthread is one spawned thread's completion state.
 type pthread struct {
-	id      int
-	tid     int
-	syncID  trace.SyncID
-	mu      sync.Mutex
-	done    bool
-	waiting bool
-	wake    chan struct{}
-	err     error
-	endNow  int64
+	id     int
+	tid    int
+	syncID trace.SyncID
+	mu     sync.Mutex
+	done   bool
+	waiter *sim.Waiter // the parked pthread_join, if any
+	err    error
+	endNow int64
 }
 
 // pthreadState is the per-instance registry.
@@ -100,7 +100,7 @@ func (tc *threadCtx) pthreadCreate(c *minic.Call) (Value, error) {
 	// A distinct sync-id space from the omp runtime's (rank is offset
 	// so episodes never collide with omp SyncIDs of the same rank).
 	syncID := trace.SyncID{Rank: tc.ctx.Rank, Seq: 1_000_000 + ps.syncSeq}
-	pt := &pthread{id: handle, tid: tid, syncID: syncID, wake: make(chan struct{}, 1)}
+	pt := &pthread{id: handle, tid: tid, syncID: syncID}
 	ps.byID[handle] = pt
 	ps.mu.Unlock()
 
@@ -123,10 +123,8 @@ func (tc *threadCtx) pthreadCreate(c *minic.Call) (Value, error) {
 		pt.done = true
 		pt.err = err
 		pt.endNow = child.ctx.Now
-		if pt.waiting {
-			pt.waiting = false
-			activity.Unblock()
-			pt.wake <- struct{}{}
+		if pt.waiter != nil {
+			activity.Unpark(pt.waiter, nil)
 		}
 		pt.mu.Unlock()
 		activity.DoneThread()
@@ -155,26 +153,15 @@ func (tc *threadCtx) pthreadJoin(c *minic.Call) (Value, error) {
 
 	pt.mu.Lock()
 	if !pt.done {
-		pt.waiting = true
+		w := new(sim.Waiter)
+		pt.waiter = w
 		pt.mu.Unlock()
-		activity := tc.in.world.Activity()
-		dead, release := activity.BlockDesc(tc.ctx.Rank, tc.ctx.TID, "pthread_join")
-		select {
-		case <-pt.wake:
-			release()
-		case <-dead:
-			if activity.Deadlocked() {
-				return Value{}, runtimeError(c.Line, "global deadlock while joining thread %d", pt.id)
-			}
+		switch tc.in.world.Activity().Park(w, sim.Desc(tc.ctx.Rank, tc.ctx.TID, "pthread_join")).How {
+		case sim.Deadlock:
+			return Value{}, runtimeError(c.Line, "global deadlock while joining thread %d", pt.id)
+		case sim.Aborted:
 			// Rank abort (crash-stop): stop waiting; the spawned thread
-			// unwinds on its own. Self-unblock unless it finished first.
-			pt.mu.Lock()
-			if pt.waiting {
-				pt.waiting = false
-				activity.Unblock()
-			}
-			pt.mu.Unlock()
-			release()
+			// unwinds on its own.
 			return Value{}, &mpi.RankFailureError{Rank: tc.ctx.Rank, Op: "pthread_join"}
 		}
 		pt.mu.Lock()

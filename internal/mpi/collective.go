@@ -56,10 +56,13 @@ type collResult struct {
 	err     error
 }
 
-// collWaiter is a blocked participant.
+// collWaiter is a blocked participant. Whoever resolves the instance
+// (its completer or failAll) stores the result in res and unparks w,
+// under cs.mu.
 type collWaiter struct {
 	rank int
-	wake chan collResult
+	w    sim.Waiter
+	res  collResult
 }
 
 // collJoin remembers one participant's arrival for the membership
@@ -84,7 +87,7 @@ type collInstance struct {
 	op      ReduceOp
 	arrived map[int][]float64
 	maxT    int64
-	waiters []collWaiter
+	waiters []*collWaiter
 
 	// seq is the instance's 1-based number within its communicator,
 	// assigned at creation. All participants observe it (via
@@ -166,7 +169,7 @@ func (p *Proc) arrive(ctx *sim.Ctx, comm CommID, kind collKind, root int, op Red
 
 	if p.world.chaos.Replaying() {
 		if jo, ok := p.world.chaos.ReplayCollJoin(p.rank, ctx.TID, qf); ok {
-			return p.arriveForced(ctx, cs, kind, root, op, payload, jo)
+			return p.arriveForced(ctx, cs, kind, root, op, payload, jo, qf)
 		}
 		if dead, ok := p.replayFailAt(ctx, qf); ok {
 			return collResult{}, p.world.failure(dead, "MPI_"+kind.String())
@@ -221,79 +224,72 @@ func (p *Proc) arrive(ctx *sim.Ctx, comm CommID, kind collKind, root int, op Red
 		return mine, nil
 	}
 
-	w := collWaiter{rank: p.rank, wake: make(chan collResult, 1)}
-	inst.waiters = append(inst.waiters, w)
+	return p.awaitLocked(ctx, cs, inst, qf)
+}
+
+// awaitLocked parks the calling rank in inst until the instance
+// resolves. Caller holds cs.mu, which awaitLocked releases.
+func (p *Proc) awaitLocked(ctx *sim.Ctx, cs *commState, inst *collInstance, qf uint64) (collResult, error) {
+	cw := &collWaiter{rank: p.rank}
+	inst.waiters = append(inst.waiters, cw)
 	cs.mu.Unlock()
 
-	dead, release := p.world.activity.BlockOp(sim.BlockedOp{
-		Rank: p.rank, TID: ctx.TID, Op: "MPI_" + kind.String(),
-		Peer: sim.NoArg, Tag: sim.NoArg, Comm: int(comm),
-		Detail: fmt.Sprintf("MPI_%s on communicator %d (waiting for all ranks)", kind, int(comm)),
-	})
-	select {
-	case res := <-w.wake:
-		release()
-		if res.err != nil {
-			p.observeFailAt(ctx, qf, res.err)
-			return collResult{}, res.err
-		}
-		ctx.SyncTo(res.release)
-		return res, nil
-	case <-dead:
-		if p.world.activity.Deadlocked() {
-			return collResult{}, p.deadlockError()
-		}
+	name := "MPI_" + inst.kind.String()
+	switch p.world.activity.Park(&cw.w, sim.BlockedOp{
+		Rank: p.rank, TID: ctx.TID, Op: name,
+		Peer: sim.NoArg, Tag: sim.NoArg, Comm: int(cs.id),
+		Detail: fmt.Sprintf("%s on communicator %d (waiting for all ranks)", name, int(cs.id)),
+	}).How {
+	case sim.Deadlock:
+		return collResult{}, p.deadlockError()
+	case sim.Aborted:
 		// Rank abort (own crash-stop): withdraw from the instance. If
 		// the waiter is still queued the cleanup is ours; the recorded
 		// run then abandoned the instance, whose members leave no
 		// membership records, so a replayed crash fails at qf before
 		// ever joining it.
 		cs.mu.Lock()
-		found := false
-	scan:
-		for _, in := range cs.pending {
-			for i, ww := range in.waiters {
-				if ww.wake == w.wake {
-					in.waiters = append(in.waiters[:i], in.waiters[i+1:]...)
-					delete(in.arrived, p.rank)
-					if p.world.chaos.Recording() {
-						for j, jn := range in.joins {
-							if jn.rank == p.rank && jn.tid == ctx.TID && jn.seq == qf {
-								in.joins = append(in.joins[:j], in.joins[j+1:]...)
-								break
-							}
-						}
-					}
-					found = true
-					break scan
-				}
-			}
-		}
+		withdrawn := inst.withdrawLocked(cw, ctx.TID, qf)
 		cs.mu.Unlock()
-		if found {
-			p.world.activity.Unblock()
-			release()
-			ferr := p.world.failure(p.rank, "MPI_"+kind.String())
+		if withdrawn {
+			ferr := p.world.failure(p.rank, name)
 			p.observeFailAt(ctx, qf, ferr)
 			return collResult{}, ferr
 		}
-		// The waiter is gone: the crash decision raced a concurrent
-		// resolution. Either the completing rank released everyone (a
-		// result is already in the channel — completion happens under
-		// cs.mu) or failAll drained the instance (its error send may
-		// still be in flight). Take what actually happened so the
-		// recorded schedule reflects reality: a completed instance
-		// counted this rank's membership and clock, so the member must
-		// complete here too — in record and in replay.
-		release()
-		res := <-w.wake
-		if res.err != nil {
-			p.observeFailAt(ctx, qf, res.err)
-			return collResult{}, res.err
-		}
-		ctx.SyncTo(res.release)
-		return res, nil
+		// The waiter is gone: the crash raced a concurrent resolution,
+		// the completing rank's release or failAll's error. Take what
+		// actually happened so the recorded schedule reflects reality:
+		// a completed instance counted this rank's membership and
+		// clock, so the member must complete here too — in record and
+		// in replay.
 	}
+	if cw.res.err != nil {
+		p.observeFailAt(ctx, qf, cw.res.err)
+		return collResult{}, cw.res.err
+	}
+	ctx.SyncTo(cw.res.release)
+	return cw.res, nil
+}
+
+// withdrawLocked takes an aborted waiter out of the instance, with its
+// arrival and join record. It reports false when the instance already
+// resolved the waiter. Caller holds cs.mu.
+func (inst *collInstance) withdrawLocked(cw *collWaiter, tid int, qf uint64) bool {
+	for i, x := range inst.waiters {
+		if x != cw {
+			continue
+		}
+		inst.waiters = append(inst.waiters[:i], inst.waiters[i+1:]...)
+		delete(inst.arrived, cw.rank)
+		for j, jn := range inst.joins {
+			if jn.rank == cw.rank && jn.tid == tid && jn.seq == qf {
+				inst.joins = append(inst.joins[:j], inst.joins[j+1:]...)
+				break
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // arriveForced joins the collective instance the recorded run assigned
@@ -301,7 +297,7 @@ func (p *Proc) arrive(ctx *sim.Ctx, comm CommID, kind collKind, root int, op Red
 // schedule: the instance completes exactly when the last recorded
 // member arrives, so maxT and the release time — and with them virtual
 // time — reproduce the recorded run.
-func (p *Proc) arriveForced(ctx *sim.Ctx, cs *commState, kind collKind, root int, op ReduceOp, payload []float64, jo chaos.CollOrder) (collResult, error) {
+func (p *Proc) arriveForced(ctx *sim.Ctx, cs *commState, kind collKind, root int, op ReduceOp, payload []float64, jo chaos.CollOrder, qf uint64) (collResult, error) {
 	cs.mu.Lock()
 	if cs.forcedInst == nil {
 		cs.forcedInst = make(map[int64]*collInstance)
@@ -332,40 +328,7 @@ func (p *Proc) arriveForced(ctx *sim.Ctx, cs *commState, kind collKind, root int
 		ctx.SyncTo(mine.release)
 		return mine, nil
 	}
-	w := collWaiter{rank: p.rank, wake: make(chan collResult, 1)}
-	inst.waiters = append(inst.waiters, w)
-	cs.mu.Unlock()
-
-	dead, release := p.world.activity.BlockOp(sim.BlockedOp{
-		Rank: p.rank, TID: ctx.TID, Op: "MPI_" + kind.String(),
-		Peer: sim.NoArg, Tag: sim.NoArg, Comm: int(cs.id),
-		Detail: fmt.Sprintf("MPI_%s on communicator %d (waiting for all ranks)", kind, int(cs.id)),
-	})
-	select {
-	case res := <-w.wake:
-		release()
-		ctx.SyncTo(res.release)
-		return res, nil
-	case <-dead:
-		if p.world.activity.Deadlocked() {
-			return collResult{}, p.deadlockError()
-		}
-		// Defensive only: replay pre-marks crashed ranks quietly and
-		// every recorded member of a completed instance arrives, so
-		// nothing but the watchdog should tear a forced member out.
-		cs.mu.Lock()
-		for i, ww := range inst.waiters {
-			if ww.wake == w.wake {
-				inst.waiters = append(inst.waiters[:i], inst.waiters[i+1:]...)
-				delete(inst.arrived, p.rank)
-				p.world.activity.Unblock()
-				break
-			}
-		}
-		cs.mu.Unlock()
-		release()
-		return collResult{}, p.world.failure(p.rank, "MPI_"+kind.String())
-	}
+	return p.awaitLocked(ctx, cs, inst, qf)
 }
 
 // completeLocked finishes a full instance (len(arrived) == cs.size):
@@ -407,10 +370,11 @@ func (p *Proc) completeLocked(cs *commState, inst *collInstance) collResult {
 		}
 	}
 	results := computeCollective(inst, cs.size)
-	for _, w := range inst.waiters {
-		p.world.activity.Unblock()
-		w.wake <- collResult{data: results[w.rank], release: release, newComm: newComm}
+	for _, cw := range inst.waiters {
+		cw.res = collResult{data: results[cw.rank], release: release, newComm: newComm}
+		p.world.activity.Unpark(&cw.w, nil)
 	}
+	inst.waiters = nil
 	return collResult{data: results[p.rank], release: release, newComm: newComm}
 }
 
@@ -420,15 +384,15 @@ func (p *Proc) completeLocked(cs *commState, inst *collInstance) collResult {
 // error instead of hanging until the watchdog.
 func (cs *commState) failAll(w *World, dead int) {
 	cs.mu.Lock()
-	pending := cs.pending
-	cs.pending = nil
-	cs.mu.Unlock()
-	for _, inst := range pending {
-		for _, wt := range inst.waiters {
-			w.activity.Unblock()
-			wt.wake <- collResult{err: w.failure(dead, "MPI_"+inst.kind.String())}
+	defer cs.mu.Unlock()
+	for _, inst := range cs.pending {
+		for _, cw := range inst.waiters {
+			cw.res = collResult{err: w.failure(dead, "MPI_"+inst.kind.String())}
+			w.activity.Unpark(&cw.w, nil)
 		}
+		inst.waiters = nil
 	}
+	cs.pending = nil
 }
 
 // computeCollective produces the per-rank result vectors for a

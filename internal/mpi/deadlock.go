@@ -61,7 +61,7 @@ func wildcardName(v int, name string) string {
 }
 
 // deadlockError builds the structured error from the current wait-for
-// snapshot. Blocked sites call it when the latch trips.
+// snapshot. Parked sites call it when the watchdog trips.
 func (p *Proc) deadlockError() error {
 	return &DeadlockError{Ops: p.world.activity.StuckTable()}
 }

@@ -69,7 +69,7 @@ type pendingProbe struct {
 	src  int
 	tag  int
 	comm CommID
-	wake chan *Message
+	w    sim.Waiter // the Unpark payload is the matched *Message, nil when the source died
 
 	tid    int
 	mseq   uint64
@@ -79,14 +79,23 @@ type pendingProbe struct {
 // Request is a nonblocking-operation handle (MPI_Request). Completion
 // state is guarded by the owning rank's mailbox mutex.
 type Request struct {
-	ID      int
-	owner   *Proc
-	isSend  bool
-	done    bool
-	waiting bool
-	msg     *Message
-	err     error // completion error (rank failure)
-	wake    chan struct{}
+	ID     int
+	owner  *Proc
+	isSend bool
+	done   bool
+	msg    *Message
+	err    error       // completion error (rank failure)
+	waiter *sim.Waiter // the Wait (or replayed Test) parked on the request
+}
+
+// resolveLocked completes the request with msg or err and unparks its
+// waiter, if any. Caller holds the owner's mailbox mutex.
+func (r *Request) resolveLocked(msg *Message, err error) {
+	r.done, r.msg, r.err = true, msg, err
+	if r.waiter != nil {
+		r.owner.world.activity.Unpark(r.waiter, nil)
+		r.waiter = nil
+	}
 }
 
 // Proc is one simulated MPI process (rank). All of its threads share
@@ -280,40 +289,25 @@ func (p *Proc) observeFailAt(ctx *sim.Ctx, q uint64, err error) {
 // watchdog reports the hang, which is the defined degradation.
 func (p *Proc) failWaitersFor(dead int) {
 	p.mu.Lock()
-	var wakeRecvs []*Request
+	defer p.mu.Unlock()
 	keptR := p.recvs[:0]
 	for _, r := range p.recvs {
 		if r.src == dead {
-			r.req.done = true
-			r.req.err = p.world.failure(dead, "MPI_Recv")
-			if r.req.waiting {
-				r.req.waiting = false
-				wakeRecvs = append(wakeRecvs, r.req)
-			}
+			r.req.resolveLocked(nil, p.world.failure(dead, "MPI_Recv"))
 			continue
 		}
 		keptR = append(keptR, r)
 	}
 	p.recvs = keptR
-	var wakeProbes []chan *Message
 	keptP := p.probes[:0]
 	for _, pr := range p.probes {
 		if pr.src == dead {
-			wakeProbes = append(wakeProbes, pr.wake)
+			p.world.activity.Unpark(&pr.w, nil)
 			continue
 		}
 		keptP = append(keptP, pr)
 	}
 	p.probes = keptP
-	p.mu.Unlock()
-	for _, req := range wakeRecvs {
-		p.world.activity.Unblock()
-		req.wake <- struct{}{}
-	}
-	for _, wake := range wakeProbes {
-		p.world.activity.Unblock()
-		wake <- nil
-	}
 }
 
 // threadGuard models the faithful misbehaviour of calls issued from
@@ -347,16 +341,12 @@ func (p *Proc) hangForever(ctx *sim.Ctx) error {
 	if dead, ok := p.replayFailAt(ctx, qh); ok {
 		return p.world.failure(dead, "MPI call")
 	}
-	dead, release := p.world.activity.BlockDesc(p.rank, ctx.TID,
+	op := sim.Desc(p.rank, ctx.TID,
 		"an MPI call issued from a non-main thread under "+ThreadLevelName(p.ThreadLevel())+" (undefined behaviour)")
-	<-dead
-	if p.world.activity.Deadlocked() {
+	if p.world.activity.Park(new(sim.Waiter), op).How == sim.Deadlock {
 		return p.deadlockError()
 	}
-	// Rank abort: nobody else will ever wake this thread, so it unwinds
-	// itself (the watchdog protocol's self-Unblock for abandoned waits).
-	p.world.activity.Unblock()
-	release()
+	// Rank abort: nobody else will ever wake this thread.
 	err := p.world.failure(p.rank, "MPI call")
 	p.observeFailAt(ctx, qh, err)
 	return err
@@ -405,8 +395,7 @@ func (p *Proc) deliverLocked(m *Message, reorder bool) {
 				p.world.chaos.ObserveMatch(p.rank, pr.tid, pr.mseq, msgID(m))
 			}
 			p.world.st.probesMatched.Inc()
-			p.world.activity.Unblock()
-			pr.wake <- m
+			p.world.activity.Unpark(&pr.w, m)
 		} else {
 			kept = append(kept, pr)
 		}
@@ -425,13 +414,7 @@ func (p *Proc) deliverLocked(m *Message, reorder bool) {
 			}
 			p.recvs = append(p.recvs[:i], p.recvs[i+1:]...)
 			p.world.st.msgsMatched.Inc()
-			r.req.done = true
-			r.req.msg = m
-			if r.req.waiting {
-				r.req.waiting = false
-				p.world.activity.Unblock()
-				r.req.wake <- struct{}{}
-			}
+			r.req.resolveLocked(m, nil)
 			return
 		}
 	}
@@ -532,7 +515,7 @@ func (p *Proc) Isend(ctx *sim.Ctx, data []float64, dest, tag int, comm CommID) (
 	}
 	p.mu.Lock()
 	p.nextReq++
-	req := &Request{ID: p.nextReq, owner: p, isSend: true, done: true, wake: make(chan struct{}, 1)}
+	req := &Request{ID: p.nextReq, owner: p, isSend: true, done: true}
 	p.mu.Unlock()
 	return req, nil
 }
@@ -568,7 +551,7 @@ func (p *Proc) Irecv(ctx *sim.Ctx, source, tag int, comm CommID) (*Request, erro
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.nextReq++
-	req := &Request{ID: p.nextReq, owner: p, wake: make(chan struct{}, 1)}
+	req := &Request{ID: p.nextReq, owner: p}
 	// Check the unexpected-message queue first.
 	for i, m := range p.queue {
 		hit := matches(m, source, tag, comm)
@@ -638,7 +621,8 @@ func (p *Proc) Wait(ctx *sim.Ctx, req *Request) (Status, error) {
 		}
 		return finishRecv(ctx, req, msg), nil
 	}
-	req.waiting = true
+	w := new(sim.Waiter)
+	req.waiter = w
 	// The pending receive carries the request's selector; report it in
 	// the wait-for table.
 	op := sim.BlockedOp{
@@ -654,41 +638,36 @@ func (p *Proc) Wait(ctx *sim.Ctx, req *Request) (Status, error) {
 	}
 	p.mu.Unlock()
 
-	dead, release := p.world.activity.BlockOp(op)
-	select {
-	case <-req.wake:
-		release()
+	switch p.world.activity.Park(w, op).How {
+	case sim.Deadlock:
+		return Status{}, p.deadlockError()
+	case sim.Aborted:
+		// Rank abort (own crash-stop): the wait fails, withdrawing the
+		// pending receive if no waker completed the request.
 		p.mu.Lock()
-		msg, rerr := req.msg, req.err
+		p.dropRecvLocked(req)
 		p.mu.Unlock()
-		if rerr != nil {
-			p.observeFailAt(ctx, qf, rerr)
-			return Status{}, rerr
-		}
-		return finishRecv(ctx, req, msg), nil
-	case <-dead:
-		if p.world.activity.Deadlocked() {
-			return Status{}, p.deadlockError()
-		}
-		// Rank abort (own crash-stop): unwind the wait. If a waker got
-		// there first it already unblocked us and left a wake token;
-		// otherwise the registration is still ours to clean up.
-		p.mu.Lock()
-		if req.waiting {
-			req.waiting = false
-			for i, r := range p.recvs {
-				if r.req == req {
-					p.recvs = append(p.recvs[:i], p.recvs[i+1:]...)
-					break
-				}
-			}
-			p.world.activity.Unblock()
-		}
-		p.mu.Unlock()
-		release()
 		err := p.world.failure(p.rank, "MPI_Wait")
 		p.observeFailAt(ctx, qf, err)
 		return Status{}, err
+	}
+	p.mu.Lock()
+	msg, rerr := req.msg, req.err
+	p.mu.Unlock()
+	if rerr != nil {
+		p.observeFailAt(ctx, qf, rerr)
+		return Status{}, rerr
+	}
+	return finishRecv(ctx, req, msg), nil
+}
+
+// dropRecvLocked withdraws the request's pending receive, if any.
+func (p *Proc) dropRecvLocked(req *Request) {
+	for i, r := range p.recvs {
+		if r.req == req {
+			p.recvs = append(p.recvs[:i], p.recvs[i+1:]...)
+			return
+		}
 	}
 }
 
@@ -696,14 +675,8 @@ func (p *Proc) Wait(ctx *sim.Ctx, req *Request) (Status, error) {
 // its pending receive (no waker will, with propagation suppressed).
 func (p *Proc) completeFailedLocked(req *Request, err error) {
 	p.mu.Lock()
-	for i, r := range p.recvs {
-		if r.req == req {
-			p.recvs = append(p.recvs[:i], p.recvs[i+1:]...)
-			break
-		}
-	}
-	req.done = true
-	req.err = err
+	p.dropRecvLocked(req)
+	req.resolveLocked(nil, err)
 	p.mu.Unlock()
 }
 
@@ -737,27 +710,23 @@ func (p *Proc) Test(ctx *sim.Ctx, req *Request) (ok bool, st Status, err error) 
 			p.mu.Unlock()
 			return true, finishRecv(ctx, req, msg), nil
 		}
-		req.waiting = true
+		w := new(sim.Waiter)
+		req.waiter = w
 		p.mu.Unlock()
-		dead, release := p.world.activity.BlockOp(sim.BlockedOp{
+		if p.world.activity.Park(w, sim.BlockedOp{
 			Rank: p.rank, TID: ctx.TID, Op: "MPI_Test",
 			Peer: sim.NoArg, Tag: sim.NoArg, Comm: sim.NoArg,
 			Detail: fmt.Sprintf("MPI_Test on request #%d (replay: forcing recorded completion)", req.ID),
-		})
-		select {
-		case <-req.wake:
-			release()
-			p.mu.Lock()
-			msg := req.msg
-			p.mu.Unlock()
-			return true, finishRecv(ctx, req, msg), nil
-		case <-dead:
-			// Only a genuine global deadlock can close the latch in
-			// replay (rank aborts are suppressed) — a schedule/program
+		}).How != sim.Unparked {
+			// Only a genuine global deadlock ends the wait in replay
+			// (rank aborts are suppressed) — a schedule/program
 			// mismatch; degrade like any other hang.
-			release()
 			return false, Status{}, p.deadlockError()
 		}
+		p.mu.Lock()
+		msg := req.msg
+		p.mu.Unlock()
+		return true, finishRecv(ctx, req, msg), nil
 	}
 	p.mu.Lock()
 	done, msg, rerr := req.done, req.msg, req.err
@@ -876,52 +845,44 @@ func (p *Proc) Probe(ctx *sim.Ctx, source, tag int, comm CommID) (Status, error)
 		return Status{}, err
 	}
 	pr := &pendingProbe{
-		src: source, tag: tag, comm: comm, wake: make(chan *Message, 1),
+		src: source, tag: tag, comm: comm,
 		tid: ctx.TID, mseq: qm, forced: forced,
 	}
 	p.probes = append(p.probes, pr)
 	p.mu.Unlock()
 
-	dead, release := p.world.activity.BlockOp(sim.BlockedOp{
+	wk := p.world.activity.Park(&pr.w, sim.BlockedOp{
 		Rank: p.rank, TID: ctx.TID, Op: "MPI_Probe",
 		Peer: source, Tag: tag, Comm: int(comm),
 		Detail: fmt.Sprintf("MPI_Probe(source=%d, tag=%d, comm=%d)", source, tag, int(comm)),
 	})
-	select {
-	case m := <-pr.wake:
-		release()
-		if m == nil {
-			// Woken by failWaitersFor: the probed source crash-stopped.
-			err := p.world.failure(source, "MPI_Probe")
-			p.observeFailAt(ctx, qf, err)
-			return Status{}, err
-		}
-		ctx.SyncTo(m.Arrival)
-		return statusOf(m), nil
-	case <-dead:
-		if p.world.activity.Deadlocked() {
-			return Status{}, p.deadlockError()
-		}
-		// Rank abort (own crash-stop): unwind. If the registration is
-		// gone a waker already unblocked us; otherwise clean up here.
+	switch wk.How {
+	case sim.Deadlock:
+		return Status{}, p.deadlockError()
+	case sim.Aborted:
+		// Rank abort (own crash-stop): the probe fails. Withdraw it
+		// unless a waker already dequeued it.
 		p.mu.Lock()
-		found := false
 		for i, q := range p.probes {
 			if q == pr {
 				p.probes = append(p.probes[:i], p.probes[i+1:]...)
-				found = true
 				break
 			}
 		}
 		p.mu.Unlock()
-		if found {
-			p.world.activity.Unblock()
-		}
-		release()
 		err := p.world.failure(p.rank, "MPI_Probe")
 		p.observeFailAt(ctx, qf, err)
 		return Status{}, err
 	}
+	m, _ := wk.Payload.(*Message)
+	if m == nil {
+		// Woken by failWaitersFor: the probed source crash-stopped.
+		err := p.world.failure(source, "MPI_Probe")
+		p.observeFailAt(ctx, qf, err)
+		return Status{}, err
+	}
+	ctx.SyncTo(m.Arrival)
+	return statusOf(m), nil
 }
 
 // Iprobe checks nonblockingly for a matching message.
@@ -975,23 +936,19 @@ func (p *Proc) replayIprobe(ctx *sim.Ctx, qp uint64) (bool, Status, error) {
 			return true, statusOf(m), nil
 		}
 	}
-	pr := &pendingProbe{src: AnySource, tag: AnyTag, comm: CommWorld, wake: make(chan *Message, 1), forced: id}
+	pr := &pendingProbe{src: AnySource, tag: AnyTag, comm: CommWorld, forced: id}
 	p.probes = append(p.probes, pr)
 	p.mu.Unlock()
 
-	dead, release := p.world.activity.BlockOp(sim.BlockedOp{
+	wk := p.world.activity.Park(&pr.w, sim.BlockedOp{
 		Rank: p.rank, TID: ctx.TID, Op: "MPI_Iprobe",
 		Peer: sim.NoArg, Tag: sim.NoArg, Comm: sim.NoArg,
 		Detail: "MPI_Iprobe (replay: forcing recorded hit)",
 	})
-	select {
-	case m := <-pr.wake:
-		release()
-		return true, statusOf(m), nil
-	case <-dead:
-		release()
+	if wk.How != sim.Unparked {
 		return false, Status{}, p.deadlockError()
 	}
+	return true, statusOf(wk.Payload.(*Message)), nil
 }
 
 // QueuedMessages returns the number of unexpected messages currently

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"home/internal/sim"
 	"home/internal/trace"
 )
 
@@ -74,62 +75,51 @@ func (m *Member) barrierAt(ord uint64) error {
 	}
 	m.Ctx.Emit(trace.Event{Op: trace.OpBarrier, Sync: st.sync})
 	if st.arrived == t.size {
-		release := st.maxT + barrierCostNs
+		st.release = st.maxT + barrierCostNs
 		for _, w := range st.waiters {
-			t.rt.activity.Unblock()
-			w <- release
+			t.rt.activity.Unpark(w, nil)
 		}
 		delete(t.constructs, ord)
 		t.mu.Unlock()
-		t.rt.st.barrierWait.Observe(release - m.Ctx.Now)
-		m.Ctx.SyncTo(release)
+		m.passBarrier(st.release)
 		return nil
 	}
-	wake := make(chan int64, 1)
-	st.waiters = append(st.waiters, wake)
+	w := new(sim.Waiter)
+	st.waiters = append(st.waiters, w)
 	t.mu.Unlock()
 
-	dead, done := t.rt.activity.BlockDesc(m.Ctx.Rank, m.TID, "an omp barrier (waiting for the team)")
-	select {
-	case release := <-wake:
-		done()
-		t.rt.st.barrierWait.Observe(release - m.Ctx.Now)
-		m.Ctx.SyncTo(release)
-		return nil
-	case <-dead:
-		if t.rt.activity.Deadlocked() {
-			return ErrDeadlock
-		}
-		// Rank abort (crash-stop): withdraw from the rendezvous. If our
-		// waiter is gone the barrier *completed* with our membership —
-		// the release time other members synchronized to includes our
-		// clock — so take the completion the crash raced against: the
-		// recorded run must reflect what actually happened, or a replay
-		// (which forces the abort before arriving) would strand the
-		// rest of the team at a rendezvous that can no longer fill.
+	switch t.rt.activity.Park(w, sim.Desc(m.Ctx.Rank, m.TID, "an omp barrier (waiting for the team)")).How {
+	case sim.Deadlock:
+		return ErrDeadlock
+	case sim.Aborted:
+		// Rank abort (crash-stop): withdraw from the rendezvous unless
+		// it already completed (the releaser's Unpark of our withdrawn
+		// waiter is refused). A completed barrier counted our
+		// membership — the release time other members synchronized to
+		// includes our clock — so take the completion the crash raced
+		// against: the recorded run must reflect what actually
+		// happened, or a replay (which forces the abort before
+		// arriving) would strand the rest of the team at a rendezvous
+		// that can no longer fill.
 		t.mu.Lock()
-		found := false
-		for i, w := range st.waiters {
-			if w == wake {
-				st.waiters = append(st.waiters[:i], st.waiters[i+1:]...)
-				st.arrived--
-				found = true
-				break
-			}
+		completed := st.arrived == t.size
+		if !completed {
+			st.arrived--
 		}
 		t.mu.Unlock()
-		if !found {
-			release := <-wake // sent under t.mu before our scan, so present
-			done()
-			t.rt.st.barrierWait.Observe(release - m.Ctx.Now)
-			m.Ctx.SyncTo(release)
-			return nil
+		if !completed {
+			t.rt.chaos.ObserveAbort(m.Ctx.Rank, m.TID, qa)
+			return ErrRankAborted
 		}
-		t.rt.activity.Unblock()
-		done()
-		t.rt.chaos.ObserveAbort(m.Ctx.Rank, m.TID, qa)
-		return ErrRankAborted
 	}
+	m.passBarrier(st.release)
+	return nil
+}
+
+// passBarrier moves the member's clock to the barrier's release time.
+func (m *Member) passBarrier(release int64) {
+	m.team.rt.st.barrierWait.Observe(release - m.Ctx.Now)
+	m.Ctx.SyncTo(release)
 }
 
 // For executes the iteration range [lo, hi) distributed over the team
@@ -307,14 +297,12 @@ func (m *Member) Master(body func() error) error {
 }
 
 // lockState is a queue-based lock with virtual-time serialization.
-// The releaser hands ownership directly to the next waiter and marks
-// it unblocked *before* signalling, so the watchdog's blocked count
-// never over-reports (the protocol every blocking primitive in the
-// simulator follows).
+// The releaser hands ownership directly to the next waiter that takes
+// it.
 type lockState struct {
 	mu      sync.Mutex
 	held    bool
-	waiters []chan struct{}
+	waiters []*sim.Waiter
 	freeAt  int64 // virtual time of the last release (guarded by mu)
 
 	// Acquisition-order record/replay. grantSeq numbers completed
@@ -324,7 +312,7 @@ type lockState struct {
 	// abandoned by a dying recipient consumes no ticket.
 	grantSeq   uint64
 	nextTicket uint64 // ticket allowed to acquire next (replay)
-	repWaiters map[uint64]chan struct{}
+	repWaiters map[uint64]*sim.Waiter
 }
 
 // lock returns (creating if needed) the named lock of the runtime.
@@ -339,83 +327,86 @@ func (rt *Runtime) lock(name string) *lockState {
 	return l
 }
 
-// acquire takes the lock, blocking with watchdog accounting, and
-// advances the member clock past the previous holder's release.
+// handOnLocked passes ownership to the first queued waiter that takes
+// it, or frees the lock. A waiter withdrawn by its rank's abort
+// refuses the Unpark and is skipped.
+func (l *lockState) handOnLocked(a *sim.Activity) {
+	for len(l.waiters) > 0 {
+		next := l.waiters[0]
+		l.waiters = l.waiters[1:]
+		if a.Unpark(next, nil) {
+			return
+		}
+	}
+	l.held = false
+}
+
+// acquire takes the lock, parking while it is held, and advances the
+// member clock past the previous holder's release.
 func (m *Member) acquire(l *lockState, id trace.LockID) error {
-	m.team.rt.st.acquires.Inc()
+	rt := m.team.rt
+	rt.st.acquires.Inc()
 	// Schedule point: whether the acquire succeeded or was abandoned by
 	// a crash-stop abort while queued is host-racy under chaos, and so
 	// is the order in which contending threads win the lock.
-	qa := m.team.rt.schedPoint(m.Ctx)
-	if m.team.rt.chaos.ReplayAbort(m.Ctx.Rank, m.TID, qa) {
+	qa := rt.schedPoint(m.Ctx)
+	if rt.chaos.ReplayAbort(m.Ctx.Rank, m.TID, qa) {
 		return ErrRankAborted
 	}
-	if m.team.rt.chaos.Replaying() {
+	if rt.chaos.Replaying() {
 		return m.acquireForced(l, id, qa)
 	}
 	l.mu.Lock()
-	if !l.held {
-		l.held = true
-		m.recordGrantLocked(l, qa)
-		freeAt := l.freeAt
+	if l.held {
+		w := new(sim.Waiter)
+		l.waiters = append(l.waiters, w)
 		l.mu.Unlock()
-		m.Ctx.SyncTo(freeAt)
-	} else {
-		m.team.rt.st.contended.Inc()
-		wake := make(chan struct{}, 1)
-		l.waiters = append(l.waiters, wake)
-		l.mu.Unlock()
-		dead, done := m.team.rt.activity.BlockDesc(m.Ctx.Rank, m.TID, "acquiring "+id.Name)
-		select {
-		case <-wake:
-			done()
-			// Ownership was transferred by the releaser, which also
-			// restored our runnable accounting. Ticket assignment here is
-			// safe: grants are serialized by lock ownership, so no other
-			// thread can complete an acquisition until we release.
-			l.mu.Lock()
-			m.recordGrantLocked(l, qa)
-			freeAt := l.freeAt
-			l.mu.Unlock()
-			m.Ctx.SyncTo(freeAt)
-		case <-dead:
-			if m.team.rt.activity.Deadlocked() {
-				return ErrDeadlock
+		wk := rt.activity.Park(w, m.acquiring(id))
+		switch wk.How {
+		case sim.Deadlock:
+			return ErrDeadlock
+		case sim.Aborted:
+			// Rank abort (crash-stop). A claimed wake carries ownership:
+			// pass it on so the lock isn't stranded. An unclaimed waiter
+			// stays queued; the releaser's Unpark of it is refused and
+			// handOnLocked skips it.
+			if wk.Claimed {
+				l.mu.Lock()
+				l.handOnLocked(rt.activity)
+				l.mu.Unlock()
 			}
-			// Rank abort (crash-stop). If we are still queued, withdraw
-			// and self-unblock. If not, the releaser handed us ownership
-			// concurrently — pass it on so the lock isn't stranded.
-			l.mu.Lock()
-			found := false
-			for i, w := range l.waiters {
-				if w == wake {
-					l.waiters = append(l.waiters[:i], l.waiters[i+1:]...)
-					found = true
-					break
-				}
-			}
-			if !found {
-				if len(l.waiters) > 0 {
-					next := l.waiters[0]
-					l.waiters = l.waiters[1:]
-					m.team.rt.activity.Unblock()
-					next <- struct{}{}
-				} else {
-					l.held = false
-				}
-			}
-			l.mu.Unlock()
-			if found {
-				m.team.rt.activity.Unblock()
-			}
-			done()
-			m.team.rt.chaos.ObserveAbort(m.Ctx.Rank, m.TID, qa)
+			rt.chaos.ObserveAbort(m.Ctx.Rank, m.TID, qa)
 			return ErrRankAborted
 		}
+		// Ownership was handed over by the releaser. Ticket assignment
+		// here is safe: grants are serialized by lock ownership, so no
+		// other thread can complete an acquisition until we release.
+		l.mu.Lock()
 	}
+	l.held = true
+	m.recordGrantLocked(l, qa)
+	freeAt := l.freeAt
+	l.mu.Unlock()
+	m.granted(freeAt, id)
+	return nil
+}
+
+// acquiring is the wait-for record of a member parked on a lock.
+func (m *Member) acquiring(id trace.LockID) sim.BlockedOp {
+	return sim.Desc(m.Ctx.Rank, m.TID, "acquiring "+id.Name)
+}
+
+// granted completes an acquisition: the member's clock moves past the
+// previous release at freeAt. The acquisition counts as contended when
+// that release is later than the member's own clock — a wait in
+// virtual time, whatever order the host ran the threads in.
+func (m *Member) granted(freeAt int64, id trace.LockID) {
+	if freeAt > m.Ctx.Now {
+		m.team.rt.st.contended.Inc()
+	}
+	m.Ctx.SyncTo(freeAt)
 	m.Ctx.Advance(lockCostNs)
 	m.Ctx.Emit(trace.Event{Op: trace.OpAcquire, Lock: id})
-	return nil
 }
 
 // recordGrantLocked assigns the next acquisition ticket and records it
@@ -439,12 +430,10 @@ func (m *Member) acquireForced(l *lockState, id trace.LockID, qa uint64) error {
 	ticket, ok := rt.chaos.ReplayLockGrant(m.Ctx.Rank, m.TID, qa)
 	if !ok {
 		// No grant recorded: the schedule (e.g. the salvaged prefix of a
-		// truncated stream) ends before this acquire completed. Park; the
-		// watchdog rules on whether the run deadlocked.
-		dead, done := rt.activity.BlockDesc(m.Ctx.Rank, m.TID, "acquiring "+id.Name)
-		<-dead
-		done()
-		if rt.activity.Deadlocked() {
+		// truncated stream) ends before this acquire completed. Park
+		// with no waker; the watchdog rules on whether the run
+		// deadlocked.
+		if rt.activity.Park(new(sim.Waiter), m.acquiring(id)).How == sim.Deadlock {
 			return ErrDeadlock
 		}
 		return ErrRankAborted
@@ -453,46 +442,31 @@ func (m *Member) acquireForced(l *lockState, id trace.LockID, qa uint64) error {
 	if !l.held && l.nextTicket == ticket {
 		l.held = true
 		l.nextTicket++
-		freeAt := l.freeAt
-		l.mu.Unlock()
-		m.Ctx.SyncTo(freeAt)
 	} else {
-		rt.st.contended.Inc()
-		wake := make(chan struct{}, 1)
+		w := new(sim.Waiter)
 		if l.repWaiters == nil {
-			l.repWaiters = make(map[uint64]chan struct{})
+			l.repWaiters = make(map[uint64]*sim.Waiter)
 		}
-		l.repWaiters[ticket] = wake
+		l.repWaiters[ticket] = w
 		l.mu.Unlock()
-		dead, done := rt.activity.BlockDesc(m.Ctx.Rank, m.TID, "acquiring "+id.Name)
-		select {
-		case <-wake:
-			done()
-			l.mu.Lock()
-			freeAt := l.freeAt
-			l.mu.Unlock()
-			m.Ctx.SyncTo(freeAt)
-		case <-dead:
-			if rt.activity.Deadlocked() {
-				return ErrDeadlock
-			}
+		switch rt.activity.Park(w, m.acquiring(id)).How {
+		case sim.Deadlock:
+			return ErrDeadlock
+		case sim.Aborted:
 			// Defensive: forced aborts fire at qa before queueing, so a
-			// queued replay waiter only sees the dead latch on teardown.
+			// queued replay waiter only sees an abort on teardown.
 			l.mu.Lock()
-			found := l.repWaiters[ticket] == wake
-			if found {
+			if l.repWaiters[ticket] == w {
 				delete(l.repWaiters, ticket)
 			}
 			l.mu.Unlock()
-			if found {
-				rt.activity.Unblock()
-			}
-			done()
 			return ErrRankAborted
 		}
+		l.mu.Lock()
 	}
-	m.Ctx.Advance(lockCostNs)
-	m.Ctx.Emit(trace.Event{Op: trace.OpAcquire, Lock: id})
+	freeAt := l.freeAt
+	l.mu.Unlock()
+	m.granted(freeAt, id)
 	return nil
 }
 
@@ -501,32 +475,22 @@ func (m *Member) acquireForced(l *lockState, id trace.LockID, qa uint64) error {
 func (m *Member) release(l *lockState, id trace.LockID) {
 	m.Ctx.Emit(trace.Event{Op: trace.OpRelease, Lock: id})
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.freeAt = m.Ctx.Now
-	if m.team.rt.chaos.Replaying() {
-		// Hand ownership to the recorded next ticket if its thread is
-		// already queued; otherwise free the lock — the ticket holder
-		// takes the fast path in acquireForced when it arrives.
-		if ch, qok := l.repWaiters[l.nextTicket]; qok {
-			delete(l.repWaiters, l.nextTicket)
-			l.nextTicket++
-			m.team.rt.activity.Unblock()
-			ch <- struct{}{}
-		} else {
-			l.held = false
-		}
-		l.mu.Unlock()
+	if !m.team.rt.chaos.Replaying() {
+		l.handOnLocked(m.team.rt.activity)
 		return
 	}
-	if len(l.waiters) > 0 {
-		next := l.waiters[0]
-		l.waiters = l.waiters[1:]
-		// Lock stays held; ownership moves to next.
-		m.team.rt.activity.Unblock()
-		next <- struct{}{}
+	// Hand ownership to the recorded next ticket if its thread is
+	// already queued; otherwise free the lock — the ticket holder
+	// takes the fast path in acquireForced when it arrives.
+	if w, ok := l.repWaiters[l.nextTicket]; ok {
+		delete(l.repWaiters, l.nextTicket)
+		l.nextTicket++
+		m.team.rt.activity.Unpark(w, nil)
 	} else {
 		l.held = false
 	}
-	l.mu.Unlock()
 }
 
 // Critical runs body under the named critical section

@@ -3,6 +3,7 @@ package omp
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"home/internal/sim"
 )
@@ -30,8 +31,7 @@ func TestJoinWorkerExitWithMasterBlockedInBody(t *testing.T) {
 		// Master blocks forever inside the body (like an MPI receive
 		// with no sender). The worker's exit must leave the watchdog
 		// able to see "1 live thread, 1 blocked" and trip.
-		dead, _ := activity.BlockDesc(0, 0, "a receive that can never match")
-		<-dead
+		activity.Park(new(sim.Waiter), sim.Desc(0, 0, "a receive that can never match"))
 		return ErrDeadlock
 	})
 	if !errors.Is(err, ErrDeadlock) {
@@ -60,12 +60,46 @@ func TestJoinMasterWaitsOnStuckWorker(t *testing.T) {
 		if m.TID == 0 {
 			return nil
 		}
-		dead, _ := activity.BlockDesc(0, m.TID, "a receive that can never match")
-		<-dead
+		activity.Park(new(sim.Waiter), sim.Desc(0, m.TID, "a receive that can never match"))
 		return ErrDeadlock
 	})
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
+	}
+}
+
+// A master whose rank aborted drains its workers before it returns.
+// The drain counts as parked: with a worker parked on a wait the abort
+// does not reach, every live lane is parked, so the watchdog trips and
+// Parallel returns instead of hanging the host.
+func TestJoinDrainCountsAsBlocked(t *testing.T) {
+	activity := sim.NewActivity()
+	activity.AddThreads(1)
+	rt := NewRuntime(0, activity)
+	costs := sim.DefaultCostModel()
+	ctx := sim.NewCtx(0, 0, &costs)
+
+	errc := make(chan error, 1)
+	go func() {
+		errc <- rt.Parallel(ctx, 2, func(m *Member) error {
+			if m.TID == 0 {
+				activity.AbortRank(0) // the rank crash-stops in the master's body
+				return ErrRankAborted
+			}
+			activity.Park(new(sim.Waiter), sim.Desc(-1, m.TID, "a wait outside the aborted rank"))
+			return ErrDeadlock
+		})
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrRankAborted) {
+			t.Fatalf("err = %v, want ErrRankAborted", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Parallel never returned: the join's drain is invisible to the watchdog")
+	}
+	if !activity.Deadlocked() {
+		t.Fatal("watchdog did not trip")
 	}
 }
 

@@ -162,7 +162,8 @@ type constructState struct {
 	sync    trace.SyncID
 	arrived int
 	maxT    int64
-	waiters []chan int64
+	release int64 // barrier release time, set when the last member arrives
+	waiters []*sim.Waiter
 	claimed bool  // single: executor chosen
 	counter int64 // dynamic/guided schedules: next unclaimed iteration
 }
@@ -207,24 +208,22 @@ func (rt *Runtime) Parallel(ctx *sim.Ctx, n int, body func(m *Member) error) err
 	ctx.Emit(trace.Event{Op: trace.OpFork, Sync: forkSync})
 	ctx.Advance(forkCostNs)
 
+	// Join rendezvous. Each worker leaves its result in its slot;
+	// the last one to finish unparks the master if the master is
+	// already waiting at the join. A worker never touches the
+	// watchdog's count for the master: a master still inside its own
+	// body (e.g. in an MPI call) must stay counted as running or
+	// blocked there.
 	type result struct {
 		err error
 		now int64
 	}
-	done := make(chan result, n-1)
-
-	// Join rendezvous. The parent marks itself waiting only when it
-	// actually blocks, and the last worker unblocks it only in that
-	// case: a worker must never "pre-unblock" a parent that is stuck
-	// inside its own body (e.g. in an MPI call) — that would
-	// permanently undercount the watchdog's blocked tally and let a
-	// real deadlock go undetected.
+	results := make([]result, n-1)
 	js := struct {
 		mu        sync.Mutex
 		remaining int
-		waiting   bool
-		wake      chan struct{}
-	}{remaining: n - 1, wake: make(chan struct{}, 1)}
+		waiter    *sim.Waiter
+	}{remaining: n - 1}
 
 	rt.activity.AddThreads(n - 1)
 	for tid := 1; tid < n; tid++ {
@@ -242,12 +241,11 @@ func (rt *Runtime) Parallel(ctx *sim.Ctx, n int, body func(m *Member) error) err
 			rt.mu.Lock()
 			rt.laneSeqs[tid] = laneSeqs{tctx.SchedSeq, tctx.MsgSeq, tctx.ConstructSeq}
 			rt.mu.Unlock()
-			done <- result{err: err, now: tctx.Now}
+			results[tid-1] = result{err: err, now: tctx.Now}
 			js.mu.Lock()
 			js.remaining--
-			if js.remaining == 0 && js.waiting {
-				rt.activity.Unblock()
-				js.wake <- struct{}{}
+			if js.remaining == 0 && js.waiter != nil {
+				rt.activity.Unpark(js.waiter, nil)
 			}
 			js.mu.Unlock()
 			rt.activity.DoneThread()
@@ -258,17 +256,29 @@ func (rt *Runtime) Parallel(ctx *sim.Ctx, n int, body func(m *Member) error) err
 	master := &Member{Ctx: ctx, TID: ctx.TID, team: t}
 	err := body(master)
 
-	// drainWorkers waits for every worker to finish before an abort
-	// return. Workers of a crash-stopped rank always unwind (every
-	// blocking construct and MPI call observes the rank's death), so
-	// the wait is bounded — and it is required for determinism:
-	// returning while workers still run races their event emission
-	// against run teardown, making the crashed rank's trace lane
-	// host-schedule-dependent even under schedule replay.
-	drainWorkers := func() {
-		for i := 0; i < n-1; i++ {
-			<-done
+	// join parks the master on w until the last worker finishes.
+	join := func(w *sim.Waiter) sim.Outcome {
+		js.mu.Lock()
+		if js.remaining == 0 {
+			js.mu.Unlock()
+			return sim.Unparked
 		}
+		js.waiter = w
+		js.mu.Unlock()
+		return rt.activity.Park(w, sim.Desc(ctx.Rank, ctx.TID, "the implicit join of an omp parallel region")).How
+	}
+	// drainWorkers waits for every worker to finish before an abort
+	// return. Workers of a crash-stopped rank unwind (every blocking
+	// construct and MPI call observes the rank's death), and a worker
+	// parked where the abort does not reach is caught by the watchdog:
+	// the drain outlasts the rank's abort but still counts as parked.
+	// The wait is required for determinism: returning while workers
+	// still run races their event emission against run teardown,
+	// making the crashed rank's trace lane host-schedule-dependent even
+	// under schedule replay.
+	drainWorkers := func() error {
+		join(&sim.Waiter{PastAbort: true})
+		return ErrRankAborted
 	}
 
 	// Join: wait for the workers, merging clocks and errors. The join
@@ -277,44 +287,18 @@ func (rt *Runtime) Parallel(ctx *sim.Ctx, n int, body func(m *Member) error) err
 	// record/replay forces the recorded outcome.
 	qj := rt.schedPoint(ctx)
 	if rt.chaos.ReplayAbort(ctx.Rank, ctx.TID, qj) {
-		drainWorkers()
-		return ErrRankAborted
+		return drainWorkers()
 	}
-	js.mu.Lock()
-	if js.remaining > 0 {
-		js.waiting = true
-		js.mu.Unlock()
-		dead, joined := rt.activity.BlockDesc(ctx.Rank, ctx.TID, "the implicit join of an omp parallel region")
-		select {
-		case <-js.wake:
-			joined()
-		case <-dead:
-			if rt.activity.Deadlocked() {
-				return ErrDeadlock
-			}
-			// Rank abort (crash-stop): stop waiting for workers that are
-			// unwinding themselves. Self-unblock unless the last worker
-			// beat us to it.
-			js.mu.Lock()
-			if js.waiting {
-				js.waiting = false
-				rt.activity.Unblock()
-			}
-			js.mu.Unlock()
-			joined()
-			rt.chaos.ObserveAbort(ctx.Rank, ctx.TID, qj)
-			drainWorkers()
-			return ErrRankAborted
-		}
-	} else {
-		js.mu.Unlock()
+	switch join(new(sim.Waiter)) {
+	case sim.Deadlock:
+		return ErrDeadlock
+	case sim.Aborted:
+		rt.chaos.ObserveAbort(ctx.Rank, ctx.TID, qj)
+		return drainWorkers()
 	}
-	// All workers have pushed their results (each sends before its
-	// remaining-- above).
 	maxNow := ctx.Now
 	var firstErr = err
-	for i := 0; i < n-1; i++ {
-		r := <-done
+	for _, r := range results {
 		if r.now > maxNow {
 			maxNow = r.now
 		}

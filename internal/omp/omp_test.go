@@ -2,12 +2,15 @@ package omp
 
 import (
 	"errors"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"home/internal/chaos"
+	"home/internal/obs"
 	"home/internal/sim"
 	"home/internal/trace"
 )
@@ -128,6 +131,40 @@ func TestBarrierSynchronizesMemberClocks(t *testing.T) {
 	for tid, now := range after {
 		if now != after[0] {
 			t.Errorf("tid %d released at %d, tid 0 at %d", tid, now, after[0])
+		}
+	}
+}
+
+// A crash-stop that lands after the barrier released a parked member
+// must not tear that member out: the barrier counted its membership,
+// so the member takes the completion, and the watchdog's blocked count
+// returns to zero.
+func TestBarrierAbortAfterReleaseTakesCompletion(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		activity := sim.NewActivity()
+		activity.AddThreads(1)
+		rt := NewRuntime(0, activity)
+		var parkedErr error
+		err := rt.Parallel(testCtx(), 2, func(m *Member) error {
+			if m.TID == 1 {
+				parkedErr = m.Barrier()
+				return nil
+			}
+			for _, blk := activity.Counts(); blk == 0; _, blk = activity.Counts() {
+				runtime.Gosched() // until thread 1 is parked at the barrier
+			}
+			err := m.Barrier() // releases thread 1
+			activity.AbortRank(0)
+			return err
+		})
+		if err != nil && !errors.Is(err, ErrRankAborted) { // the join races the abort too
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if parkedErr != nil {
+			t.Fatalf("round %d: parked member got %v, want the completion", round, parkedErr)
+		}
+		if _, blk := activity.Counts(); blk != 0 {
+			t.Fatalf("round %d: blocked = %d after the run, want 0", round, blk)
 		}
 	}
 }
@@ -349,6 +386,65 @@ func TestLockUnlock(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// omp.lock_contended counts the acquisitions that waited in virtual
+// time — the previous release is later than the acquirer's clock —
+// whichever order the host happened to run the threads in.
+func TestLockContendedFollowsVirtualTime(t *testing.T) {
+	contended := func(body func(m *Member, a *sim.Activity) error) int64 {
+		t.Helper()
+		activity := sim.NewActivity()
+		activity.AddThreads(1)
+		rt := NewRuntime(0, activity)
+		reg := obs.NewRegistry()
+		rt.SetStats(reg)
+		if err := rt.Parallel(testCtx(), 2, func(m *Member) error { return body(m, activity) }); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Counter("omp.lock_contended").Value()
+	}
+
+	// Virtual wait, no host wait: thread 1 takes a free lock, but the
+	// last release happened later in virtual time than its clock.
+	released := make(chan struct{})
+	if got := contended(func(m *Member, _ *sim.Activity) error {
+		if m.TID == 0 {
+			m.Ctx.Advance(1_000_000)
+			if err := m.Lock("l"); err != nil {
+				return err
+			}
+			m.Unlock("l")
+			close(released)
+			return nil
+		}
+		<-released
+		return m.Lock("l")
+	}); got != 1 {
+		t.Errorf("virtual wait: lock_contended = %d, want 1", got)
+	}
+
+	// Host wait, no virtual wait: thread 1 queues behind a holder whose
+	// release is earlier than thread 1's clock.
+	holding := make(chan struct{})
+	if got := contended(func(m *Member, a *sim.Activity) error {
+		if m.TID == 0 {
+			if err := m.Lock("l"); err != nil {
+				return err
+			}
+			close(holding)
+			for _, blk := a.Counts(); blk == 0; _, blk = a.Counts() {
+				time.Sleep(time.Millisecond) // until thread 1 is queued
+			}
+			m.Unlock("l")
+			return nil
+		}
+		<-holding
+		m.Ctx.Advance(1_000_000)
+		return m.Lock("l")
+	}); got != 0 {
+		t.Errorf("host wait: lock_contended = %d, want 0", got)
 	}
 }
 

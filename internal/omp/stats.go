@@ -11,7 +11,8 @@ import "home/internal/obs"
 //	omp.parallel_regions   Parallel invocations (serialized ones included)
 //	omp.barrier_wait_vns   per-member barrier wait, virtual ns (histogram)
 //	omp.lock_acquires      critical-section/lock acquisitions
-//	omp.lock_contended     acquisitions that found the lock held
+//	omp.lock_contended     acquisitions that waited in virtual time (the
+//	                       previous release is later than the acquirer's clock)
 type rtStats struct {
 	regions     *obs.Counter
 	barrierWait *obs.Histogram

@@ -6,56 +6,50 @@ import (
 	"sync"
 )
 
-// Activity tracks how many simulated threads exist and how many are
-// blocked inside the message-passing runtime. When every live thread
-// is blocked, no future event can unblock any of them (message
-// delivery happens synchronously at send time in this runtime), so the
-// state is a global deadlock; Activity then trips a latch that all
-// blocked operations observe.
+// Activity tracks how many simulated threads (lanes) exist and how
+// many are parked inside the runtime. When every live lane is parked,
+// no future event can wake any of them (message delivery happens
+// synchronously at send time in this runtime), so the state is a
+// global deadlock and every parked lane wakes with Deadlock.
 //
 // Protocol:
-//   - AddThreads/DoneThread bracket thread lifetimes (the MPI process
-//     main thread and every OpenMP worker).
-//   - A thread about to wait calls Block and selects on both its wake
-//     channel and the returned deadlock channel.
-//   - Whoever satisfies the wait (message sender, barrier releaser)
-//     calls Unblock *before* signalling the wake channel, so the
-//     blocked count never over-reports.
-//   - A woken thread does not decrement; its waker already did. A
-//     thread abandoning a wait for another reason calls Unblock itself.
+//   - AddThreads/DoneThread bracket lane lifetimes (the MPI process
+//     main thread, every OpenMP worker and every pthread).
+//   - A lane about to wait puts a Waiter in its site's own queue,
+//     under the site's lock, and then calls Park. Park blocks until
+//     another lane calls Unpark on that Waiter, the world deadlocks,
+//     or the lane's rank aborts, and reports which of the three ended
+//     the wait.
+//   - A waker takes the Waiter out of the site's queue, under the same
+//     lock, and calls Unpark. An Unpark may come before its Park; the
+//     Park then returns at once and never counts as blocked.
 //
-// Every transition into an all-blocked state goes through BlockOp or
-// DoneThread, and both check for it, so detection is exact and
-// immediate with no timer. A thread pausing for an injected chaos
-// stall or send jitter simply sleeps: it is running, not blocked.
+// The blocked count is the set of lanes inside Park; no site adjusts
+// it. Every transition into an all-parked state goes through Park or
+// DoneThread, both of which check for it: detection is exact and
+// immediate, with no timer.
+// A lane pausing for an injected chaos stall or send jitter simply
+// sleeps: it is running, not parked.
 //
-// Per-rank aborts (AbortRank) serve the crash-stop fault: when a rank
-// crash-stops, its blocked threads must wake and unwind even though
-// the world keeps running. The channel BlockOp returns is a per-rank
-// latch that closes on either the global deadlock trip or the rank's
-// abort; woken sites consult Deadlocked to tell the two apart.
+// AbortRank serves the crash-stop fault: it withdraws every parked
+// lane of the rank, which then unwinds with its own cleanup even
+// though the world keeps running. A withdrawn Waiter refuses later
+// Unparks, so each site decides from its own queue, under its own
+// lock, who owns the wake-versus-abort race.
 type Activity struct {
 	mu      sync.Mutex
 	active  int
-	blocked int
-	dead    chan struct{}
 	tripped bool
 
-	// ranks holds the per-rank deadlock-or-abort latches; aborted
-	// records ranks whose latch closed by AbortRank.
-	ranks   map[int]*rankLatch
+	// aborted records ranks withdrawn by AbortRank.
 	aborted map[int]bool
 
-	// stuck describes each currently blocked operation, keyed by a
-	// registration token. Entries left behind when the latch trips
-	// form the wait-for snapshot of the deadlock report.
-	stuck   map[int64]BlockedOp
-	nextTok int64
-}
-
-type rankLatch struct {
-	ch     chan struct{}
-	closed bool
+	// parked holds the lanes now inside Park: its size is the blocked
+	// count. stuck keeps the ops of lanes the deadlock ended: with the
+	// parked ones, they form the wait-for snapshot of the deadlock
+	// report.
+	parked map[*Waiter]struct{}
+	stuck  []BlockedOp
 }
 
 // BlockedOp describes one operation blocked inside the runtime: who
@@ -86,13 +80,64 @@ func (o BlockedOp) String() string {
 	return fmt.Sprintf("rank %d thread %d blocked in %s", o.Rank, o.TID, o.Detail)
 }
 
+// Desc is a BlockedOp with no MPI selector: the wait-for record of an
+// OpenMP construct or a pthread join.
+func Desc(rank, tid int, detail string) BlockedOp {
+	return BlockedOp{Rank: rank, TID: tid, Peer: NoArg, Tag: NoArg, Comm: NoArg, Detail: detail}
+}
+
+// Outcome says what ended a Park.
+type Outcome uint8
+
+const (
+	// Unparked: another lane called Unpark on the Waiter.
+	Unparked Outcome = iota
+	// Deadlock: every live lane was parked.
+	Deadlock
+	// Aborted: the lane's rank crash-stopped (AbortRank).
+	Aborted
+)
+
+// Wake is Park's report.
+type Wake struct {
+	How Outcome
+	// Claimed reports that an Unpark claimed the lane: always when How
+	// is Unparked, and for Aborted when the Unpark came before the
+	// abort. Payload is that Unpark's payload.
+	Claimed bool
+	Payload any
+}
+
+// Waiter is one wait's parking slot. A site queues it under its own
+// lock before Park and wakers pass it to Unpark. The zero value is
+// ready to use; a Waiter serves one Park.
+type Waiter struct {
+	// PastAbort keeps the wait going past its rank's abort: only an
+	// Unpark or a deadlock ends it.
+	PastAbort bool
+
+	// Guarded by Activity.mu.
+	state   waitState
+	claimed bool
+	payload any
+	how     Outcome
+	op      BlockedOp
+	wake    chan struct{}
+}
+
+type waitState uint8
+
+const (
+	waitIdle   waitState = iota // not yet parked
+	waitParked                  // inside Park, counted as blocked
+	waitWoken                   // Park's outcome is decided
+)
+
 // NewActivity returns an Activity with no registered threads.
 func NewActivity() *Activity {
 	return &Activity{
-		dead:    make(chan struct{}),
-		ranks:   make(map[int]*rankLatch),
 		aborted: make(map[int]bool),
-		stuck:   make(map[int64]BlockedOp),
+		parked:  make(map[*Waiter]struct{}),
 	}
 }
 
@@ -104,7 +149,7 @@ func (a *Activity) AddThreads(n int) {
 }
 
 // DoneThread unregisters a finished thread. If the remaining threads
-// are all blocked, that is a deadlock (nobody can make progress).
+// are all parked, that is a deadlock (nobody can make progress).
 func (a *Activity) DoneThread() {
 	a.mu.Lock()
 	a.active--
@@ -112,93 +157,91 @@ func (a *Activity) DoneThread() {
 	a.mu.Unlock()
 }
 
-// BlockDesc marks the calling thread as blocked and returns the
-// deadlock latch channel to select on alongside the thread's wake
-// channel. desc is the wait-for description for deadlock reports; the
-// returned release function removes it. A thread that wakes normally
-// calls it, while one abandoned by the deadlock trip leaves its entry
-// in place so StuckTable can report what everybody was waiting for.
-func (a *Activity) BlockDesc(rank, tid int, desc string) (<-chan struct{}, func()) {
-	return a.BlockOp(BlockedOp{Rank: rank, TID: tid, Peer: NoArg, Tag: NoArg, Comm: NoArg, Detail: desc})
-}
-
-// BlockOp is BlockDesc with a structured wait-for record, so deadlock
-// reports can tabulate the blocked call's kind, peer, tag and
-// communicator rather than just a description string. The returned
-// channel closes on global deadlock or, when op.Rank >= 0, when that
-// rank is aborted (crash-stop); woken sites use Deadlocked to
-// distinguish.
-func (a *Activity) BlockOp(op BlockedOp) (<-chan struct{}, func()) {
-	a.mu.Lock()
-	a.blocked++
-	var release func()
-	if op.Detail != "" {
-		tok := a.nextTok
-		a.nextTok++
-		a.stuck[tok] = op
-		release = func() {
-			a.mu.Lock()
-			delete(a.stuck, tok)
-			a.mu.Unlock()
-		}
-	} else {
-		release = func() {}
-	}
-	a.checkLocked()
-	d := a.dead
-	if op.Rank >= 0 {
-		d = a.rankLatchLocked(op.Rank).ch
-	}
-	a.mu.Unlock()
-	return d, release
-}
-
-// rankLatchLocked returns (creating if needed) the rank's latch; new
-// latches start closed if the watchdog already tripped or the rank is
-// already aborted.
-func (a *Activity) rankLatchLocked(rank int) *rankLatch {
-	rl, ok := a.ranks[rank]
-	if !ok {
-		rl = &rankLatch{ch: make(chan struct{})}
-		if a.tripped || a.aborted[rank] {
-			rl.closed = true
-			close(rl.ch)
-		}
-		a.ranks[rank] = rl
-	}
-	return rl
-}
-
-// AbortRank closes the rank's latch: every thread of that rank
-// blocked through BlockOp wakes and (seeing Deadlocked false) unwinds
-// with its own cleanup. Used by the crash-stop fault.
-func (a *Activity) AbortRank(rank int) {
-	a.mu.Lock()
-	a.aborted[rank] = true
-	rl := a.rankLatchLocked(rank)
-	if !rl.closed {
-		rl.closed = true
-		close(rl.ch)
-	}
-	a.mu.Unlock()
-}
-
-// RankAborted reports whether AbortRank was called for the rank.
-func (a *Activity) RankAborted(rank int) bool {
+// Park blocks the calling lane on w until another lane calls
+// Unpark(w, ...), every live lane is parked, or op.Rank aborts (unless
+// w.PastAbort). op is the lane's entry in the wait-for table while it
+// waits; a lane the deadlock ends leaves it there for the report.
+//
+// An abort wins over an Unpark whose lane has not yet returned: Park
+// then reports Aborted with Claimed set, and the site applies its own
+// policy to the claimed wake.
+func (a *Activity) Park(w *Waiter, op BlockedOp) Wake {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.aborted[rank]
+	if w.state != waitIdle {
+		panic("sim: Waiter parked twice")
+	}
+	w.op = op
+	switch {
+	case w.claimed:
+		w.state, w.how = waitWoken, Unparked
+	case a.tripped:
+		w.state, w.how = waitWoken, Deadlock
+		a.stuck = append(a.stuck, op)
+	case !w.PastAbort && a.aborted[op.Rank]:
+		w.state, w.how = waitWoken, Aborted
+	default:
+		w.state = waitParked
+		w.wake = make(chan struct{})
+		a.parked[w] = struct{}{}
+		a.checkLocked()
+		a.mu.Unlock()
+		<-w.wake
+		a.mu.Lock()
+	}
+	if w.how == Unparked && !w.PastAbort && a.aborted[op.Rank] {
+		w.how = Aborted
+	}
+	return Wake{How: w.how, Claimed: w.claimed, Payload: w.payload}
+}
+
+// Unpark claims w's lane with payload and wakes it if it is parked.
+// It reports false, and does nothing, when the lane was already
+// claimed or Park already ended the wait (a withdrawn lane).
+func (a *Activity) Unpark(w *Waiter, payload any) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if w.claimed || w.state == waitWoken {
+		return false
+	}
+	w.claimed, w.payload = true, payload
+	if w.state == waitParked {
+		a.wakeLocked(w, Unparked)
+	}
+	return true
+}
+
+// wakeLocked ends a parked lane's wait with the given outcome.
+func (a *Activity) wakeLocked(w *Waiter, how Outcome) {
+	w.state, w.how = waitWoken, how
+	delete(a.parked, w)
+	close(w.wake)
+}
+
+// AbortRank withdraws every parked lane of the rank, and every later
+// Park of it, with Aborted (crash-stop): each unwinds with its own
+// cleanup while the world keeps running.
+func (a *Activity) AbortRank(rank int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.aborted[rank] = true
+	for w := range a.parked {
+		if w.op.Rank == rank && !w.PastAbort {
+			a.wakeLocked(w, Aborted)
+		}
+	}
 }
 
 // StuckTable returns the structured wait-for snapshot, sorted by
 // (rank, tid) for stable reports.
 func (a *Activity) StuckTable() []BlockedOp {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]BlockedOp, 0, len(a.stuck))
-	for _, op := range a.stuck {
-		out = append(out, op)
+	out := make([]BlockedOp, 0, len(a.parked)+len(a.stuck))
+	for w := range a.parked {
+		out = append(out, w.op)
 	}
+	out = append(out, a.stuck...)
+	a.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Rank != out[j].Rank {
 			return out[i].Rank < out[j].Rank
@@ -211,35 +254,21 @@ func (a *Activity) StuckTable() []BlockedOp {
 	return out
 }
 
-// Unblock marks one blocked thread as runnable again. Callers invoke
-// it before signalling the thread's wake channel.
-func (a *Activity) Unblock() {
-	a.mu.Lock()
-	a.blocked--
-	a.mu.Unlock()
-}
-
-// Deadlocked reports whether the deadlock latch has tripped.
+// Deadlocked reports whether the deadlock watchdog has tripped.
 func (a *Activity) Deadlocked() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.tripped
 }
 
-// Dead returns the latch channel (closed once deadlock is detected).
-func (a *Activity) Dead() <-chan struct{} { return a.dead }
-
 func (a *Activity) checkLocked() {
-	if a.tripped || a.active <= 0 || a.blocked < a.active {
+	if a.tripped || a.active <= 0 || len(a.parked) < a.active {
 		return
 	}
 	a.tripped = true
-	close(a.dead)
-	for _, rl := range a.ranks {
-		if !rl.closed {
-			rl.closed = true
-			close(rl.ch)
-		}
+	for w := range a.parked {
+		a.stuck = append(a.stuck, w.op)
+		a.wakeLocked(w, Deadlock)
 	}
 }
 
@@ -248,5 +277,5 @@ func (a *Activity) checkLocked() {
 func (a *Activity) Counts() (active, blocked int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.active, a.blocked
+	return a.active, len(a.parked)
 }

@@ -152,11 +152,14 @@ func TestActivityLifecycle(t *testing.T) {
 	if act, blk := a.Counts(); act != 2 || blk != 0 {
 		t.Fatalf("counts = %d,%d", act, blk)
 	}
-	a.BlockDesc(-1, -1, "")
+	w := new(Waiter)
+	wake := parkAsync(a, w, Desc(0, 0, "wait"))
+	waitBlocked(t, a, 1)
 	if a.Deadlocked() {
-		t.Fatal("one of two blocked should not trip")
+		t.Fatal("one of two parked should not trip")
 	}
-	a.Unblock()
+	a.Unpark(w, nil)
+	<-wake
 	a.DoneThread()
 	a.DoneThread()
 	if a.Deadlocked() {
@@ -167,12 +170,13 @@ func TestActivityLifecycle(t *testing.T) {
 func TestActivityTripsWhenAllBlocked(t *testing.T) {
 	a := NewActivity()
 	a.AddThreads(2)
-	a.BlockDesc(-1, -1, "")
-	dead, _ := a.BlockDesc(-1, -1, "")
-	select {
-	case <-dead:
-	default:
-		t.Fatal("latch should be closed when all threads block")
+	other := parkAsync(a, new(Waiter), Desc(0, 0, "wait"))
+	waitBlocked(t, a, 1)
+	if wk := a.Park(new(Waiter), Desc(0, 1, "wait")); wk.How != Deadlock {
+		t.Fatalf("Park = %+v, want Deadlock when all threads park", wk)
+	}
+	if wk := <-other; wk.How != Deadlock {
+		t.Fatalf("other lane's Park = %+v, want Deadlock", wk)
 	}
 	if !a.Deadlocked() {
 		t.Fatal("Deadlocked() should report true")
@@ -182,10 +186,14 @@ func TestActivityTripsWhenAllBlocked(t *testing.T) {
 func TestActivityTripsOnLastThreadExit(t *testing.T) {
 	a := NewActivity()
 	a.AddThreads(2)
-	a.BlockDesc(-1, -1, "") // thread 1 blocked forever
-	a.DoneThread()          // thread 2 exits
+	stuck := parkAsync(a, new(Waiter), Desc(0, 0, "wait")) // thread 1 parked forever
+	waitBlocked(t, a, 1)
+	a.DoneThread() // thread 2 exits
 	if !a.Deadlocked() {
-		t.Fatal("remaining thread is blocked; watchdog should trip")
+		t.Fatal("remaining thread is parked; watchdog should trip")
+	}
+	if wk := <-stuck; wk.How != Deadlock {
+		t.Fatalf("Park = %+v, want Deadlock", wk)
 	}
 }
 
@@ -199,20 +207,25 @@ func TestActivityNoTripWithZeroThreads(t *testing.T) {
 }
 
 func TestActivityUnderCountTolerated(t *testing.T) {
-	// Waker-decrements-first protocol: Unblock before the waked
-	// thread's own BlockDesc must not trip or panic.
+	// An Unpark that beats its Park (the waker dequeued the lane
+	// before it parked) ends the Park at once and never counts it as
+	// blocked, so it can neither trip the watchdog nor delay a trip.
 	a := NewActivity()
 	a.AddThreads(2)
-	a.Unblock() // pre-decrement (blocked = -1)
-	a.BlockDesc(-1, -1, "")
-	a.BlockDesc(-1, -1, "")
-	if a.Deadlocked() {
-		t.Fatal("an undercount should delay the trip, not cause one")
+	early := new(Waiter)
+	a.Unpark(early, "early")
+	if wk := a.Park(early, Desc(0, 0, "wait")); wk.How != Unparked || wk.Payload != "early" {
+		t.Fatalf("Park = %+v, want Unparked with the early payload", wk)
 	}
-	a.BlockDesc(-1, -1, "") // compensation arrives
-	if !a.Deadlocked() {
-		t.Fatal("all genuinely blocked now")
+	if _, blk := a.Counts(); blk != 0 || a.Deadlocked() {
+		t.Fatalf("blocked = %d, deadlocked = %v after an early Unpark", blk, a.Deadlocked())
 	}
+	other := parkAsync(a, new(Waiter), Desc(0, 0, "wait"))
+	waitBlocked(t, a, 1)
+	if wk := a.Park(new(Waiter), Desc(0, 1, "wait")); wk.How != Deadlock {
+		t.Fatalf("Park = %+v: all genuinely parked now", wk)
+	}
+	<-other
 }
 
 func TestDefaultCostModelSane(t *testing.T) {
