@@ -36,7 +36,8 @@
 // per class. A saturated window is thus counted rather than re-walked;
 // only an access with a reportable pair, while its location is still
 // under MaxRacesPerLoc, walks the window pair by pair to emit races.
-// An access past the window is counted and dropped.
+// An access past the window has its pairs counted, and is dropped and
+// counted in detect.window_dropped.
 package detect
 
 import (
@@ -275,6 +276,7 @@ type analyzer struct {
 //	detect.lockset_candidates access pairs the lockset analysis flagged
 //	detect.hb_candidates      access pairs happens-before found concurrent
 //	detect.confirmed_races    pairs the configured mode reported
+//	detect.window_dropped     accesses past their location's history window
 //
 // The four pair counters count access pairs, as a pair-by-pair scan
 // would, but the detector adds them per epoch class: one binary search
@@ -299,6 +301,7 @@ type analyzerStats struct {
 	lsCandid    *obs.Counter
 	hbCandid    *obs.Counter
 	confirmed   *obs.Counter
+	dropped     *obs.Counter
 }
 
 func newAnalyzerStats(reg *obs.Registry) analyzerStats {
@@ -312,6 +315,7 @@ func newAnalyzerStats(reg *obs.Registry) analyzerStats {
 		lsCandid:    reg.Counter("detect.lockset_candidates"),
 		hbCandid:    reg.Counter("detect.hb_candidates"),
 		confirmed:   reg.Counter("detect.confirmed_races"),
+		dropped:     reg.Counter("detect.window_dropped"),
 	}
 }
 
@@ -566,13 +570,15 @@ func (a *analyzer) access(e trace.Event, st *threadState, gid vclock.TID, ix uin
 	if keep {
 		l.window = append(l.window, rec)
 		l.addToClass(&rec)
+	} else {
+		a.tally.dropped++
 	}
 }
 
-// pairTally accumulates the pair counters locally; they reach the
-// registry once per analysis.
+// pairTally accumulates the pair counters and the window drops
+// locally; they reach the registry once per analysis.
 type pairTally struct {
-	vcCompares, lsCandid, hbCandid, confirmed int64
+	vcCompares, lsCandid, hbCandid, confirmed, dropped int64
 }
 
 func (t *pairTally) add(st *analyzerStats) {
@@ -580,6 +586,7 @@ func (t *pairTally) add(st *analyzerStats) {
 	st.lsCandid.Add(t.lsCandid)
 	st.hbCandid.Add(t.hbCandid)
 	st.confirmed.Add(t.confirmed)
+	st.dropped.Add(t.dropped)
 }
 
 // epochClass is the part of a location's history window one thread

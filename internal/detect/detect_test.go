@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"home/internal/obs"
 	"home/internal/trace"
 )
 
@@ -331,6 +332,20 @@ func TestAnalyzeAllocsIndependentOfLogLength(t *testing.T) {
 		if a, b := allocs(short), allocs(long); a != b {
 			t.Errorf("Explain=%v: %v allocs for 10k accesses, %v for 20k", explain, a, b)
 		}
+	}
+}
+
+// TestWindowDroppedCounted pins detect.window_dropped: every access
+// past its location's history window is one drop.
+func TestWindowDroppedCounted(t *testing.T) {
+	b := &eb{}
+	for i := 0; i < 20; i++ {
+		b.write(0, 0, "x")
+	}
+	reg := obs.NewRegistry()
+	Analyze(b.events, Options{Mode: ModeCombined, MaxHistoryPerLoc: 8, Stats: reg})
+	if got := reg.Snapshot().Get("detect.window_dropped"); got != 12 {
+		t.Fatalf("detect.window_dropped = %d, want 12", got)
 	}
 }
 

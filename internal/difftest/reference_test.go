@@ -45,6 +45,7 @@ func refAnalyze(events []trace.Event, opts detect.Options) *detect.Report {
 		lsCandid:       reg.Counter("detect.lockset_candidates"),
 		hbCandid:       reg.Counter("detect.hb_candidates"),
 		confirmed:      reg.Counter("detect.confirmed_races"),
+		dropped:        reg.Counter("detect.window_dropped"),
 	}
 	for _, e := range events {
 		if e.Op == trace.OpBarrier {
@@ -112,7 +113,7 @@ type refAnalyzer struct {
 	laneIx         map[vclock.TID]uint64
 
 	events, vcCompares, vcJoins, epochHits *obs.Counter
-	lsCandid, hbCandid, confirmed          *obs.Counter
+	lsCandid, hbCandid, confirmed, dropped *obs.Counter
 	vcWidth                                *obs.Gauge
 	locksetSize                            *obs.Histogram
 }
@@ -225,6 +226,7 @@ func (a *refAnalyzer) barrier(s trace.SyncID, gid vclock.TID, st *refThread) {
 // keeping the first MaxRacesPerLoc reported pairs.
 func (a *refAnalyzer) scanLoc(loc trace.Loc) []detect.Race {
 	arr := a.history[loc]
+	a.dropped.Add(int64(max(0, len(arr)-a.opts.MaxHistoryPerLoc)))
 	var races []detect.Race
 	for j := 1; j < len(arr); j++ {
 		rec := &arr[j]

@@ -113,7 +113,7 @@ func (tc *threadCtx) pthreadCreate(c *minic.Call) (Value, error) {
 		ctx:    tc.ctx.Child(tid),
 		member: nil, // pthread functions are outside any omp team
 	}
-	go func() {
+	activity.Go(func() {
 		child.ctx.Emit(trace.Event{Op: trace.OpBegin, Sync: syncID})
 		_, err := child.callFunction(fn, args, c.Line)
 		child.flushSteps()
@@ -128,7 +128,7 @@ func (tc *threadCtx) pthreadCreate(c *minic.Call) (Value, error) {
 		}
 		pt.mu.Unlock()
 		activity.DoneThread()
-	}()
+	})
 
 	if err := tc.assignArg(c, 0, intVal(float64(handle))); err != nil {
 		return Value{}, err

@@ -218,3 +218,42 @@ int main() {
 		t.Fatalf("recv records from %d threads, want 2", len(tids))
 	}
 }
+
+// Run returns only once every lane has finished, an unjoined pthread
+// included: the log it leaves holds the thread's whole run, end event
+// and all, and no lane emits after Run returns.
+func TestRunWaitsForUnjoinedPthread(t *testing.T) {
+	log := trace.NewLog()
+	res := Run(parse(t, `
+void worker(int n) {
+  double x[1];
+  for (int i = 0; i < n; i++) { x[0] = x[0] + 1; }
+}
+int main() {
+  int t;
+  pthread_create(&t, worker, 2000);
+  return 0;
+}`), Config{Sink: log, MonitorAllAccesses: true})
+	if err := res.FirstError(); err != nil || res.Deadlocked {
+		t.Fatalf("err = %v, deadlocked = %v", err, res.Deadlocked)
+	}
+	evs := log.Events()
+	writes, ends := 0, 0
+	for _, e := range evs {
+		if e.TID < pthreadBase {
+			continue
+		}
+		switch e.Op {
+		case trace.OpWrite:
+			writes++
+		case trace.OpEnd:
+			ends++
+		}
+	}
+	if writes < 2000 || ends != 1 {
+		t.Fatalf("log at Run's return holds %d pthread writes and %d end events, want at least 2000 and 1", writes, ends)
+	}
+	if log.Len() != len(evs) {
+		t.Fatalf("log grew from %d to %d events after Run returned", len(evs), log.Len())
+	}
+}

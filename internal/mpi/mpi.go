@@ -413,29 +413,28 @@ func (r *RunResult) FirstError() error {
 	return nil
 }
 
-// Run starts one goroutine per rank executing body and waits for all
-// of them. Each body receives its Proc and a root execution context
-// (thread 0). The caller may install a Sink or adjust the context
-// inside body before issuing calls.
+// Run starts one lane per rank executing body, waits for every lane
+// of the run (the ranks and every thread they started, including those
+// a deadlock or crash-stop left unwinding) and then ends the run's idle
+// lane carriers. Each body receives its Proc and a root execution
+// context (thread 0). The caller may install a Sink or adjust the
+// context inside body before issuing calls.
 func (w *World) Run(body func(p *Proc, ctx *sim.Ctx) error) *RunResult {
 	res := &RunResult{Errs: make([]error, len(w.procs))}
-	var wg sync.WaitGroup
 	w.activity.AddThreads(len(w.procs))
-	for r := range w.procs {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
+	for rank := range w.procs {
+		w.activity.Go(func() {
 			ctx := sim.NewCtx(rank, 0, &w.costs)
 			ctx.Keeper = w.keeper
 			p := w.procs[rank]
 			p.mainCtx = ctx
-			err := body(p, ctx)
+			res.Errs[rank] = body(p, ctx)
 			ctx.Finish()
 			w.activity.DoneThread()
-			res.Errs[rank] = err
-		}(r)
+		})
 	}
-	wg.Wait()
+	w.activity.WaitLanes()
+	w.activity.EndCarriers()
 	res.Makespan = w.keeper.Makespan()
 	res.Deadlocked = w.activity.Deadlocked()
 	res.DeadRanks = w.DeadRanks()

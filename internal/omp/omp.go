@@ -183,10 +183,10 @@ func (t *team) state(ordinal uint64) *constructState {
 
 // Parallel forks a team of n threads (n <= 0 means the runtime
 // default) executing body. Thread 0 is the calling thread; workers run
-// on fresh goroutines with child contexts. The region ends with an
-// implicit join that synchronizes the parent clock to the slowest
-// member. Nested regions serialize to a team of one, matching the
-// OpenMP default.
+// on the activity's lane carriers with child contexts. The region ends
+// with an implicit join that synchronizes the parent clock to the
+// slowest member. Nested regions serialize to a team of one, matching
+// the OpenMP default.
 func (rt *Runtime) Parallel(ctx *sim.Ctx, n int, body func(m *Member) error) error {
 	if n <= 0 {
 		n = rt.NumThreads()
@@ -232,7 +232,7 @@ func (rt *Runtime) Parallel(ctx *sim.Ctx, n int, body func(m *Member) error) err
 		seqs := rt.laneSeqs[tid]
 		rt.mu.Unlock()
 		tctx.SchedSeq, tctx.MsgSeq, tctx.ConstructSeq = seqs.sched, seqs.msg, seqs.construct
-		go func(tctx *sim.Ctx, tid int) {
+		rt.activity.Go(func() {
 			tctx.Emit(trace.Event{Op: trace.OpBegin, Sync: forkSync})
 			m := &Member{Ctx: tctx, TID: tid, team: t}
 			err := body(m)
@@ -249,7 +249,7 @@ func (rt *Runtime) Parallel(ctx *sim.Ctx, n int, body func(m *Member) error) err
 			}
 			js.mu.Unlock()
 			rt.activity.DoneThread()
-		}(tctx, tid)
+		})
 	}
 
 	// The master executes as team member 0 on the calling goroutine.

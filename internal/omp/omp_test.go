@@ -597,3 +597,31 @@ func TestScheduleKeysUniqueAcrossRegions(t *testing.T) {
 		t.Errorf("single keys = %v, want [1 3 5]", singles)
 	}
 }
+
+// Workers run on reused carriers: 500 two-thread regions on one
+// runtime leave a bounded number of goroutines behind, and none once
+// the carriers end.
+func TestParallelReusesCarriers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	activity := sim.NewActivity()
+	activity.AddThreads(1) // the calling thread
+	rt := NewRuntime(0, activity)
+	ctx := testCtx()
+	for i := 0; i < 500; i++ {
+		if err := rt.Parallel(ctx, 2, func(m *Member) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const bound = 4
+	if n := runtime.NumGoroutine(); n > base+bound {
+		t.Fatalf("%d goroutines after 500 regions, want at most %d", n, base+bound)
+	}
+	activity.EndCarriers()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after EndCarriers, want at most %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -14,7 +14,9 @@ import (
 //
 // Protocol:
 //   - AddThreads/DoneThread bracket lane lifetimes (the MPI process
-//     main thread, every OpenMP worker and every pthread).
+//     main thread, every OpenMP worker and every pthread). Each lane
+//     runs on a carrier goroutine that Go hands it (carrier.go), and
+//     WaitLanes returns once every lane has finished.
 //   - A lane about to wait puts a Waiter in its site's own queue,
 //     under the site's lock, and then calls Park. Park blocks until
 //     another lane calls Unpark on that Waiter, the world deadlocks,
@@ -41,6 +43,9 @@ type Activity struct {
 	active  int
 	tripped bool
 
+	// noLanes is signalled when active falls to zero (WaitLanes).
+	noLanes *sync.Cond
+
 	// aborted records ranks withdrawn by AbortRank.
 	aborted map[int]bool
 
@@ -50,6 +55,12 @@ type Activity struct {
 	// report.
 	parked map[*Waiter]struct{}
 	stuck  []BlockedOp
+
+	// cmu guards the lane carriers (carrier.go): the idle ones, most
+	// recently idled last, and whether EndCarriers has run.
+	cmu   sync.Mutex
+	idle  []carrier
+	ended bool
 }
 
 // BlockedOp describes one operation blocked inside the runtime: who
@@ -135,10 +146,12 @@ const (
 
 // NewActivity returns an Activity with no registered threads.
 func NewActivity() *Activity {
-	return &Activity{
+	a := &Activity{
 		aborted: make(map[int]bool),
 		parked:  make(map[*Waiter]struct{}),
 	}
+	a.noLanes = sync.NewCond(&a.mu)
+	return a
 }
 
 // AddThreads registers n newly started threads.
@@ -154,6 +167,21 @@ func (a *Activity) DoneThread() {
 	a.mu.Lock()
 	a.active--
 	a.checkLocked()
+	if a.active == 0 {
+		a.noLanes.Broadcast()
+	}
+	a.mu.Unlock()
+}
+
+// WaitLanes blocks until every registered thread has called
+// DoneThread: after it returns, no lane runs or emits. Lanes a deadlock
+// or an abort woke still unwind first, and a lane that parks once
+// every other lane has finished trips the deadlock and unwinds too.
+func (a *Activity) WaitLanes() {
+	a.mu.Lock()
+	for a.active > 0 {
+		a.noLanes.Wait()
+	}
 	a.mu.Unlock()
 }
 

@@ -14,7 +14,9 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // Op enumerates the kinds of events the instrumentation emits.
@@ -274,60 +276,125 @@ type Sink interface {
 // sequence numbers. The sequence order is the observed interleaving the
 // dynamic analyses run over.
 //
-// Events are stored in chunks that are filled once and never copied or
-// regrown: capacity starts at firstChunk events, so a short run's log
-// stays small, and doubles up to maxChunk, so a long run's log costs
-// one allocation per maxChunk events.
+// Emit takes no lock: it stamps Seq with one atomic add and stores the
+// event in slot Seq, so Seq order is the order of the adds. An emission
+// that host-happens-before another therefore gets the smaller Seq; the
+// detector's clock replay relies on this.
+//
+// Slot s lives in a chunk that is a pure function of s. Chunks are
+// allocated once and never copied or regrown: capacity starts at
+// firstChunk events, so a short run's log stays small, and doubles up
+// to maxChunk, so a long run's log costs one allocation per maxChunk
+// events. The chunk directory is published through an atomic pointer
+// and grows under mu only when an emitter's slot falls in a chunk that
+// does not exist yet.
+//
+// Events and Len read a log whose emitters have finished: a slot whose
+// Seq is taken may not be stored yet while an Emit is still running.
 type Log struct {
-	mu     sync.Mutex
-	chunks [][]Event
-	n      uint64
+	n   atomic.Uint64
+	dir atomic.Pointer[chunkDir]
+	mu  sync.Mutex // serializes chunk allocation and directory growth
 }
 
-// Chunk capacities of a Log, in events.
+// chunkDir holds chunk i in slot i once it is allocated. A directory
+// is replaced, never resized, when a chunk index outgrows it.
+type chunkDir []atomic.Pointer[[]Event]
+
+// Chunk capacities of a Log, in events: firstChunk doubling to
+// maxChunk. The growChunks growing chunks, 64 up to 2048 events, hold
+// the first growEvents slots; every later chunk holds maxChunk.
 const (
 	firstChunk = 64
-	maxChunk   = 4096
+	growChunks = 6
+	maxChunk   = firstChunk << growChunks
+	growEvents = maxChunk - firstChunk
+
+	// minDirSlots is the first directory's size: enough for every
+	// growing chunk and ten full ones before the first regrowth.
+	minDirSlots = 16
 )
+
+// chunkOf returns the chunk index and offset of slot s.
+func chunkOf(s uint64) (int, int) {
+	if s < growEvents {
+		i := bits.Len64(s/firstChunk+1) - 1
+		return i, int(s - firstChunk*(1<<i-1))
+	}
+	s -= growEvents
+	return growChunks + int(s/maxChunk), int(s % maxChunk)
+}
+
+// chunkCap returns the capacity of chunk i.
+func chunkCap(i int) int {
+	if i < growChunks {
+		return firstChunk << i
+	}
+	return maxChunk
+}
 
 // NewLog returns an empty log.
 func NewLog() *Log { return &Log{} }
 
 // Emit appends the event, stamping its sequence number.
 func (l *Log) Emit(e Event) {
-	l.mu.Lock()
-	e.Seq = l.n
-	l.n++
-	last := len(l.chunks) - 1
-	if last < 0 || len(l.chunks[last]) == cap(l.chunks[last]) {
-		size := firstChunk
-		if last >= 0 {
-			size = min(2*cap(l.chunks[last]), maxChunk)
+	e.Seq = l.n.Add(1) - 1
+	i, off := chunkOf(e.Seq)
+	if d := l.dir.Load(); d != nil && i < len(*d) {
+		if c := (*d)[i].Load(); c != nil {
+			(*c)[off] = e
+			return
 		}
-		l.chunks = append(l.chunks, make([]Event, 0, size))
-		last++
 	}
-	l.chunks[last] = append(l.chunks[last], e)
-	l.mu.Unlock()
+	(*l.chunk(i))[off] = e
 }
 
-// Events returns a snapshot of the log contents in sequence order.
-func (l *Log) Events() []Event {
+// chunk returns chunk i, allocating it, and growing the directory,
+// if no emitter has yet.
+func (l *Log) chunk(i int) *[]Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, 0, l.n)
-	for _, c := range l.chunks {
-		out = append(out, c...)
+	d := l.dir.Load()
+	if d == nil || i >= len(*d) {
+		size := minDirSlots
+		if d != nil {
+			size = 2 * len(*d)
+		}
+		grown := make(chunkDir, max(size, i+1))
+		if d != nil {
+			for j := range *d {
+				grown[j].Store((*d)[j].Load())
+			}
+		}
+		l.dir.Store(&grown)
+		d = &grown
+	}
+	c := (*d)[i].Load()
+	if c == nil {
+		chunk := make([]Event, chunkCap(i))
+		c = &chunk
+		(*d)[i].Store(c)
+	}
+	return c
+}
+
+// Events returns a copy of the log contents in sequence order.
+func (l *Log) Events() []Event {
+	n := l.n.Load()
+	out := make([]Event, 0, n)
+	if n == 0 {
+		return out
+	}
+	d := *l.dir.Load()
+	for i := 0; uint64(len(out)) < n; i++ {
+		c := *d[i].Load()
+		out = append(out, c[:min(uint64(len(c)), n-uint64(len(out)))]...)
 	}
 	return out
 }
 
-// Len returns the number of events recorded so far.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return int(l.n)
-}
+// Len returns the number of events recorded.
+func (l *Log) Len() int { return int(l.n.Load()) }
 
 // TeeSink duplicates events to multiple sinks.
 type TeeSink []Sink

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -34,21 +35,27 @@ func TestLogConcurrentEmitters(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				l.Emit(Event{Op: OpWrite, Rank: g})
+				l.Emit(Event{Op: OpWrite, Rank: g, Time: int64(i)})
 			}
 		}(g)
 	}
 	wg.Wait()
 	evs := l.Events()
-	if len(evs) != 8*n {
-		t.Fatalf("events = %d", len(evs))
+	if len(evs) != 8*n || l.Len() != 8*n {
+		t.Fatalf("events = %d, Len() = %d", len(evs), l.Len())
 	}
-	seen := map[uint64]bool{}
-	for _, e := range evs {
-		if seen[e.Seq] {
-			t.Fatalf("duplicate seq %d", e.Seq)
+	// Seqs are dense, and each emitter's events carry increasing
+	// seqs: Events is in seq order, so each emitter's events appear
+	// in its own emission order.
+	next := make([]int64, 8)
+	for i, e := range evs {
+		if e.Seq != uint64(i) {
+			t.Fatalf("event %d has seq %d", i, e.Seq)
 		}
-		seen[e.Seq] = true
+		if e.Time != next[e.Rank] {
+			t.Fatalf("seq %d: emitter %d's event %d, want its event %d", e.Seq, e.Rank, e.Time, next[e.Rank])
+		}
+		next[e.Rank]++
 	}
 }
 
@@ -174,4 +181,25 @@ func BenchmarkLogEmit(b *testing.B) {
 			l.Emit(Event{Op: OpMPICall, Rank: j & 7, Call: call})
 		}
 	}
+}
+
+// BenchmarkLogEmitParallel emits from GOMAXPROCS goroutines into one
+// shared log, one event per op; the log is replaced every 100,000
+// events so a long run's memory stays bounded.
+func BenchmarkLogEmitParallel(b *testing.B) {
+	const logEvents = 100000
+	call := &MPICall{Kind: CallSend}
+	var cur atomic.Pointer[Log]
+	cur.Store(NewLog())
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		l := cur.Load()
+		for pb.Next() {
+			l.Emit(Event{Op: OpMPICall, Call: call})
+			if l.Len() >= logEvents {
+				cur.CompareAndSwap(l, NewLog())
+				l = cur.Load()
+			}
+		}
+	})
 }

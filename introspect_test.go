@@ -104,8 +104,8 @@ func compareArtifacts(t *testing.T, base, lived runArtifacts) {
 // cross-rank queue pressure) are legitimately nondeterministic across
 // *independent* runs, so those compare under forced replay of a
 // recorded seed schedule — the repo's established determinism boundary
-// (docs/ROBUSTNESS.md). The sequential cell, which has no such
-// freedom, additionally compares two direct runs.
+// (docs/ROBUSTNESS.md). The direct cell, whose program has no such
+// freedom, compares two direct runs.
 func TestIntrospectReplayIdentity(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -134,15 +134,40 @@ func TestIntrospectReplayIdentity(t *testing.T) {
 		})
 	}
 
-	// The sequential perturbed cell (one rank self-sending, seeded
-	// chaos decisions only) has no host-schedule freedom: two direct
-	// chaos-seeded runs must be byte-identical with and without the
-	// plane — no replay crutch.
-	direct := Options{Procs: 1, Threads: 2, Seed: 7, Chaos: ChaosPerturb(3)}
-	base := introspectedRun(t, statsInvariantSrc, direct, false)
-	lived := introspectedRun(t, statsInvariantSrc, direct, true)
-	compareArtifacts(t, base, lived)
+	// The direct cell's program has no host-ordered choice: one rank
+	// self-sends, then two threads meet at a barrier, and a barrier
+	// completes at its last arrival whichever thread that is. (An omp
+	// critical would not do: which thread wins it is host order, and
+	// that moves virtual time.) So two direct chaos-seeded runs must be
+	// byte-identical with and without the plane — no replay crutch.
+	t.Run("direct", func(t *testing.T) {
+		direct := Options{Procs: 1, Threads: 2, Seed: 7, Chaos: ChaosPerturb(3)}
+		base := introspectedRun(t, barrierOnlySrc, direct, false)
+		lived := introspectedRun(t, barrierOnlySrc, direct, true)
+		compareArtifacts(t, base, lived)
+	})
 }
+
+// barrierOnlySrc is statsInvariantSrc without its critical sections:
+// the self-send, then a two-thread region whose threads each write
+// their own element on both sides of a barrier.
+const barrierOnlySrc = `
+int main() {
+  int provided;
+  MPI_Init_thread(MPI_THREAD_MULTIPLE, &provided);
+  double buf[2];
+  MPI_Send(buf, 2, 0, 9, MPI_COMM_WORLD);
+  MPI_Recv(buf, 2, 0, 9, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+  #pragma omp parallel num_threads(2)
+  {
+    int me = omp_get_thread_num();
+    buf[me] = me;
+    #pragma omp barrier
+    buf[me] = buf[me] + 1;
+  }
+  MPI_Finalize();
+  return 0;
+}`
 
 // TestIntrospectFlightDumpOnDeadlock is the flight-recorder acceptance
 // pin: a run the watchdog declares deadlocked auto-dumps its flight
