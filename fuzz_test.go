@@ -38,6 +38,12 @@ func FuzzCheck(f *testing.F) {
 }`, int64(7)) // deadlocks: rank 0 receives a message nobody sends
 	f.Add(`int x = ; #pragma omp`, int64(2)) // parse garbage
 	f.Add(`int main() { while (1) { } return 0; }`, int64(5))
+	f.Add(`int main() { double x = sqrt(); return 0; }`, int64(0)) // builtin without its argument
+	f.Add(`int main() {
+  #pragma omp parallel num_threads(2)
+  { omp_set_lock(); }
+  return 0;
+}`, int64(4))
 
 	f.Fuzz(func(t *testing.T, src string, seed int64) {
 		opts := Options{
@@ -71,6 +77,30 @@ func FuzzCheck(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestBuiltinWithoutArgumentIsRuntimeError: a builtin called without
+// the argument it reads fails with a runtime error at the call's line,
+// on every rank, and the check carries on.
+func TestBuiltinWithoutArgumentIsRuntimeError(t *testing.T) {
+	for _, name := range []string{
+		"sqrt", "fabs", "floor", "ceil", "exp", "log", "sin", "cos", "abs",
+		"omp_set_lock", "omp_unset_lock", "pthread_join",
+	} {
+		src := "int main() {\n  int provided;\n  MPI_Init_thread(MPI_THREAD_MULTIPLE, &provided);\n  " +
+			name + "();\n  MPI_Finalize();\n  return 0;\n}"
+		rep, err := Check(src, Options{Procs: 2, Threads: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := "runtime error at line 4: " + name + " needs one argument"
+		for rank, rerr := range rep.RunErrors {
+			var re *interp.RuntimeError
+			if !errors.As(rerr, &re) || rerr.Error() != want {
+				t.Errorf("%s: rank %d error %v, want %q", name, rank, rerr, want)
+			}
+		}
+	}
 }
 
 // FuzzSchedBinary drives the schedule-stream reader — the v3 binary

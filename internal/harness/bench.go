@@ -27,9 +27,16 @@ import (
 //	2  detector counters keyed by their registry names
 //	   (detect.vc_comparisons, detect.vc_joins), so a baseline row and
 //	   the stats snapshot it came from agree on spelling
+//	3  runtime counters (interp.statements, omp.parallel_regions,
+//	   mpi.sends, mpi.collective_rounds), gated exactly; a schema-2
+//	   file still reads, and its rows gate no runtime counter
 const (
 	BenchFormat = "home-bench"
-	BenchSchema = 2
+	BenchSchema = 3
+
+	// minBenchSchema is the oldest schema ReadBenchFile accepts: the
+	// first to spell the detector counters by their registry names.
+	minBenchSchema = 2
 )
 
 // BenchWorkload is one (benchmark, procs) measurement.
@@ -43,6 +50,14 @@ type BenchWorkload struct {
 	Events        int   `json:"events"`
 	VCComparisons int64 `json:"detect.vc_comparisons"`
 	VCJoins       int64 `json:"detect.vc_joins"`
+
+	// Runtime counters: exact, whatever the tolerance. The program
+	// executes the same statements, regions, sends and collectives on
+	// every run, whichever host order the threads take.
+	Statements       int64 `json:"interp.statements"`
+	ParallelRegions  int64 `json:"omp.parallel_regions"`
+	Sends            int64 `json:"mpi.sends"`
+	CollectiveRounds int64 `json:"mpi.collective_rounds"`
 
 	// Advisory metrics: host-dependent, never gate the comparison.
 	WallNs       int64   `json:"wallNs"`
@@ -127,6 +142,10 @@ func RunBench(cfg Config) (*BenchBaseline, error) {
 			if rep.Stats != nil {
 				w.VCComparisons = rep.Stats.Get("detect.vc_comparisons")
 				w.VCJoins = rep.Stats.Get("detect.vc_joins")
+				w.Statements = rep.Stats.Get("interp.statements")
+				w.ParallelRegions = rep.Stats.Get("omp.parallel_regions")
+				w.Sends = rep.Stats.Get("mpi.sends")
+				w.CollectiveRounds = rep.Stats.Get("mpi.collective_rounds")
 			}
 			if wall > 0 {
 				w.EventsPerSec = float64(w.Events) / (float64(wall) / 1e9)
@@ -143,8 +162,10 @@ func RunBench(cfg Config) (*BenchBaseline, error) {
 
 // CompareBench checks a fresh measurement against a baseline: every
 // baseline workload must be present, and every gated metric must stay
-// within the relative tolerance. Returns the list of regressions
-// (empty = within tolerance). Wall-clock fields never appear here.
+// within the relative tolerance. The runtime counters gate exactly,
+// whatever the tolerance, when the baseline is schema 3 or later.
+// Returns the list of regressions (empty = within tolerance).
+// Wall-clock fields never appear here.
 func CompareBench(base, fresh *BenchBaseline, tolerance float64) []string {
 	var fails []string
 	index := map[string]BenchWorkload{}
@@ -168,6 +189,18 @@ func CompareBench(base, fresh *BenchBaseline, tolerance float64) []string {
 		check("events", int64(bw.Events), int64(fw.Events))
 		check("detect.vc_comparisons", bw.VCComparisons, fw.VCComparisons)
 		check("detect.vc_joins", bw.VCJoins, fw.VCJoins)
+		if base.Schema < 3 {
+			continue
+		}
+		exact := func(metric string, baseV, freshV int64) {
+			if baseV != freshV {
+				fails = append(fails, fmt.Sprintf("%s: %s changed: baseline %d, fresh %d", key, metric, baseV, freshV))
+			}
+		}
+		exact("interp.statements", bw.Statements, fw.Statements)
+		exact("omp.parallel_regions", bw.ParallelRegions, fw.ParallelRegions)
+		exact("mpi.sends", bw.Sends, fw.Sends)
+		exact("mpi.collective_rounds", bw.CollectiveRounds, fw.CollectiveRounds)
 	}
 	if len(base.Workloads) != len(fresh.Workloads) {
 		fails = append(fails, fmt.Sprintf("workload count: baseline %d, fresh %d",
@@ -211,8 +244,8 @@ func ReadBenchFile(path string) (*BenchBaseline, error) {
 	if b.Format != BenchFormat {
 		return nil, fmt.Errorf("harness: %s is not a bench baseline (format %q)", path, b.Format)
 	}
-	if b.Schema != BenchSchema {
-		return nil, fmt.Errorf("harness: bench schema %d is not the supported %d", b.Schema, BenchSchema)
+	if b.Schema < minBenchSchema || b.Schema > BenchSchema {
+		return nil, fmt.Errorf("harness: bench schema %d is not one of the supported %d-%d", b.Schema, minBenchSchema, BenchSchema)
 	}
 	return &b, nil
 }

@@ -29,7 +29,9 @@ func TestBenchDeterministic(t *testing.T) {
 	for i := range a.Workloads {
 		x, y := a.Workloads[i], b.Workloads[i]
 		if x.MakespanNs != y.MakespanNs || x.Events != y.Events ||
-			x.VCComparisons != y.VCComparisons || x.VCJoins != y.VCJoins {
+			x.VCComparisons != y.VCComparisons || x.VCJoins != y.VCJoins ||
+			x.Statements != y.Statements || x.ParallelRegions != y.ParallelRegions ||
+			x.Sends != y.Sends || x.CollectiveRounds != y.CollectiveRounds {
 			t.Errorf("%s/%d gated metrics differ between runs:\n run1 %+v\n run2 %+v",
 				x.Benchmark, x.Procs, x, y)
 		}
@@ -72,6 +74,28 @@ func TestCompareBenchDetectsRegression(t *testing.T) {
 	fresh.Workloads[0].WallNs = 999999999
 	if fails := CompareBench(base, fresh, 0); len(fails) != 0 {
 		t.Errorf("wall-clock drift gated: %v", fails)
+	}
+}
+
+// TestCompareBenchGatesRuntimeCountersExactly: one extra statement in
+// one row fails the gate at any tolerance, while a schema-2 baseline,
+// which records no runtime counters, gates none.
+func TestCompareBenchGatesRuntimeCountersExactly(t *testing.T) {
+	row := BenchWorkload{Benchmark: "LU-MZ", Procs: 4, MakespanNs: 1000, Events: 500,
+		VCComparisons: 200, VCJoins: 80, Statements: 4618, ParallelRegions: 56, Sends: 40, CollectiveRounds: 6}
+	base := &BenchBaseline{Format: BenchFormat, Schema: BenchSchema, Workloads: []BenchWorkload{row, row}}
+	base.Workloads[1].Procs = 8
+	fresh := &BenchBaseline{Format: BenchFormat, Schema: BenchSchema, Workloads: append([]BenchWorkload(nil), base.Workloads...)}
+	fresh.Workloads[1].Statements++
+	for _, tol := range []float64{0, 0.02, 0.5} {
+		fails := CompareBench(base, fresh, tol)
+		if len(fails) != 1 || !strings.Contains(fails[0], "LU-MZ/8: interp.statements changed: baseline 4618, fresh 4619") {
+			t.Errorf("tolerance %g: %v", tol, fails)
+		}
+	}
+	base.Schema = 2
+	if fails := CompareBench(base, fresh, 0); len(fails) != 0 {
+		t.Errorf("schema-2 baseline gated a runtime counter: %v", fails)
 	}
 }
 

@@ -9,68 +9,152 @@ import (
 	"home/internal/trace"
 )
 
-// evalCall dispatches a call expression to a builtin or user function.
-func (tc *threadCtx) evalCall(c *minic.Call) (Value, error) {
-	if v, handled, err := tc.callBuiltin(c); handled {
-		return v, err
+// builtin lowers a call of one builtin routine, bound by name at
+// lowering.
+type builtin func(l *lowerer, c *minic.Call) expr
+
+// builtinTable binds every builtin routine name to its lowering. It is
+// filled in init, because lowering a builtin's arguments refers back
+// to it.
+var builtinTable map[string]builtin
+
+func init() {
+	builtinTable = map[string]builtin{
+		"compute": lowerCompute,
+		"printf":  lowerPrintf,
+		"print":   lowerPrintf,
+		"sqrt":    mathBuiltin(math.Sqrt),
+		"fabs":    mathBuiltin(math.Abs),
+		"floor":   mathBuiltin(math.Floor),
+		"ceil":    mathBuiltin(math.Ceil),
+		"exp":     mathBuiltin(math.Exp),
+		"log":     mathBuiltin(math.Log),
+		"sin":     mathBuiltin(math.Sin),
+		"cos":     mathBuiltin(math.Cos),
+		"abs":     lowerAbs,
+		"fmin":    mathBuiltin2(math.Min),
+		"fmax":    mathBuiltin2(math.Max),
+		"pow":     mathBuiltin2(math.Pow),
 	}
-	fn := tc.in.prog.Func(c.Name)
-	if fn == nil {
-		return Value{}, runtimeError(c.Line, "call of undefined function %q", c.Name)
+	for name, f := range ompBuiltins {
+		builtinTable[name] = counted(f)
 	}
-	args := make([]Value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := tc.evalExpr(a)
-		if err != nil {
-			return Value{}, err
-		}
-		args[i] = v
+	for name, f := range mpiBuiltins {
+		builtinTable[name] = counted(f)
 	}
-	return tc.callFunction(fn, args, c.Line)
+	for name, f := range pthreadBuiltins {
+		builtinTable[name] = counted(f)
+	}
 }
 
-// countCall tallies the builtin-call mix (interp.call.<Name>). The
-// nil check keeps stats-off runs free of the name concatenation.
-func (tc *threadCtx) countCall(name string) {
-	if tc.in.conf.Stats == nil {
-		return
+// runtimePrefixes name the routine families of the MPI, OpenMP and
+// pthreads runtime libraries. A call to an unknown routine of one of
+// them fails when it executes.
+var runtimePrefixes = []struct{ prefix, what string }{
+	{"MPI_", "unsupported MPI routine %q"},
+	{"omp_", "unsupported omp runtime call %q"},
+	{"pthread_", "unsupported pthread call %q"},
+}
+
+// call lowers a call expression: a builtin binds to its lowering, a
+// user call to its function.
+func (l *lowerer) call(c *minic.Call) expr {
+	if b, ok := builtinTable[c.Name]; ok {
+		return b(l, c)
 	}
-	tc.in.conf.Stats.Counter("interp.call." + name).Inc()
+	for _, p := range runtimePrefixes {
+		if strings.HasPrefix(c.Name, p.prefix) {
+			line, what, name := c.Line, p.what, c.Name
+			return counted(func(*lowerer, *minic.Call) valFn {
+				return func(*threadCtx) (Value, error) {
+					return Value{}, runtimeError(line, what, name)
+				}
+			})(l, c)
+		}
+	}
+	fn := l.funcs[c.Name]
+	if fn == nil {
+		return failing(c.Line, "call of undefined function %q", c.Name)
+	}
+	args := make([]valFn, len(c.Args))
+	for i, a := range c.Args {
+		args[i] = l.expr(a).val
+	}
+	line := c.Line
+	return dynamic(func(tc *threadCtx) (Value, error) {
+		vals := make([]Value, len(args))
+		for i, a := range args {
+			v, err := a(tc)
+			if err != nil {
+				return Value{}, err
+			}
+			vals[i] = v
+		}
+		return tc.callFunction(fn, vals, line)
+	}, true)
+}
+
+// counted lowers a runtime-library routine: each call first tallies
+// the builtin-call mix (interp.call.<Name>), then runs the routine.
+func counted(lower func(l *lowerer, c *minic.Call) valFn) builtin {
+	return func(l *lowerer, c *minic.Call) expr {
+		key := "interp.call." + c.Name
+		f := lower(l, c)
+		return dynamic(func(tc *threadCtx) (Value, error) {
+			if st := tc.in.conf.Stats; st != nil {
+				st.Counter(key).Inc()
+			}
+			return f(tc)
+		}, true)
+	}
 }
 
 // ---- argument helpers ----
 
-// evalInt evaluates argument i as an integer.
-func (tc *threadCtx) evalInt(c *minic.Call, i int) (int, error) {
+// intArg lowers argument i as an integer.
+func (l *lowerer) intArg(c *minic.Call, i int) func(*threadCtx) (int, error) {
 	if i >= len(c.Args) {
-		return 0, runtimeError(c.Line, "%s: missing argument %d", c.Name, i+1)
+		line, name := c.Line, c.Name
+		return func(*threadCtx) (int, error) {
+			return 0, runtimeError(line, "%s: missing argument %d", name, i+1)
+		}
 	}
-	v, err := tc.evalExpr(c.Args[i])
-	if err != nil {
-		return 0, err
+	num := l.expr(c.Args[i]).num
+	return func(tc *threadCtx) (int, error) {
+		n, err := num(tc)
+		return int(n), err
 	}
-	return v.Int(), nil
 }
 
-// assignArg writes a value through an lvalue argument (out-params
-// like &provided, &req). Non-lvalue arguments are ignored, matching C
+// assignArg lowers a write through an lvalue argument (out-params like
+// &provided, &req). Non-lvalue arguments are ignored, matching C
 // programs that pass MPI_STATUS_IGNORE or NULL.
-func (tc *threadCtx) assignArg(c *minic.Call, i int, v Value) error {
-	if i >= len(c.Args) {
-		return nil
-	}
-	switch lhs := c.Args[i].(type) {
-	case *minic.Ident:
-		if cell := tc.cell(lhs.Ref); cell != nil {
-			tc.monitorAccess(trace.OpWrite, lhs.Name)
-			cell.store(v)
+func (l *lowerer) assignArg(c *minic.Call, i int) func(*threadCtx, Value) error {
+	if i < len(c.Args) {
+		switch lhs := c.Args[i].(type) {
+		case *minic.Ident:
+			r, name := lhs.Ref, lhs.Name
+			return func(tc *threadCtx, v Value) error {
+				if cl := tc.cell(r); cl != nil {
+					tc.monitorAccess(trace.OpWrite, name)
+					cl.store(v)
+				}
+				return nil
+			}
+		case *minic.Index:
+			elem, name := l.element(lhs), lhs.Arr.Name
+			return func(tc *threadCtx, v Value) error {
+				arr, i, err := elem(tc)
+				if err != nil {
+					return err
+				}
+				tc.monitorAccess(trace.OpWrite, name)
+				mpi.StoreElem(arr, i, v.Num)
+				return nil
+			}
 		}
-		return nil
-	case *minic.Index:
-		_, err := tc.assign(c.Line, minic.TAssign, lhs, v)
-		return err
 	}
-	return nil
+	return func(*threadCtx, Value) error { return nil }
 }
 
 // buffer resolves a buffer argument: an array identifier (whole
@@ -101,62 +185,78 @@ func (b *buffer) write(data []float64) {
 	}
 }
 
-// bufferArg resolves argument i as a buffer.
-func (tc *threadCtx) bufferArg(c *minic.Call, i int) (*buffer, error) {
+// bufferArg lowers argument i as a buffer.
+func (l *lowerer) bufferArg(c *minic.Call, i int) func(*threadCtx) (*buffer, error) {
 	if i >= len(c.Args) {
-		return nil, runtimeError(c.Line, "%s: missing buffer argument %d", c.Name, i+1)
+		line, name := c.Line, c.Name
+		return func(*threadCtx) (*buffer, error) {
+			return nil, runtimeError(line, "%s: missing buffer argument %d", name, i+1)
+		}
 	}
 	switch a := c.Args[i].(type) {
 	case *minic.Ident:
-		cl := tc.cell(a.Ref)
-		if cl == nil {
-			return nil, runtimeError(a.Line, "undefined variable %q", a.Name)
+		return func(tc *threadCtx) (*buffer, error) {
+			cl := tc.cell(a.Ref)
+			if cl == nil {
+				return nil, runtimeError(a.Line, "undefined variable %q", a.Name)
+			}
+			v := cl.load()
+			if v.Arr != nil {
+				return &buffer{data: v.Arr}, nil
+			}
+			// Scalar window.
+			return &buffer{data: []float64{v.Num}, scalarCell: cl}, nil
 		}
-		v := cl.load()
-		if v.Arr != nil {
-			return &buffer{data: v.Arr}, nil
-		}
-		// Scalar window.
-		return &buffer{data: []float64{v.Num}, scalarCell: cl}, nil
 	case *minic.Index:
-		arr, err := tc.arrayOf(a.Arr)
+		idx := l.expr(a.Idx).num
+		return func(tc *threadCtx) (*buffer, error) {
+			arr, err := tc.array(a.Arr)
+			if err != nil {
+				return nil, err
+			}
+			f, err := idx(tc)
+			if err != nil {
+				return nil, err
+			}
+			off := int(f)
+			if off < 0 || off > len(arr) {
+				return nil, runtimeError(a.Line, "buffer offset %d out of range", off)
+			}
+			return &buffer{data: arr[off:]}, nil
+		}
+	}
+	// Expression buffers (e.g. a literal) read-only.
+	num := l.expr(c.Args[i]).num
+	return func(tc *threadCtx) (*buffer, error) {
+		n, err := num(tc)
 		if err != nil {
 			return nil, err
 		}
-		iv, err := tc.evalExpr(a.Idx)
-		if err != nil {
-			return nil, err
-		}
-		off := iv.Int()
-		if off < 0 || off > len(arr) {
-			return nil, runtimeError(a.Line, "buffer offset %d out of range", off)
-		}
-		return &buffer{data: arr[off:]}, nil
-	default:
-		// Expression buffers (e.g. a literal) read-only.
-		v, err := tc.evalExpr(c.Args[i])
-		if err != nil {
-			return nil, err
-		}
-		return &buffer{data: []float64{v.Num}}, nil
+		return &buffer{data: []float64{n}}, nil
 	}
 }
 
-// requestArg resolves argument i as a request lvalue cell.
-func (tc *threadCtx) requestArg(c *minic.Call, i int) (*cell, *mpi.Request, error) {
+// requestArg lowers argument i as a request lvalue cell.
+func requestArg(c *minic.Call, i int) func(*threadCtx) (*cell, *mpi.Request, error) {
+	line, name := c.Line, c.Name
 	if i >= len(c.Args) {
-		return nil, nil, runtimeError(c.Line, "%s: missing request argument", c.Name)
+		return func(*threadCtx) (*cell, *mpi.Request, error) {
+			return nil, nil, runtimeError(line, "%s: missing request argument", name)
+		}
 	}
 	id, ok := c.Args[i].(*minic.Ident)
 	if !ok {
-		return nil, nil, runtimeError(c.Line, "%s: request argument must be a variable", c.Name)
+		return func(*threadCtx) (*cell, *mpi.Request, error) {
+			return nil, nil, runtimeError(line, "%s: request argument must be a variable", name)
+		}
 	}
-	cl := tc.cell(id.Ref)
-	if cl == nil {
-		return nil, nil, runtimeError(c.Line, "undefined request variable %q", id.Name)
+	return func(tc *threadCtx) (*cell, *mpi.Request, error) {
+		cl := tc.cell(id.Ref)
+		if cl == nil {
+			return nil, nil, runtimeError(line, "undefined request variable %q", id.Name)
+		}
+		return cl, cl.load().Req, nil
 	}
-	v := cl.load()
-	return cl, v.Req, nil
 }
 
 // ---- the HMPI wrapper (paper §IV-B) ----
@@ -268,91 +368,65 @@ func (tc *threadCtx) tagColl(rec *trace.MPICall) {
 	}
 }
 
-// ---- builtin dispatch ----
+// ---- general builtins ----
 
-// mathBuiltins are the one-argument math library builtins.
-var mathBuiltins = map[string]func(float64) float64{
-	"sqrt": math.Sqrt, "fabs": math.Abs, "floor": math.Floor,
-	"ceil": math.Ceil, "exp": math.Exp, "log": math.Log,
-	"sin": math.Sin, "cos": math.Cos,
+func lowerCompute(l *lowerer, c *minic.Call) expr {
+	units := l.intArg(c, 0)
+	return number(kindInt, func(tc *threadCtx) (float64, error) {
+		n, err := units(tc)
+		if err != nil {
+			return 0, err
+		}
+		tc.ctx.Compute(int64(n))
+		return 0, nil
+	})
 }
 
-// callBuiltin executes builtin functions; handled reports whether the
-// name was recognized.
-func (tc *threadCtx) callBuiltin(c *minic.Call) (Value, bool, error) {
-	if strings.HasPrefix(c.Name, "MPI_") {
-		tc.countCall(c.Name)
-		v, err := tc.callMPI(c)
-		return v, true, err
-	}
-	if strings.HasPrefix(c.Name, "omp_") {
-		tc.countCall(c.Name)
-		v, err := tc.callOmpRuntime(c)
-		return v, true, err
-	}
-	if strings.HasPrefix(c.Name, "pthread_") {
-		tc.countCall(c.Name)
-		switch c.Name {
-		case "pthread_create":
-			v, err := tc.pthreadCreate(c)
-			return v, true, err
-		case "pthread_join":
-			v, err := tc.pthreadJoin(c)
-			return v, true, err
-		case "pthread_self":
-			return intVal(float64(tc.ctx.TID)), true, nil
+// mathBuiltin lowers a one-argument math library routine.
+func mathBuiltin(f func(float64) float64) builtin {
+	return func(l *lowerer, c *minic.Call) expr {
+		if len(c.Args) == 0 {
+			return failing(c.Line, "%s needs one argument", c.Name)
 		}
-		return Value{}, true, runtimeError(c.Line, "unsupported pthread call %q", c.Name)
+		x := l.expr(c.Args[0]).num
+		return number(kindFloat, func(tc *threadCtx) (float64, error) {
+			n, err := x(tc)
+			return f(n), err
+		})
 	}
-	switch c.Name {
-	case "compute":
-		units, err := tc.evalInt(c, 0)
-		if err != nil {
-			return Value{}, true, err
-		}
-		tc.ctx.Compute(int64(units))
-		return intVal(0), true, nil
-	case "printf", "print":
-		return tc.callPrintf(c)
-	case "sqrt", "fabs", "floor", "ceil", "exp", "log", "sin", "cos":
-		v, err := tc.evalExpr(c.Args[0])
-		if err != nil {
-			return Value{}, true, err
-		}
-		return floatVal(mathBuiltins[c.Name](v.Num)), true, nil
-	case "fmin", "fmax", "pow":
+}
+
+// mathBuiltin2 lowers a two-argument math library routine.
+func mathBuiltin2(f func(x, y float64) float64) builtin {
+	return func(l *lowerer, c *minic.Call) expr {
 		if len(c.Args) < 2 {
-			return Value{}, true, runtimeError(c.Line, "%s needs two arguments", c.Name)
+			return failing(c.Line, "%s needs two arguments", c.Name)
 		}
-		x, err := tc.evalExpr(c.Args[0])
-		if err != nil {
-			return Value{}, true, err
-		}
-		y, err := tc.evalExpr(c.Args[1])
-		if err != nil {
-			return Value{}, true, err
-		}
-		switch c.Name {
-		case "fmin":
-			return floatVal(math.Min(x.Num, y.Num)), true, nil
-		case "fmax":
-			return floatVal(math.Max(x.Num, y.Num)), true, nil
-		default:
-			return floatVal(math.Pow(x.Num, y.Num)), true, nil
-		}
-	case "abs":
-		v, err := tc.evalExpr(c.Args[0])
-		if err != nil {
-			return Value{}, true, err
-		}
-		return intVal(math.Abs(v.Num)), true, nil
+		x, y := l.expr(c.Args[0]).num, l.expr(c.Args[1]).num
+		return number(kindFloat, func(tc *threadCtx) (float64, error) {
+			a, err := x(tc)
+			if err != nil {
+				return 0, err
+			}
+			b, err := y(tc)
+			return f(a, b), err
+		})
 	}
-	return Value{}, false, nil
 }
 
-// callPrintf implements printf/print into the captured output.
-func (tc *threadCtx) callPrintf(c *minic.Call) (Value, bool, error) {
-	var parts []any
+func lowerAbs(l *lowerer, c *minic.Call) expr {
+	if len(c.Args) == 0 {
+		return failing(c.Line, "%s needs one argument", c.Name)
+	}
+	x := l.expr(c.Args[0]).num
+	return number(kindInt, func(tc *threadCtx) (float64, error) {
+		n, err := x(tc)
+		return math.Trunc(math.Abs(n)), err
+	})
+}
+
+// lowerPrintf lowers printf/print into the captured output.
+func lowerPrintf(l *lowerer, c *minic.Call) expr {
 	format := ""
 	start := 0
 	if len(c.Args) > 0 {
@@ -361,712 +435,129 @@ func (tc *threadCtx) callPrintf(c *minic.Call) (Value, bool, error) {
 			start = 1
 		}
 	}
-	for i := start; i < len(c.Args); i++ {
-		v, err := tc.evalExpr(c.Args[i])
-		if err != nil {
-			return Value{}, true, err
-		}
-		if v.IsFloat {
-			parts = append(parts, v.Num)
-		} else {
-			parts = append(parts, int64(v.Num))
-		}
-	}
-	if format == "" {
-		for i, p := range parts {
-			if i > 0 {
-				tc.in.out.printf(" ")
-			}
-			tc.in.out.printf("%v", p)
-		}
-		tc.in.out.printf("\n")
-		return intVal(0), true, nil
+	args := make([]valFn, 0, len(c.Args)-start)
+	for _, a := range c.Args[start:] {
+		args = append(args, l.expr(a).val)
 	}
 	// Translate the C-ish format: %d %f %g %e are passed through to
 	// Go's fmt with compatible verbs.
-	tc.in.out.printf(strings.ReplaceAll(format, "%f", "%v"), parts...)
-	return intVal(0), true, nil
+	goFormat := strings.ReplaceAll(format, "%f", "%v")
+	return number(kindInt, func(tc *threadCtx) (float64, error) {
+		var parts []any
+		for _, a := range args {
+			v, err := a(tc)
+			if err != nil {
+				return 0, err
+			}
+			if v.IsFloat {
+				parts = append(parts, v.Num)
+			} else {
+				parts = append(parts, int64(v.Num))
+			}
+		}
+		if format == "" {
+			for i, p := range parts {
+				if i > 0 {
+					tc.in.out.printf(" ")
+				}
+				tc.in.out.printf("%v", p)
+			}
+			tc.in.out.printf("\n")
+			return 0, nil
+		}
+		tc.in.out.printf(goFormat, parts...)
+		return 0, nil
+	})
 }
 
-// callOmpRuntime implements the omp_* runtime library.
-func (tc *threadCtx) callOmpRuntime(c *minic.Call) (Value, error) {
-	switch c.Name {
-	case "omp_get_thread_num":
-		return intVal(float64(tc.ctx.TID)), nil
-	case "omp_get_num_threads":
-		if tc.member != nil {
-			return intVal(float64(tc.member.NumThreads())), nil
+// ---- the omp_* runtime library ----
+
+// ompBuiltins lowers the omp_* routines.
+var ompBuiltins = map[string]func(*lowerer, *minic.Call) valFn{
+	"omp_get_thread_num": func(*lowerer, *minic.Call) valFn {
+		return func(tc *threadCtx) (Value, error) { return intVal(float64(tc.ctx.TID)), nil }
+	},
+	"omp_get_num_threads": func(*lowerer, *minic.Call) valFn {
+		return func(tc *threadCtx) (Value, error) {
+			if tc.member != nil {
+				return intVal(float64(tc.member.NumThreads())), nil
+			}
+			return intVal(1), nil
 		}
-		return intVal(1), nil
-	case "omp_set_num_threads":
-		n, err := tc.evalInt(c, 0)
-		if err != nil {
-			return Value{}, err
+	},
+	"omp_set_num_threads": func(l *lowerer, c *minic.Call) valFn {
+		n := l.intArg(c, 0)
+		return func(tc *threadCtx) (Value, error) {
+			v, err := n(tc)
+			if err != nil {
+				return Value{}, err
+			}
+			tc.in.rt.SetNumThreads(v)
+			return intVal(0), nil
 		}
-		tc.in.rt.SetNumThreads(n)
-		return intVal(0), nil
-	case "omp_get_max_threads":
-		return intVal(float64(tc.in.rt.NumThreads())), nil
-	case "omp_in_parallel":
-		return boolVal(tc.member != nil && tc.member.InParallel()), nil
-	case "omp_get_wtime":
-		return floatVal(float64(tc.ctx.Now) / 1e9), nil
-	case "omp_init_lock", "omp_destroy_lock":
-		return intVal(0), nil
-	case "omp_set_lock", "omp_unset_lock":
+	},
+	"omp_get_max_threads": func(*lowerer, *minic.Call) valFn {
+		return func(tc *threadCtx) (Value, error) { return intVal(float64(tc.in.rt.NumThreads())), nil }
+	},
+	"omp_in_parallel": func(*lowerer, *minic.Call) valFn {
+		return func(tc *threadCtx) (Value, error) {
+			return boolVal(tc.member != nil && tc.member.InParallel()), nil
+		}
+	},
+	"omp_get_wtime": func(*lowerer, *minic.Call) valFn {
+		return func(tc *threadCtx) (Value, error) { return floatVal(float64(tc.ctx.Now) / 1e9), nil }
+	},
+	"omp_init_lock":    noop,
+	"omp_destroy_lock": noop,
+	"omp_set_lock":     lowerOmpLock(true),
+	"omp_unset_lock":   lowerOmpLock(false),
+}
+
+// noop lowers a routine that does nothing and returns 0.
+func noop(*lowerer, *minic.Call) valFn {
+	return func(*threadCtx) (Value, error) { return intVal(0), nil }
+}
+
+// lowerOmpLock lowers omp_set_lock (set) or omp_unset_lock.
+func lowerOmpLock(set bool) func(*lowerer, *minic.Call) valFn {
+	return func(_ *lowerer, c *minic.Call) valFn {
+		line, name := c.Line, c.Name
+		if len(c.Args) == 0 {
+			return func(*threadCtx) (Value, error) {
+				return Value{}, runtimeError(line, "%s needs one argument", name)
+			}
+		}
 		id, ok := c.Args[0].(*minic.Ident)
 		if !ok {
-			return Value{}, runtimeError(c.Line, "%s needs a lock variable", c.Name)
+			return func(*threadCtx) (Value, error) {
+				return Value{}, runtimeError(line, "%s needs a lock variable", name)
+			}
 		}
-		if tc.member == nil {
-			return intVal(0), nil // single-threaded: trivially acquired
+		lock := id.Name
+		return func(tc *threadCtx) (Value, error) {
+			if tc.member == nil {
+				return intVal(0), nil // single-threaded: trivially acquired
+			}
+			if set {
+				return intVal(0), tc.member.Lock(lock)
+			}
+			tc.member.Unlock(lock)
+			return intVal(0), nil
 		}
-		if c.Name == "omp_set_lock" {
-			return intVal(0), tc.member.Lock(id.Name)
-		}
-		tc.member.Unlock(id.Name)
-		return intVal(0), nil
 	}
-	return Value{}, runtimeError(c.Line, "unsupported omp runtime call %q", c.Name)
-}
-
-// callMPI implements the MPI builtins, running instrumented sites
-// through the HMPI wrapper first.
-func (tc *threadCtx) callMPI(c *minic.Call) (Value, error) {
-	p := tc.in.proc
-	ctx := tc.ctx
-	switch c.Name {
-	case "MPI_Init":
-		tc.wrapMPI(c, trace.CallInit, -1, -1, -1, -1, mpi.ThreadSingle)
-		return intVal(0), p.Init(ctx)
-
-	case "MPI_Init_thread":
-		level := mpi.ThreadSingle
-		if len(c.Args) > 0 {
-			// Accept both MPI_Init_thread(level, &provided) and the
-			// 4-arg C form MPI_Init_thread(0, 0, level, &provided).
-			idx := 0
-			if len(c.Args) >= 3 {
-				idx = 2
-			}
-			lv, err := tc.evalInt(c, idx)
-			if err != nil {
-				return Value{}, err
-			}
-			level = lv
-		}
-		tc.wrapMPI(c, trace.CallInitThread, -1, -1, -1, -1, level)
-		provided, err := p.InitThread(ctx, level)
-		if err != nil {
-			return Value{}, err
-		}
-		// Out-param is the last argument if it is an lvalue.
-		if len(c.Args) >= 2 {
-			if err := tc.assignArg(c, len(c.Args)-1, intVal(float64(provided))); err != nil {
-				return Value{}, err
-			}
-		}
-		return intVal(float64(provided)), nil
-
-	case "MPI_Finalize":
-		tc.wrapMPI(c, trace.CallFinalize, -1, -1, -1, -1, -1)
-		return intVal(0), p.Finalize(ctx)
-
-	case "MPI_Comm_rank":
-		tc.wrapMPI(c, trace.CallCommRank, -1, -1, 0, -1, -1)
-		v := intVal(float64(p.Rank()))
-		if len(c.Args) >= 2 {
-			if err := tc.assignArg(c, 1, v); err != nil {
-				return Value{}, err
-			}
-		}
-		return v, nil
-
-	case "MPI_Comm_size":
-		tc.wrapMPI(c, trace.CallCommSize, -1, -1, 0, -1, -1)
-		v := intVal(float64(p.Size()))
-		if len(c.Args) >= 2 {
-			if err := tc.assignArg(c, 1, v); err != nil {
-				return Value{}, err
-			}
-		}
-		return v, nil
-
-	case "MPI_Comm_dup":
-		comm, err := tc.evalInt(c, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		nc, err := p.CommDup(ctx, mpi.CommID(comm))
-		if err != nil {
-			return Value{}, err
-		}
-		v := intVal(float64(nc))
-		if len(c.Args) >= 2 {
-			if err := tc.assignArg(c, 1, v); err != nil {
-				return Value{}, err
-			}
-		}
-		return v, nil
-
-	case "MPI_Wtime":
-		return floatVal(float64(ctx.Now) / 1e9), nil
-
-	case "MPI_Is_thread_main":
-		return boolVal(p.IsThreadMain(ctx)), nil
-
-	case "MPI_Get_count":
-		return intVal(float64(tc.status.Count)), nil
-	case "MPI_Status_source":
-		return intVal(float64(tc.status.Source)), nil
-	case "MPI_Status_tag":
-		return intVal(float64(tc.status.Tag)), nil
-
-	case "MPI_Send", "MPI_Isend":
-		buf, err := tc.bufferArg(c, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		count, err := tc.evalInt(c, 1)
-		if err != nil {
-			return Value{}, err
-		}
-		dest, err := tc.evalInt(c, 2)
-		if err != nil {
-			return Value{}, err
-		}
-		tag, err := tc.evalInt(c, 3)
-		if err != nil {
-			return Value{}, err
-		}
-		comm, err := tc.evalInt(c, 4)
-		if err != nil {
-			return Value{}, err
-		}
-		data := buf.read(count)
-		if c.Name == "MPI_Send" {
-			rec := tc.wrapMPI(c, trace.CallSend, dest, tag, comm, -1, -1)
-			if err := p.Send(ctx, data, dest, tag, mpi.CommID(comm)); err != nil {
-				return Value{}, err
-			}
-			tc.tagSend(rec)
-			return intVal(0), nil
-		}
-		rec := tc.wrapMPI(c, trace.CallIsend, dest, tag, comm, -1, -1)
-		req, err := p.Isend(ctx, data, dest, tag, mpi.CommID(comm))
-		if err != nil {
-			return Value{}, err
-		}
-		tc.tagSend(rec)
-		if len(c.Args) >= 6 {
-			if err := tc.assignArg(c, 5, Value{Req: req}); err != nil {
-				return Value{}, err
-			}
-		}
-		return Value{Req: req}, nil
-
-	case "MPI_Recv":
-		buf, err := tc.bufferArg(c, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		count, err := tc.evalInt(c, 1)
-		if err != nil {
-			return Value{}, err
-		}
-		source, err := tc.evalInt(c, 2)
-		if err != nil {
-			return Value{}, err
-		}
-		tag, err := tc.evalInt(c, 3)
-		if err != nil {
-			return Value{}, err
-		}
-		comm, err := tc.evalInt(c, 4)
-		if err != nil {
-			return Value{}, err
-		}
-		rec := tc.wrapMPI(c, trace.CallRecv, source, tag, comm, -1, -1)
-		data, st, err := p.Recv(ctx, source, tag, mpi.CommID(comm))
-		if err != nil {
-			return Value{}, err
-		}
-		tc.tagMatch(rec, st)
-		if count < len(data) {
-			data = data[:count]
-		}
-		buf.write(data)
-		tc.status = st
-		return intVal(0), nil
-
-	case "MPI_Irecv":
-		_, err := tc.bufferArg(c, 0) // validated; data lands at Wait
-		if err != nil {
-			return Value{}, err
-		}
-		source, err := tc.evalInt(c, 2)
-		if err != nil {
-			return Value{}, err
-		}
-		tag, err := tc.evalInt(c, 3)
-		if err != nil {
-			return Value{}, err
-		}
-		comm, err := tc.evalInt(c, 4)
-		if err != nil {
-			return Value{}, err
-		}
-		tc.wrapMPI(c, trace.CallIrecv, source, tag, comm, -1, -1)
-		req, err := p.Irecv(ctx, source, tag, mpi.CommID(comm))
-		if err != nil {
-			return Value{}, err
-		}
-		if len(c.Args) >= 6 {
-			if err := tc.assignArg(c, 5, Value{Req: req}); err != nil {
-				return Value{}, err
-			}
-		}
-		// Remember the destination buffer for completion.
-		tc.in.noteIrecvBuffer(req, c, tc)
-		return Value{Req: req}, nil
-
-	case "MPI_Wait":
-		_, req, err := tc.requestArg(c, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		if req == nil {
-			return Value{}, runtimeError(c.Line, "MPI_Wait on a null request")
-		}
-		rec := tc.wrapMPI(c, trace.CallWait, -1, -1, -1, req.ID, -1)
-		st, err := p.Wait(ctx, req)
-		if err != nil {
-			return Value{}, err
-		}
-		tc.tagMatch(rec, st)
-		tc.status = st
-		tc.in.completeIrecv(req)
-		return intVal(0), nil
-
-	case "MPI_Test":
-		_, req, err := tc.requestArg(c, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		if req == nil {
-			return Value{}, runtimeError(c.Line, "MPI_Test on a null request")
-		}
-		rec := tc.wrapMPI(c, trace.CallTest, -1, -1, -1, req.ID, -1)
-		ok, st, err := p.Test(ctx, req)
-		if err != nil {
-			return Value{}, err
-		}
-		if ok {
-			tc.tagMatch(rec, st)
-			tc.status = st
-			tc.in.completeIrecv(req)
-		}
-		return boolVal(ok), nil
-
-	case "MPI_Probe", "MPI_Iprobe":
-		source, err := tc.evalInt(c, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		tag, err := tc.evalInt(c, 1)
-		if err != nil {
-			return Value{}, err
-		}
-		comm, err := tc.evalInt(c, 2)
-		if err != nil {
-			return Value{}, err
-		}
-		if c.Name == "MPI_Probe" {
-			rec := tc.wrapMPI(c, trace.CallProbe, source, tag, comm, -1, -1)
-			st, err := p.Probe(ctx, source, tag, mpi.CommID(comm))
-			if err != nil {
-				return Value{}, err
-			}
-			tc.tagMatch(rec, st)
-			tc.status = st
-			return intVal(float64(st.Count)), nil
-		}
-		rec := tc.wrapMPI(c, trace.CallIprobe, source, tag, comm, -1, -1)
-		ok, st, err := p.Iprobe(ctx, source, tag, mpi.CommID(comm))
-		if err != nil {
-			return Value{}, err
-		}
-		if ok {
-			tc.tagMatch(rec, st)
-			tc.status = st
-		}
-		return boolVal(ok), nil
-
-	case "MPI_Barrier":
-		comm, err := tc.evalInt(c, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		rec := tc.wrapMPI(c, trace.CallBarrier, -1, -1, comm, -1, -1)
-		if err := p.Barrier(ctx, mpi.CommID(comm)); err != nil {
-			return Value{}, err
-		}
-		tc.tagColl(rec)
-		return intVal(0), nil
-
-	case "MPI_Bcast":
-		buf, err := tc.bufferArg(c, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		count, err := tc.evalInt(c, 1)
-		if err != nil {
-			return Value{}, err
-		}
-		root, err := tc.evalInt(c, 2)
-		if err != nil {
-			return Value{}, err
-		}
-		comm, err := tc.evalInt(c, 3)
-		if err != nil {
-			return Value{}, err
-		}
-		rec := tc.wrapMPI(c, trace.CallBcast, root, -1, comm, -1, -1)
-		var in []float64
-		if p.Rank() == root {
-			in = buf.read(count)
-		}
-		out, err := p.Bcast(ctx, in, root, mpi.CommID(comm))
-		if err != nil {
-			return Value{}, err
-		}
-		tc.tagColl(rec)
-		buf.write(out)
-		return intVal(0), nil
-
-	case "MPI_Reduce", "MPI_Allreduce":
-		send, err := tc.bufferArg(c, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		recv, err := tc.bufferArg(c, 1)
-		if err != nil {
-			return Value{}, err
-		}
-		count, err := tc.evalInt(c, 2)
-		if err != nil {
-			return Value{}, err
-		}
-		opn, err := tc.evalInt(c, 3)
-		if err != nil {
-			return Value{}, err
-		}
-		op := mpi.ReduceOp(opn)
-		if c.Name == "MPI_Reduce" {
-			root, err := tc.evalInt(c, 4)
-			if err != nil {
-				return Value{}, err
-			}
-			comm, err := tc.evalInt(c, 5)
-			if err != nil {
-				return Value{}, err
-			}
-			rec := tc.wrapMPI(c, trace.CallReduce, root, -1, comm, -1, -1)
-			out, err := p.Reduce(ctx, send.read(count), op, root, mpi.CommID(comm))
-			if err != nil {
-				return Value{}, err
-			}
-			tc.tagColl(rec)
-			if out != nil {
-				recv.write(out)
-			}
-			return intVal(0), nil
-		}
-		comm, err := tc.evalInt(c, 4)
-		if err != nil {
-			return Value{}, err
-		}
-		rec := tc.wrapMPI(c, trace.CallAllreduce, -1, -1, comm, -1, -1)
-		out, err := p.Allreduce(ctx, send.read(count), op, mpi.CommID(comm))
-		if err != nil {
-			return Value{}, err
-		}
-		tc.tagColl(rec)
-		recv.write(out)
-		return intVal(0), nil
-
-	case "MPI_Gather":
-		send, err := tc.bufferArg(c, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		count, err := tc.evalInt(c, 1)
-		if err != nil {
-			return Value{}, err
-		}
-		recv, err := tc.bufferArg(c, 2)
-		if err != nil {
-			return Value{}, err
-		}
-		root, err := tc.evalInt(c, 3)
-		if err != nil {
-			return Value{}, err
-		}
-		comm, err := tc.evalInt(c, 4)
-		if err != nil {
-			return Value{}, err
-		}
-		rec := tc.wrapMPI(c, trace.CallGather, root, -1, comm, -1, -1)
-		out, err := p.Gather(ctx, send.read(count), root, mpi.CommID(comm))
-		if err != nil {
-			return Value{}, err
-		}
-		tc.tagColl(rec)
-		if out != nil {
-			recv.write(out)
-		}
-		return intVal(0), nil
-
-	case "MPI_Scatter":
-		send, err := tc.bufferArg(c, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		recv, err := tc.bufferArg(c, 1)
-		if err != nil {
-			return Value{}, err
-		}
-		count, err := tc.evalInt(c, 2)
-		if err != nil {
-			return Value{}, err
-		}
-		root, err := tc.evalInt(c, 3)
-		if err != nil {
-			return Value{}, err
-		}
-		comm, err := tc.evalInt(c, 4)
-		if err != nil {
-			return Value{}, err
-		}
-		rec := tc.wrapMPI(c, trace.CallScatter, root, -1, comm, -1, -1)
-		var in []float64
-		if p.Rank() == root {
-			in = send.read(count * p.Size())
-		}
-		out, err := p.Scatter(ctx, in, root, mpi.CommID(comm))
-		if err != nil {
-			return Value{}, err
-		}
-		tc.tagColl(rec)
-		recv.write(out)
-		return intVal(0), nil
-
-	case "MPI_Win_create":
-		// MPI_Win_create(buf, count, comm, &win)
-		buf, err := tc.bufferArg(c, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		count, err := tc.evalInt(c, 1)
-		if err != nil {
-			return Value{}, err
-		}
-		comm, err := tc.evalInt(c, 2)
-		if err != nil {
-			return Value{}, err
-		}
-		region := buf.data
-		if count < len(region) {
-			region = region[:count]
-		}
-		win, err := p.WinCreate(ctx, region, mpi.CommID(comm))
-		if err != nil {
-			return Value{}, err
-		}
-		tc.wrapRMA(c, trace.CallWinCreate, -1, win.ID)
-		v := intVal(float64(win.ID))
-		if len(c.Args) >= 4 {
-			if err := tc.assignArg(c, 3, v); err != nil {
-				return Value{}, err
-			}
-		}
-		return v, nil
-
-	case "MPI_Put", "MPI_Get", "MPI_Accumulate":
-		// MPI_Put(win, target, offset, buf, count) and friends.
-		winID, err := tc.evalInt(c, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		target, err := tc.evalInt(c, 1)
-		if err != nil {
-			return Value{}, err
-		}
-		offset, err := tc.evalInt(c, 2)
-		if err != nil {
-			return Value{}, err
-		}
-		buf, err := tc.bufferArg(c, 3)
-		if err != nil {
-			return Value{}, err
-		}
-		count, err := tc.evalInt(c, 4)
-		if err != nil {
-			return Value{}, err
-		}
-		win := tc.in.world.Window(winID)
-		if win == nil {
-			return Value{}, runtimeError(c.Line, "%s: unknown window %d", c.Name, winID)
-		}
-		switch c.Name {
-		case "MPI_Put":
-			tc.wrapRMA(c, trace.CallPut, target, winID)
-			return intVal(0), p.Put(ctx, win, target, offset, buf.read(count))
-		case "MPI_Accumulate":
-			tc.wrapRMA(c, trace.CallAccumulate, target, winID)
-			return intVal(0), p.Accumulate(ctx, win, target, offset, buf.read(count))
-		default:
-			tc.wrapRMA(c, trace.CallGet, target, winID)
-			data, err := p.Get(ctx, win, target, offset, count)
-			if err != nil {
-				return Value{}, err
-			}
-			buf.write(data)
-			return intVal(0), nil
-		}
-
-	case "MPI_Win_fence":
-		winID, err := tc.evalInt(c, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		win := tc.in.world.Window(winID)
-		if win == nil {
-			return Value{}, runtimeError(c.Line, "MPI_Win_fence: unknown window %d", winID)
-		}
-		tc.wrapRMA(c, trace.CallWinFence, -1, winID)
-		return intVal(0), p.Fence(ctx, win)
-
-	case "MPI_Win_free":
-		return intVal(0), nil
-
-	case "MPI_Sendrecv":
-		// MPI_Sendrecv(sendbuf, scount, dest, stag, recvbuf, rcount, source, rtag, comm)
-		sendBuf, err := tc.bufferArg(c, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		scount, err := tc.evalInt(c, 1)
-		if err != nil {
-			return Value{}, err
-		}
-		dest, err := tc.evalInt(c, 2)
-		if err != nil {
-			return Value{}, err
-		}
-		stag, err := tc.evalInt(c, 3)
-		if err != nil {
-			return Value{}, err
-		}
-		recvBuf, err := tc.bufferArg(c, 4)
-		if err != nil {
-			return Value{}, err
-		}
-		rcount, err := tc.evalInt(c, 5)
-		if err != nil {
-			return Value{}, err
-		}
-		source, err := tc.evalInt(c, 6)
-		if err != nil {
-			return Value{}, err
-		}
-		rtag, err := tc.evalInt(c, 7)
-		if err != nil {
-			return Value{}, err
-		}
-		comm, err := tc.evalInt(c, 8)
-		if err != nil {
-			return Value{}, err
-		}
-		rec := tc.wrapMPI(c, trace.CallSendrecv, source, rtag, comm, -1, -1)
-		data, st, err := p.Sendrecv(ctx, sendBuf.read(scount), dest, stag, source, rtag, mpi.CommID(comm))
-		if err != nil {
-			return Value{}, err
-		}
-		tc.tagSend(rec)
-		tc.tagMatch(rec, st)
-		if rcount < len(data) {
-			data = data[:rcount]
-		}
-		recvBuf.write(data)
-		tc.status = st
-		return intVal(0), nil
-
-	case "MPI_Allgather":
-		send, err := tc.bufferArg(c, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		count, err := tc.evalInt(c, 1)
-		if err != nil {
-			return Value{}, err
-		}
-		recv, err := tc.bufferArg(c, 2)
-		if err != nil {
-			return Value{}, err
-		}
-		comm, err := tc.evalInt(c, 3)
-		if err != nil {
-			return Value{}, err
-		}
-		rec := tc.wrapMPI(c, trace.CallAllgather, -1, -1, comm, -1, -1)
-		out, err := p.Allgather(ctx, send.read(count), mpi.CommID(comm))
-		if err != nil {
-			return Value{}, err
-		}
-		tc.tagColl(rec)
-		recv.write(out)
-		return intVal(0), nil
-
-	case "MPI_Alltoall":
-		send, err := tc.bufferArg(c, 0)
-		if err != nil {
-			return Value{}, err
-		}
-		recv, err := tc.bufferArg(c, 1)
-		if err != nil {
-			return Value{}, err
-		}
-		count, err := tc.evalInt(c, 2)
-		if err != nil {
-			return Value{}, err
-		}
-		comm, err := tc.evalInt(c, 3)
-		if err != nil {
-			return Value{}, err
-		}
-		rec := tc.wrapMPI(c, trace.CallAlltoall, -1, -1, comm, -1, -1)
-		out, err := p.Alltoall(ctx, send.read(count*p.Size()), mpi.CommID(comm))
-		if err != nil {
-			return Value{}, err
-		}
-		tc.tagColl(rec)
-		recv.write(out)
-		return intVal(0), nil
-	}
-	return Value{}, runtimeError(c.Line, "unsupported MPI routine %q", c.Name)
 }
 
 // ---- Irecv completion buffers ----
 
 // noteIrecvBuffer remembers where a pending Irecv should deposit its
-// payload once Wait/Test completes it.
-func (in *Instance) noteIrecvBuffer(req *mpi.Request, c *minic.Call, tc *threadCtx) {
-	buf, err := tc.bufferArg(c, 0)
+// payload once Wait/Test completes it: the call's buffer and count
+// arguments, evaluated again after the call.
+func (in *Instance) noteIrecvBuffer(tc *threadCtx, req *mpi.Request, bufArg func(*threadCtx) (*buffer, error), countArg func(*threadCtx) (int, error)) {
+	buf, err := bufArg(tc)
 	if err != nil {
 		return
 	}
-	count, err := tc.evalInt(c, 1)
+	count, err := countArg(tc)
 	if err != nil {
 		return
 	}

@@ -79,12 +79,17 @@ int main() {
 
 func TestLoopBodyAllocatesNothing(t *testing.T) {
 	const n = 1000
-	allocs := func(iters int) float64 {
-		prog := parse(t, `int main() { int s = 0; for (int i = 0; i < `+strconv.Itoa(iters)+`; i++) { s += i; } return 0; }`)
-		return testing.AllocsPerRun(5, func() { Run(prog, Config{Procs: 1}) })
-	}
-	at1, at2 := allocs(n), allocs(2*n)
-	if at2-at1 > n/10 {
-		t.Fatalf("allocations: %.0f at %d iterations, %.0f at %d; a loop iteration allocates", at1, n, at2, 2*n)
+	for _, body := range []string{
+		"s += i;",
+		"a[i] = a[i]*0.99 + 0.01;",
+	} {
+		allocs := func(iters int) float64 {
+			prog := parse(t, `int main() { int s = 0; double a[`+strconv.Itoa(iters)+`]; for (int i = 0; i < `+strconv.Itoa(iters)+`; i++) { `+body+` } return 0; }`)
+			return testing.AllocsPerRun(5, func() { Run(prog, Config{Procs: 1}) })
+		}
+		at1, at2 := allocs(n), allocs(2*n)
+		if at2-at1 > n/10 {
+			t.Fatalf("%s: allocations: %.0f at %d iterations, %.0f at %d; a loop iteration allocates", body, at1, n, at2, 2*n)
+		}
 	}
 }

@@ -155,7 +155,6 @@ func runtimeError(line int, format string, args ...any) error {
 
 // Instance is the per-rank interpreter state.
 type Instance struct {
-	prog    *minic.Program
 	conf    *Config
 	proc    *mpi.Proc
 	rt      *omp.Runtime
@@ -219,6 +218,7 @@ func Run(prog *minic.Program, conf Config) *Result {
 		SchedSource:        conf.SchedSource,
 	})
 	conf.Live.AttachActivity(world.Activity())
+	lp := lowered(prog)
 	out := &output{}
 	var steps atomic.Int64
 	exitCodes := make([]int, conf.Procs)
@@ -226,7 +226,6 @@ func Run(prog *minic.Program, conf Config) *Result {
 	res := world.Run(func(p *mpi.Proc, ctx *sim.Ctx) error {
 		ctx.Sink = conf.Sink
 		in := &Instance{
-			prog:    prog,
 			conf:    &conf,
 			proc:    p,
 			rt:      omp.NewRuntime(p.Rank(), world.Activity()),
@@ -243,12 +242,12 @@ func Run(prog *minic.Program, conf Config) *Result {
 		tc := &threadCtx{in: in, ctx: ctx}
 		defer tc.flushSteps()
 		// Evaluate globals per process (each rank has its own memory).
-		for _, g := range prog.Globals {
-			if _, err := tc.execStmt(g); err != nil {
+		for _, g := range lp.globals {
+			if _, err := g(tc); err != nil {
 				return err
 			}
 		}
-		code, err := tc.callFunction(prog.Func("main"), nil, 0)
+		code, err := tc.callFunction(lp.main, nil, 0)
 		if err != nil {
 			return err
 		}
@@ -365,7 +364,8 @@ func (tc *threadCtx) bumpStep() error {
 
 // flushSteps adds the lane's counted statements to the shared counter.
 // It runs every stepBatch statements and when the lane ends: main in
-// Run, a team member in execParallel, a pthread body in pthreadCreate.
+// Run, a team member in its parallel region, a pthread body in
+// pthreadCreate.
 // Telemetry tick: the lane whose flush crosses a publication point
 // publishes it, so each point is observed by exactly one lane; the
 // tick itself only reads (no virtual-time effect).
@@ -379,19 +379,20 @@ func (tc *threadCtx) flushSteps() {
 }
 
 // callFunction invokes a user function with evaluated arguments.
-func (tc *threadCtx) callFunction(fn *minic.FuncDecl, args []Value, line int) (Value, error) {
+func (tc *threadCtx) callFunction(fn *function, args []Value, line int) (Value, error) {
 	if fn == nil {
 		return Value{}, runtimeError(line, "call of undefined function")
 	}
-	if len(args) != len(fn.Params) {
-		return Value{}, runtimeError(line, "%s expects %d arguments, got %d", fn.Name, len(fn.Params), len(args))
+	decl := fn.decl
+	if len(args) != len(decl.Params) {
+		return Value{}, runtimeError(line, "%s expects %d arguments, got %d", decl.Name, len(decl.Params), len(args))
 	}
-	frame := make([]*cell, fn.Frame)
-	for i, p := range fn.Params {
+	frame := make([]*cell, decl.Frame)
+	for i, p := range decl.Params {
 		v := args[i]
 		if p.IsArray {
 			if v.Arr == nil {
-				return Value{}, runtimeError(line, "argument %d of %s must be an array", i+1, fn.Name)
+				return Value{}, runtimeError(line, "argument %d of %s must be an array", i+1, decl.Name)
 			}
 			frame[i] = newCell(true, true, v)
 			continue
@@ -400,7 +401,7 @@ func (tc *threadCtx) callFunction(fn *minic.FuncDecl, args []Value, line int) (V
 	}
 	caller := tc.frame
 	tc.frame = frame
-	c, err := tc.execStmt(fn.Body)
+	c, err := fn.body(tc)
 	tc.frame = caller
 	if err != nil {
 		return Value{}, err
@@ -409,162 +410,4 @@ func (tc *threadCtx) callFunction(fn *minic.FuncDecl, args []Value, line int) (V
 		return tc.ret, nil
 	}
 	return intVal(0), nil
-}
-
-// execStmt executes one statement.
-func (tc *threadCtx) execStmt(s minic.Stmt) (ctrl, error) {
-	if err := tc.bumpStep(); err != nil {
-		return ctrlNone, err
-	}
-	switch v := s.(type) {
-	case *minic.Block:
-		for _, inner := range v.Stmts {
-			c, err := tc.execStmt(inner)
-			if err != nil || c != ctrlNone {
-				return c, err
-			}
-		}
-		return ctrlNone, nil
-
-	case *minic.DeclStmt:
-		for _, d := range v.Decls {
-			if err := tc.declare(v, d); err != nil {
-				return ctrlNone, err
-			}
-		}
-		return ctrlNone, nil
-
-	case *minic.ExprStmt:
-		_, err := tc.evalExpr(v.X)
-		return ctrlNone, err
-
-	case *minic.IfStmt:
-		cond, err := tc.evalExpr(v.Cond)
-		if err != nil {
-			return ctrlNone, err
-		}
-		if cond.Truthy() {
-			return tc.execStmt(v.Then)
-		}
-		if v.Else != nil {
-			return tc.execStmt(v.Else)
-		}
-		return ctrlNone, nil
-
-	case *minic.ForStmt:
-		return tc.execFor(v)
-
-	case *minic.WhileStmt:
-		for {
-			cond, err := tc.evalExpr(v.Cond)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if !cond.Truthy() {
-				return ctrlNone, nil
-			}
-			c, err := tc.execStmt(v.Body)
-			if err != nil {
-				return ctrlNone, err
-			}
-			switch c {
-			case ctrlBreak:
-				return ctrlNone, nil
-			case ctrlReturn:
-				return ctrlReturn, nil
-			}
-			if err := tc.bumpStep(); err != nil {
-				return ctrlNone, err
-			}
-		}
-
-	case *minic.ReturnStmt:
-		tc.ret = intVal(0)
-		if v.X != nil {
-			rv, err := tc.evalExpr(v.X)
-			if err != nil {
-				return ctrlNone, err
-			}
-			tc.ret = rv
-		}
-		return ctrlReturn, nil
-
-	case *minic.BreakStmt:
-		return ctrlBreak, nil
-	case *minic.ContinueStmt:
-		return ctrlContinue, nil
-
-	case *minic.OmpStmt:
-		return tc.execOmp(v)
-	}
-	return ctrlNone, runtimeError(s.Pos(), "unsupported statement %T", s)
-}
-
-// declare evaluates one declarator.
-func (tc *threadCtx) declare(ds *minic.DeclStmt, d minic.Declarator) error {
-	isFloat := ds.Type == minic.TypeDouble
-	if d.ArraySize != nil {
-		szv, err := tc.evalExpr(d.ArraySize)
-		if err != nil {
-			return err
-		}
-		n := szv.Int()
-		limit := tc.in.conf.MaxArrayElems
-		if limit <= 0 {
-			limit = 1 << 26
-		}
-		if n < 0 || n > limit {
-			return runtimeError(ds.Line, "bad array size %d for %s", n, d.Name)
-		}
-		tc.bind(d.Ref, newCell(isFloat, true, Value{Arr: make([]float64, n)}))
-		return nil
-	}
-	init := Value{}
-	if d.Init != nil {
-		v, err := tc.evalExpr(d.Init)
-		if err != nil {
-			return err
-		}
-		init = v
-	}
-	tc.bind(d.Ref, newCell(isFloat, false, init))
-	return nil
-}
-
-// execFor runs a sequential for loop.
-func (tc *threadCtx) execFor(v *minic.ForStmt) (ctrl, error) {
-	if v.Init != nil {
-		if _, err := tc.execStmt(v.Init); err != nil {
-			return ctrlNone, err
-		}
-	}
-	for {
-		if v.Cond != nil {
-			cond, err := tc.evalExpr(v.Cond)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if !cond.Truthy() {
-				return ctrlNone, nil
-			}
-		}
-		c, err := tc.execStmt(v.Body)
-		if err != nil {
-			return ctrlNone, err
-		}
-		switch c {
-		case ctrlBreak:
-			return ctrlNone, nil
-		case ctrlReturn:
-			return ctrlReturn, nil
-		}
-		if v.Post != nil {
-			if _, err := tc.evalExpr(v.Post); err != nil {
-				return ctrlNone, err
-			}
-		}
-		if err := tc.bumpStep(); err != nil {
-			return ctrlNone, err
-		}
-	}
 }

@@ -9,7 +9,7 @@ import (
 
 // TestRuntimeMatchesFrontEndNames pins the runtime to the front end's
 // name table: the constants are exactly minic's predeclared names, and
-// callBuiltin handles every exact builtin name minic lets through.
+// the binder handles every exact builtin name minic lets through.
 func TestRuntimeMatchesFrontEndNames(t *testing.T) {
 	table := minic.DefaultSemaOptions()
 	for name := range constants {

@@ -7,111 +7,143 @@ import (
 	"home/internal/omp"
 )
 
-// execOmp executes an OpenMP construct.
-func (tc *threadCtx) execOmp(v *minic.OmpStmt) (ctrl, error) {
+// omp lowers an OpenMP construct, without the statement-entry
+// bumpStep. Its bodies are lowered once and shared by the sequential
+// path (no team, or a team of one) and the team path.
+func (l *lowerer) omp(v *minic.OmpStmt) stmtFn {
 	switch v.Kind {
 	case minic.PragmaParallel, minic.PragmaParallelFor:
-		return ctrlNone, tc.execParallel(v)
+		par := l.parallel(v)
+		return func(tc *threadCtx) (ctrl, error) {
+			return ctrlNone, par(tc)
+		}
 
 	case minic.PragmaFor:
 		f := v.Body.(*minic.ForStmt)
-		if tc.member == nil || tc.member.NumThreads() == 1 {
-			if _, decl := f.Init.(*minic.DeclStmt); !decl && v.LoopRef.Bound() {
-				// Run sequentially, an assigned loop variable is the
-				// variable the initializer assigns.
-				tc.frame[v.LoopRef.Slot] = tc.cell(v.LoopOuter)
+		lp := l.loop(f, v)
+		_, decl := f.Init.(*minic.DeclStmt)
+		rebind := !decl && v.LoopRef.Bound()
+		slot, outer := v.LoopRef.Slot, v.LoopOuter
+		return func(tc *threadCtx) (ctrl, error) {
+			if tc.member == nil || tc.member.NumThreads() == 1 {
+				if rebind {
+					// Run sequentially, an assigned loop variable is the
+					// variable the initializer assigns.
+					tc.frame[slot] = tc.cell(outer)
+				}
+				return lp.seq(tc)
 			}
-			return tc.execFor(f)
+			return ctrlNone, lp.shared(tc, tc.member)
 		}
-		return ctrlNone, tc.execWorksharedFor(v, f, tc.member)
 
 	case minic.PragmaSections:
-		if tc.member == nil || tc.member.NumThreads() == 1 {
-			for _, sec := range v.Sections {
-				if c, err := tc.execStmt(sec); err != nil || c == ctrlReturn {
-					return c, err
+		secs := make([]stmtFn, len(v.Sections))
+		for i, sec := range v.Sections {
+			secs[i] = l.stmt(sec)
+		}
+		return func(tc *threadCtx) (ctrl, error) {
+			if tc.member == nil || tc.member.NumThreads() == 1 {
+				for _, sec := range secs {
+					if c, err := sec(tc); err != nil || c == ctrlReturn {
+						return c, err
+					}
+				}
+				return ctrlNone, nil
+			}
+			bodies := make([]func() error, len(secs))
+			for i, sec := range secs {
+				bodies[i] = func() error {
+					_, err := sec(tc)
+					return err
 				}
 			}
-			return ctrlNone, nil
+			return ctrlNone, tc.member.Sections(bodies...)
 		}
-		bodies := make([]func() error, len(v.Sections))
-		for i, sec := range v.Sections {
-			sec := sec
-			bodies[i] = func() error {
-				_, err := tc.execStmt(sec)
-				return err
-			}
-		}
-		return ctrlNone, tc.member.Sections(bodies...)
 
 	case minic.PragmaSingle:
-		if tc.member == nil {
-			return tc.execStmt(v.Body)
-		}
-		return ctrlNone, tc.member.Single(func() error {
-			_, err := tc.execStmt(v.Body)
-			return err
-		})
-
+		return l.teamBody(v, (*omp.Member).Single)
 	case minic.PragmaMaster:
-		if tc.member == nil {
-			return tc.execStmt(v.Body)
-		}
-		return ctrlNone, tc.member.Master(func() error {
-			_, err := tc.execStmt(v.Body)
-			return err
-		})
-
+		return l.teamBody(v, (*omp.Member).Master)
 	case minic.PragmaCritical:
-		if tc.member == nil {
-			return tc.execStmt(v.Body)
-		}
-		return ctrlNone, tc.member.Critical(v.Name, func() error {
-			_, err := tc.execStmt(v.Body)
-			return err
+		name := v.Name
+		return l.teamBody(v, func(m *omp.Member, body func() error) error {
+			return m.Critical(name, body)
 		})
 
 	case minic.PragmaBarrier:
-		if tc.member == nil {
-			return ctrlNone, nil
+		return func(tc *threadCtx) (ctrl, error) {
+			if tc.member == nil {
+				return ctrlNone, nil
+			}
+			return ctrlNone, tc.member.Barrier()
 		}
-		return ctrlNone, tc.member.Barrier()
 	}
-	return ctrlNone, runtimeError(v.Line, "unsupported omp construct %v", v.Kind)
+	line, what := v.Line, v.Kind
+	return func(tc *threadCtx) (ctrl, error) {
+		return ctrlNone, runtimeError(line, "unsupported omp construct %v", what)
+	}
 }
 
-// execParallel forks a team for `omp parallel` / `omp parallel for`.
-func (tc *threadCtx) execParallel(v *minic.OmpStmt) error {
-	n := 0
-	if v.NumThreads != nil {
-		nv, err := tc.evalExpr(v.NumThreads)
-		if err != nil {
-			return err
+// teamBody lowers single, master and critical: outside a team the body
+// runs as a plain statement; inside, the construct decides who runs it.
+func (l *lowerer) teamBody(v *minic.OmpStmt, construct func(m *omp.Member, body func() error) error) stmtFn {
+	body := l.stmt(v.Body)
+	return func(tc *threadCtx) (ctrl, error) {
+		if tc.member == nil {
+			return body(tc)
 		}
-		n = nv.Int()
+		return ctrlNone, construct(tc.member, func() error {
+			_, err := body(tc)
+			return err
+		})
 	}
-	return tc.in.rt.Parallel(tc.ctx, n, func(m *omp.Member) error {
-		mtc := &threadCtx{in: tc.in, ctx: m.Ctx, member: m, frame: append([]*cell(nil), tc.frame...), status: tc.status}
-		defer mtc.flushSteps()
-		mtc.privatize(v)
-		redCells, err := mtc.initReduction(v)
-		if err != nil {
-			return err
-		}
-		if v.Kind == minic.PragmaParallelFor {
-			err = mtc.execWorksharedFor(v, v.Body.(*minic.ForStmt), m)
-		} else {
-			var c ctrl
-			c, err = mtc.execStmt(v.Body)
-			if err == nil && c == ctrlReturn {
-				err = runtimeError(v.Line, "return inside an omp parallel region")
+}
+
+// parallel lowers `omp parallel` / `omp parallel for`: it forks a team.
+func (l *lowerer) parallel(v *minic.OmpStmt) func(*threadCtx) error {
+	var numThreads numFn
+	if v.NumThreads != nil {
+		numThreads = l.expr(v.NumThreads).num
+	}
+	var body stmtFn
+	var shared func(*threadCtx, *omp.Member) error
+	if v.Kind == minic.PragmaParallelFor {
+		shared = l.loop(v.Body.(*minic.ForStmt), v).shared
+	} else {
+		body = l.stmt(v.Body)
+	}
+	return func(tc *threadCtx) error {
+		n := 0
+		if numThreads != nil {
+			nv, err := numThreads(tc)
+			if err != nil {
+				return err
 			}
+			n = int(nv)
 		}
-		if err != nil {
-			return err
-		}
-		return mtc.combineReduction(v, redCells, m)
-	})
+		return tc.in.rt.Parallel(tc.ctx, n, func(m *omp.Member) error {
+			mtc := &threadCtx{in: tc.in, ctx: m.Ctx, member: m, frame: append([]*cell(nil), tc.frame...), status: tc.status}
+			defer mtc.flushSteps()
+			mtc.privatize(v)
+			redCells, err := mtc.initReduction(v)
+			if err != nil {
+				return err
+			}
+			if shared != nil {
+				err = shared(mtc, m)
+			} else {
+				var c ctrl
+				c, err = body(mtc)
+				if err == nil && c == ctrlReturn {
+					err = runtimeError(v.Line, "return inside an omp parallel region")
+				}
+			}
+			if err != nil {
+				return err
+			}
+			return mtc.combineReduction(v, redCells, m)
+		})
+	}
 }
 
 // shadowed returns the variable a construct's copy at slot ref is
@@ -213,93 +245,203 @@ type loopBounds struct {
 	step  float64
 }
 
-// analyzeLoop normalizes `for (i = lo; i REL limit; i STEP)` into
-// (lo, iteration count, step), as an OpenMP runtime must for canonical
-// loop forms. The loop variable i is the slot loop; the limit and the
-// step must not read it.
-func (tc *threadCtx) analyzeLoop(f *minic.ForStmt, loop minic.Ref) (loopBounds, error) {
-	var b loopBounds
-	// Init part.
-	switch init := f.Init.(type) {
+// forLoopFns is a lowered for statement: seq runs it sequentially
+// (without the statement-entry bumpStep), shared distributes a
+// canonical loop over a team. Each part of the loop is lowered once and
+// used by both.
+type forLoopFns struct {
+	seq    stmtFn
+	shared func(*threadCtx, *omp.Member) error
+}
+
+// loop lowers a for statement; o is the worksharing construct that
+// governs it, or nil.
+func (l *lowerer) loop(f *minic.ForStmt, o *minic.OmpStmt) forLoopFns {
+	if o == nil {
+		var init stmtFn
+		if f.Init != nil {
+			init = l.stmt(f.Init)
+		}
+		var cond condFn
+		if f.Cond != nil {
+			cond = l.cond(f.Cond)
+		}
+		var post numFn
+		if f.Post != nil {
+			post = l.expr(f.Post).num
+		}
+		return forLoopFns{seq: forLoop(init, cond, post, l.stmt(f.Body))}
+	}
+	a := &loopShape{line: f.Line}
+	seqLoop := o.Kind == minic.PragmaFor
+	loop := o.LoopRef
+
+	// Init part: `int i = lo` or `i = lo`.
+	var init stmtFn
+	switch in := f.Init.(type) {
 	case *minic.DeclStmt:
-		if len(init.Decls) != 1 || init.Decls[0].Init == nil {
-			return b, runtimeError(f.Line, "omp for needs a canonical loop initializer")
+		if len(in.Decls) != 1 || in.Decls[0].Init == nil {
+			a.initErr = "omp for needs a canonical loop initializer"
+			if seqLoop {
+				init = l.stmt(in)
+			}
+			break
 		}
-		v, err := tc.evalExpr(init.Decls[0].Init)
-		if err != nil {
-			return b, err
+		lo := l.expr(in.Decls[0].Init)
+		a.lo = lo.num
+		if seqLoop {
+			init = l.declStmt(in, []expr{lo})
 		}
-		b.lo = v.Num
 	case *minic.ExprStmt:
-		as, ok := init.X.(*minic.Assign)
+		as, ok := in.X.(*minic.Assign)
 		if !ok || as.Op != minic.TAssign {
-			return b, runtimeError(f.Line, "omp for needs a canonical loop initializer")
+			a.initErr = "omp for needs a canonical loop initializer"
+		} else if _, ok := as.LHS.(*minic.Ident); !ok {
+			a.initErr = "omp for loop variable must be a scalar"
 		}
-		if _, ok := as.LHS.(*minic.Ident); !ok {
-			return b, runtimeError(f.Line, "omp for loop variable must be a scalar")
+		if a.initErr != "" {
+			if seqLoop {
+				init = l.stmt(in)
+			}
+			break
 		}
-		v, err := tc.evalExpr(as.RHS)
-		if err != nil {
-			return b, err
+		lo := l.expr(as.RHS)
+		a.lo = lo.num
+		if seqLoop {
+			init = exprStmt(l.assign(as.Line, as.Op, as.LHS, lo))
 		}
-		b.lo = v.Num
 	default:
-		return b, runtimeError(f.Line, "omp for needs a loop initializer")
+		a.initErr = "omp for needs a loop initializer"
+		if seqLoop && f.Init != nil {
+			init = l.stmt(f.Init)
+		}
 	}
 
-	// Condition part.
-	cond, ok := f.Cond.(*minic.Binary)
-	if !ok {
-		return b, runtimeError(f.Line, "omp for needs a canonical loop condition")
+	// Condition part: `i REL limit`.
+	var cond condFn
+	if c, ok := f.Cond.(*minic.Binary); ok {
+		x, lim := l.expr(c.X), l.expr(c.Y)
+		if seqLoop {
+			cond = condOf(c.Line, c.Op, x, lim)
+		}
+		if id, ok := c.X.(*minic.Ident); !ok || id.Ref != loop {
+			a.condErr = "omp for condition must test the loop variable"
+		} else if reads(c.Y, loop) {
+			a.condErr = "omp for loop bound must not read the loop variable"
+		} else {
+			a.limit = lim.num
+			a.rel = c.Op
+		}
+	} else {
+		a.condErr = "omp for needs a canonical loop condition"
+		if seqLoop && f.Cond != nil {
+			cond = l.cond(f.Cond)
+		}
 	}
-	if id, ok := cond.X.(*minic.Ident); !ok || id.Ref != loop {
-		return b, runtimeError(f.Line, "omp for condition must test the loop variable")
+
+	// Step part: `i++`, `i--`, `i += c` or `i -= c`.
+	var post numFn
+	switch p := f.Post.(type) {
+	case *minic.IncDec:
+		a.step = 1
+		if p.Op != minic.TPlusPlus {
+			a.step = -1
+		}
+		if seqLoop {
+			post = l.expr(p).num
+		}
+	case *minic.Assign:
+		sv := l.expr(p.RHS)
+		if seqLoop {
+			post = l.assign(p.Line, p.Op, p.LHS, sv).num
+		}
+		switch {
+		case reads(p.RHS, loop):
+			a.stepErr = "omp for step must not read the loop variable"
+		case p.Op == minic.TPlusEq:
+			a.stepExpr = sv.num
+		case p.Op == minic.TMinusEq:
+			a.stepExpr, a.negStep = sv.num, true
+		default:
+			a.stepExpr = sv.num
+			a.badStep = true
+		}
+	default:
+		a.stepErr = "omp for needs a loop increment"
+		if seqLoop && f.Post != nil {
+			post = l.expr(f.Post).num
+		}
 	}
-	if reads(cond.Y, loop) {
-		return b, runtimeError(f.Line, "omp for loop bound must not read the loop variable")
+
+	body := l.stmt(f.Body)
+	fns := forLoopFns{shared: a.shared(o, l, body)}
+	if seqLoop {
+		fns.seq = forLoop(init, cond, post, body)
 	}
-	limV, err := tc.evalExpr(cond.Y)
+	return fns
+}
+
+// loopShape is a canonical loop's analysis, decided at lowering: the
+// lowered bound expressions and the first shape error. The error is
+// raised when the worksharing loop runs, at the point where reading
+// the loop's parts in order (initializer, limit, step) reaches it.
+type loopShape struct {
+	line int
+	// initErr is raised before anything is evaluated, condErr after the
+	// initializer, stepErr after the limit.
+	initErr, condErr, stepErr string
+	lo, limit                 numFn
+	rel                       minic.Kind
+	step                      float64 // ±1 for i++/i--
+	stepExpr                  numFn   // the c of i += c or i -= c
+	negStep                   bool
+	badStep                   bool // an assignment other than += or -=, raised after c
+}
+
+// bounds evaluates the loop's (lo, count, step), raising its shape
+// errors in order.
+func (a *loopShape) bounds(tc *threadCtx) (loopBounds, error) {
+	var b loopBounds
+	if a.initErr != "" {
+		return b, runtimeError(a.line, "%s", a.initErr)
+	}
+	v, err := a.lo(tc)
 	if err != nil {
 		return b, err
 	}
-	limit := limV.Num
-
-	// Step part.
-	step := 0.0
-	switch post := f.Post.(type) {
-	case *minic.IncDec:
-		if post.Op == minic.TPlusPlus {
-			step = 1
-		} else {
-			step = -1
-		}
-	case *minic.Assign:
-		if reads(post.RHS, loop) {
-			return b, runtimeError(f.Line, "omp for step must not read the loop variable")
-		}
-		sv, err := tc.evalExpr(post.RHS)
+	b.lo = v
+	if a.condErr != "" {
+		return b, runtimeError(a.line, "%s", a.condErr)
+	}
+	limit, err := a.limit(tc)
+	if err != nil {
+		return b, err
+	}
+	if a.stepErr != "" {
+		return b, runtimeError(a.line, "%s", a.stepErr)
+	}
+	step := a.step
+	if a.stepExpr != nil {
+		sv, err := a.stepExpr(tc)
 		if err != nil {
 			return b, err
 		}
-		switch post.Op {
-		case minic.TPlusEq:
-			step = sv.Num
-		case minic.TMinusEq:
-			step = -sv.Num
-		default:
-			return b, runtimeError(f.Line, "omp for needs i++/i--/i+=c/i-=c increment")
+		if a.badStep {
+			return b, runtimeError(a.line, "omp for needs i++/i--/i+=c/i-=c increment")
 		}
-	default:
-		return b, runtimeError(f.Line, "omp for needs a loop increment")
+		step = sv
+		if a.negStep {
+			step = -sv
+		}
 	}
 	if step == 0 {
-		return b, runtimeError(f.Line, "omp for step must be nonzero")
+		return b, runtimeError(a.line, "omp for step must be nonzero")
 	}
 	b.step = step
 
 	// Iteration count from relation and step direction.
 	var span float64
-	switch cond.Op {
+	switch a.rel {
 	case minic.TLt:
 		span = limit - b.lo
 	case minic.TLe:
@@ -309,7 +451,7 @@ func (tc *threadCtx) analyzeLoop(f *minic.ForStmt, loop minic.Ref) (loopBounds, 
 	case minic.TGe:
 		span = b.lo - limit + 1
 	default:
-		return b, runtimeError(f.Line, "omp for condition must be a comparison")
+		return b, runtimeError(a.line, "omp for condition must be a comparison")
 	}
 	if span <= 0 {
 		b.count = 0
@@ -331,12 +473,9 @@ func reads(e minic.Expr, r minic.Ref) bool {
 	return found
 }
 
-// execWorksharedFor distributes a canonical loop over the team.
-func (tc *threadCtx) execWorksharedFor(o *minic.OmpStmt, f *minic.ForStmt, m *omp.Member) error {
-	b, err := tc.analyzeLoop(f, o.LoopRef)
-	if err != nil {
-		return err
-	}
+// shared lowers the worksharing form of the loop: it distributes the
+// canonical loop over the team.
+func (a *loopShape) shared(o *minic.OmpStmt, l *lowerer, body stmtFn) func(*threadCtx, *omp.Member) error {
 	sched := omp.ScheduleStatic
 	switch o.Schedule {
 	case minic.SchedDynamic:
@@ -344,26 +483,37 @@ func (tc *threadCtx) execWorksharedFor(o *minic.OmpStmt, f *minic.ForStmt, m *om
 	case minic.SchedGuided:
 		sched = omp.ScheduleGuided
 	}
-	chunk := int64(0)
+	var chunkExpr numFn
 	if o.Chunk != nil {
-		cv, err := tc.evalExpr(o.Chunk)
-		if err != nil {
-			return err
-		}
-		chunk = int64(cv.Int())
+		chunkExpr = l.expr(o.Chunk).num
 	}
-	// The loop variable is implicitly private.
-	ivar := newCell(false, false, Value{})
-	tc.frame[o.LoopRef.Slot] = ivar
-	return m.For(0, b.count, sched, chunk, func(k int64) error {
-		ivar.store(intVal(b.lo + float64(k)*b.step))
-		c, err := tc.execStmt(f.Body)
+	slot, line := o.LoopRef.Slot, a.line
+	return func(tc *threadCtx, m *omp.Member) error {
+		b, err := a.bounds(tc)
 		if err != nil {
 			return err
 		}
-		if c == ctrlReturn || c == ctrlBreak {
-			return runtimeError(f.Line, "break/return out of an omp for loop")
+		chunk := int64(0)
+		if chunkExpr != nil {
+			cv, err := chunkExpr(tc)
+			if err != nil {
+				return err
+			}
+			chunk = int64(int(cv))
 		}
-		return nil
-	})
+		// The loop variable is implicitly private.
+		ivar := newCell(false, false, Value{})
+		tc.frame[slot] = ivar
+		return m.For(0, b.count, sched, chunk, func(k int64) error {
+			ivar.storeNum(b.lo+float64(k)*b.step, false)
+			c, err := body(tc)
+			if err != nil {
+				return err
+			}
+			if c == ctrlReturn || c == ctrlBreak {
+				return runtimeError(line, "break/return out of an omp for loop")
+			}
+			return nil
+		})
+	}
 }

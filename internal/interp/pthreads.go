@@ -62,34 +62,63 @@ func (in *Instance) pthreads() *pthreadState {
 	return in.pt
 }
 
-// pthreadCreate spawns fn(arg) on a new simulated thread and returns
-// its handle.
-func (tc *threadCtx) pthreadCreate(c *minic.Call) (Value, error) {
+// pthreadBuiltins lowers the pthread_* routines.
+var pthreadBuiltins = map[string]func(*lowerer, *minic.Call) valFn{
+	"pthread_create": lowerPthreadCreate,
+	"pthread_join":   lowerPthreadJoin,
+	"pthread_self": func(*lowerer, *minic.Call) valFn {
+		return func(tc *threadCtx) (Value, error) { return intVal(float64(tc.ctx.TID)), nil }
+	},
+}
+
+// lowerPthreadCreate lowers pthread_create(&handle, function, [arg]):
+// it spawns function(arg) on a new simulated thread and returns its
+// handle. The function is bound at lowering.
+func lowerPthreadCreate(l *lowerer, c *minic.Call) valFn {
+	fail := func(format string, args ...any) valFn {
+		return func(*threadCtx) (Value, error) { return Value{}, runtimeError(c.Line, format, args...) }
+	}
 	if len(c.Args) < 2 {
-		return Value{}, runtimeError(c.Line, "pthread_create needs (&handle, function, [arg])")
+		return fail("pthread_create needs (&handle, function, [arg])")
 	}
 	fnIdent, ok := c.Args[1].(*minic.Ident)
 	if !ok {
-		return Value{}, runtimeError(c.Line, "pthread_create: second argument must be a function name")
+		return fail("pthread_create: second argument must be a function name")
 	}
-	fn := tc.in.prog.Func(fnIdent.Name)
+	fn := l.funcs[fnIdent.Name]
 	if fn == nil {
-		return Value{}, runtimeError(c.Line, "pthread_create: undefined function %q", fnIdent.Name)
+		return fail("pthread_create: undefined function %q", fnIdent.Name)
 	}
-	var args []Value
+	var arg valFn
 	if len(c.Args) > 2 {
-		if len(fn.Params) != 1 {
-			return Value{}, runtimeError(c.Line, "pthread_create: %s must take exactly one parameter", fn.Name)
+		if len(fn.decl.Params) != 1 {
+			return fail("pthread_create: %s must take exactly one parameter", fn.decl.Name)
 		}
-		v, err := tc.evalExpr(c.Args[2])
-		if err != nil {
+		arg = l.expr(c.Args[2]).val
+	} else if len(fn.decl.Params) != 0 {
+		return fail("pthread_create: %s takes a parameter but none was passed", fn.decl.Name)
+	}
+	handleOut := l.assignArg(c, 0)
+	return func(tc *threadCtx) (Value, error) {
+		var args []Value
+		if arg != nil {
+			v, err := arg(tc)
+			if err != nil {
+				return Value{}, err
+			}
+			args = []Value{v}
+		}
+		handle := tc.pthreadCreate(fn, args, c.Line)
+		if err := handleOut(tc, intVal(float64(handle))); err != nil {
 			return Value{}, err
 		}
-		args = []Value{v}
-	} else if len(fn.Params) != 0 {
-		return Value{}, runtimeError(c.Line, "pthread_create: %s takes a parameter but none was passed", fn.Name)
+		return intVal(float64(handle)), nil
 	}
+}
 
+// pthreadCreate spawns fn(args) on a new simulated thread and returns
+// its handle.
+func (tc *threadCtx) pthreadCreate(fn *function, args []Value, line int) int {
 	ps := tc.in.pthreads()
 	ps.mu.Lock()
 	handle := ps.next
@@ -115,7 +144,7 @@ func (tc *threadCtx) pthreadCreate(c *minic.Call) (Value, error) {
 	}
 	activity.Go(func() {
 		child.ctx.Emit(trace.Event{Op: trace.OpBegin, Sync: syncID})
-		_, err := child.callFunction(fn, args, c.Line)
+		_, err := child.callFunction(fn, args, line)
 		child.flushSteps()
 		child.ctx.Emit(trace.Event{Op: trace.OpEnd, Sync: syncID})
 		child.ctx.Finish()
@@ -129,26 +158,35 @@ func (tc *threadCtx) pthreadCreate(c *minic.Call) (Value, error) {
 		pt.mu.Unlock()
 		activity.DoneThread()
 	})
-
-	if err := tc.assignArg(c, 0, intVal(float64(handle))); err != nil {
-		return Value{}, err
-	}
-	return intVal(float64(handle)), nil
+	return handle
 }
 
-// pthreadJoin waits for the handled thread, merging clocks and
-// emitting the join edge.
-func (tc *threadCtx) pthreadJoin(c *minic.Call) (Value, error) {
-	handleV, err := tc.evalExpr(c.Args[0])
-	if err != nil {
-		return Value{}, err
+// lowerPthreadJoin lowers pthread_join(handle): it waits for the
+// thread, merging clocks and emitting the join edge.
+func lowerPthreadJoin(l *lowerer, c *minic.Call) valFn {
+	line := c.Line
+	if len(c.Args) == 0 {
+		return func(*threadCtx) (Value, error) {
+			return Value{}, runtimeError(line, "pthread_join needs one argument")
+		}
 	}
+	handle := l.expr(c.Args[0]).num
+	return func(tc *threadCtx) (Value, error) {
+		h, err := handle(tc)
+		if err != nil {
+			return Value{}, err
+		}
+		return tc.pthreadJoin(int(h), line)
+	}
+}
+
+func (tc *threadCtx) pthreadJoin(handle, line int) (Value, error) {
 	ps := tc.in.pthreads()
 	ps.mu.Lock()
-	pt := ps.byID[handleV.Int()]
+	pt := ps.byID[handle]
 	ps.mu.Unlock()
 	if pt == nil {
-		return Value{}, runtimeError(c.Line, "pthread_join: unknown thread handle %d", handleV.Int())
+		return Value{}, runtimeError(line, "pthread_join: unknown thread handle %d", handle)
 	}
 
 	pt.mu.Lock()
@@ -158,7 +196,7 @@ func (tc *threadCtx) pthreadJoin(c *minic.Call) (Value, error) {
 		pt.mu.Unlock()
 		switch tc.in.world.Activity().Park(w, sim.Desc(tc.ctx.Rank, tc.ctx.TID, "pthread_join")).How {
 		case sim.Deadlock:
-			return Value{}, runtimeError(c.Line, "global deadlock while joining thread %d", pt.id)
+			return Value{}, runtimeError(line, "global deadlock while joining thread %d", pt.id)
 		case sim.Aborted:
 			// Rank abort (crash-stop): stop waiting; the spawned thread
 			// unwinds on its own.
@@ -166,7 +204,7 @@ func (tc *threadCtx) pthreadJoin(c *minic.Call) (Value, error) {
 		}
 		pt.mu.Lock()
 	}
-	err = pt.err
+	err := pt.err
 	endNow := pt.endNow
 	pt.mu.Unlock()
 

@@ -78,6 +78,32 @@ func (c *cell) load() Value {
 	return Value{Num: math.Float64frombits(c.num.Load()), IsFloat: c.isFloat}
 }
 
+// loadNum returns the number the cell holds: load().Num without
+// building the Value.
+func (c *cell) loadNum() float64 {
+	if p := c.ref.Load(); p != nil {
+		return p.Num
+	}
+	return math.Float64frombits(c.num.Load())
+}
+
+// storeNum is store(Value{Num: n, IsFloat: isFloat}) without building
+// the Value: a scalar coerces n to its declared type and keeps it
+// unboxed.
+func (c *cell) storeNum(n float64, isFloat bool) {
+	if c.isArray {
+		c.set(Value{Num: n, IsFloat: isFloat})
+		return
+	}
+	if !c.isFloat {
+		n = math.Trunc(n)
+	}
+	c.num.Store(math.Float64bits(n))
+	if c.ref.Load() != nil {
+		c.ref.Store(nil)
+	}
+}
+
 // store writes v coerced to the declared type.
 func (c *cell) store(v Value) {
 	if !c.isArray && v.Arr == nil && v.Req == nil {

@@ -1,6 +1,9 @@
 package minic
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // TypeKind enumerates MiniHPC's value types.
 type TypeKind int
@@ -336,6 +339,19 @@ type Program struct {
 	NumGlobals int
 
 	diags []SemaError // the binder's diagnostics, for CheckSemantics
+
+	// lowered is the interpreter's compiled form of the program, built
+	// once by Lowered. minic holds it as an opaque value.
+	lowerOnce sync.Once
+	lowered   any
+}
+
+// Lowered returns the program's compiled form, calling build on first
+// use only; concurrent callers wait for that one build. The compiled
+// form lives and dies with the program.
+func (p *Program) Lowered(build func(*Program) any) any {
+	p.lowerOnce.Do(func() { p.lowered = build(p) })
+	return p.lowered
 }
 
 // Pos returns the line of the first declaration (0 if empty).

@@ -112,7 +112,7 @@ type Job struct {
 	errMsg   string
 	report   []byte
 
-	comp    *home.Compiled
+	comp    *home.Compiled // until the job has run
 	opts    home.Options
 	timeout time.Duration
 }
@@ -403,6 +403,9 @@ func (s *Server) runJob(j *Job) {
 	rep, err, timedOut := explore.CheckCompiledBounded(comp, opts, timeout)
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	// The run was the handle's only reader. A finished job is retained
+	// far longer than the cache keeps the handle, so it lets it go.
+	j.comp = nil
 	switch {
 	case timedOut:
 		j.state = StateBudgetExceeded

@@ -276,6 +276,37 @@ func TestCacheHitByteIdenticalReport(t *testing.T) {
 	}
 }
 
+// TestFinishedJobDropsCompiledHandle: the run is the only reader of a
+// job's compiled handle, so a finished job no longer references it,
+// and a resubmission of the program still finds it in the cache.
+func TestFinishedJobDropsCompiledHandle(t *testing.T) {
+	s := startServer(t, Config{Workers: 1})
+	var first JobStatus
+	if code := submit(t, s, JobRequest{Program: cleanSrc, Name: "first"}, &first); code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	if st := waitJob(t, s, first.ID); st.State != StateDone {
+		t.Fatalf("job: %+v", st)
+	}
+	j := s.job(first.ID)
+	j.mu.Lock()
+	comp := j.comp
+	j.mu.Unlock()
+	if comp != nil {
+		t.Fatal("a finished job still references its compiled handle")
+	}
+	var again JobStatus
+	if code := submit(t, s, JobRequest{Program: cleanSrc, Name: "again"}, &again); code != http.StatusAccepted {
+		t.Fatalf("resubmit: %d", code)
+	}
+	if !again.CacheHit {
+		t.Fatal("resubmitting the program must hit the cache")
+	}
+	if st := waitJob(t, s, again.ID); st.State != StateDone {
+		t.Fatalf("resubmitted job: %+v", st)
+	}
+}
+
 // collectPhases replays the SSE backlog and groups phase events by the
 // run's program label.
 func collectPhases(t *testing.T, s *Server) map[string]map[string]bool {
