@@ -199,11 +199,12 @@ func CheckCompiled(c *Compiled, opts Options) (*Report, error) {
 	// model charged its virtual cost (AnalysisNsPerEvent per event) at
 	// emission during execute, modelling the paper's on-the-fly HOME,
 	// so virtual time does not depend on where the analysis runs; the
-	// span reports that same total.
-	events := log.Events()
+	// span reports that same total. The analyses read the log's own
+	// chunks in place.
+	chunks := log.Chunks()
 	lh.Phase("analyze")
 	sp = opts.Profile.Start("analyze")
-	rep := detect.Analyze(events, detect.Options{Mode: opts.Mode, Stats: opts.Stats, Explain: opts.Explain})
+	rep := detect.AnalyzeChunks(chunks, detect.Options{Mode: opts.Mode, Stats: opts.Stats, Explain: opts.Explain})
 	sp.SetVirtual(int64(rep.EventsAnalyzed) * costs.AnalysisNsPerEvent)
 	sp.End()
 
@@ -212,7 +213,7 @@ func CheckCompiled(c *Compiled, opts Options) (*Report, error) {
 	// Phase 4: specification matching.
 	lh.Phase("match")
 	sp = opts.Profile.Start("match")
-	violations := spec.Match(events, rep)
+	violations := spec.MatchChunks(chunks, rep)
 	sp.End()
 
 	report := &Report{
@@ -229,12 +230,13 @@ func CheckCompiled(c *Compiled, opts Options) (*Report, error) {
 		Spans:          opts.Profile.Spans(),
 	}
 	if opts.Explain {
+		events := log.Events()
 		report.Witnesses = explain.Extract(events, rep, violations)
 		report.Trace = events
 	}
 	// Every report carries per-rank coverage — uniform shape whether or
 	// not ranks died — so fleet aggregation never special-cases.
-	report.RankCoverage = rankCoverage(opts.Procs, events, run.DeadRanks)
+	report.RankCoverage = rankCoverage(opts.Procs, chunks, run.DeadRanks)
 	if len(run.DeadRanks) > 0 {
 		// Graceful degradation: a crash-stopped rank truncates its own
 		// event stream, but the analyses are prefix-closed, so the

@@ -2,11 +2,15 @@ package home
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"home/internal/detect"
 	"home/internal/faults"
+	"home/internal/npb"
+	"home/internal/spec"
 )
 
 // A hybrid program with real OpenMP and pthread concurrency, so the
@@ -199,5 +203,38 @@ func TestCompileHashAndErrors(t *testing.T) {
 	var pe *ParseError
 	if err == nil || !errors.As(err, &pe) || !strings.HasPrefix(err.Error(), "parse: ") {
 		t.Fatalf("Compile of garbage must return *ParseError, got %v", err)
+	}
+}
+
+// TestCheckInPlaceMatchesCopy pins that HOME, which analyzes its log in
+// the chunks it was emitted into, reports what detect.Analyze and
+// spec.Match report over a copy of the same log, on NPB LU/BT/SP class
+// S at 4 procs. The copy is the report's own Trace, kept under Explain.
+func TestCheckInPlaceMatchesCopy(t *testing.T) {
+	for _, b := range npb.All() {
+		o := npb.PaperInjections(b)
+		o.Class = 'S'
+		c, err := Compile(npb.Generate(b, o).Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := CheckCompiled(c, Options{Procs: 4, Threads: 2, Seed: 1, Explain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Trace) <= 64 {
+			t.Fatalf("%v: %d events fill one chunk; the check must cross a chunk boundary", b, len(rep.Trace))
+		}
+		want := detect.Analyze(rep.Trace, detect.Options{Explain: true})
+		if !reflect.DeepEqual(rep.Races, want.Races) || rep.EventsAnalyzed != want.EventsAnalyzed {
+			t.Errorf("%v: in-place races differ from the copy's:\n got %v\nwant %v", b, rep.Races, want.Races)
+		}
+		wantVs := spec.Match(rep.Trace, want)
+		if !reflect.DeepEqual(rep.Violations, wantVs) {
+			t.Errorf("%v: in-place violations differ from the copy's:\n got %v\nwant %v", b, rep.Violations, wantVs)
+		}
+		if len(wantVs) == 0 {
+			t.Errorf("%v: no violation found; the comparison is vacuous", b)
+		}
 	}
 }

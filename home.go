@@ -529,15 +529,17 @@ func recordSchedStats(opts *Options, forced0, orderForced0 int64) {
 }
 
 // rankCoverage tallies the observed instrumentation events per rank.
-func rankCoverage(procs int, events []trace.Event, dead []int) []RankCoverage {
+func rankCoverage(procs int, chunks [][]trace.Event, dead []int) []RankCoverage {
 	failed := make(map[int]bool, len(dead))
 	for _, r := range dead {
 		failed[r] = true
 	}
 	counts := make([]int, procs)
-	for i := range events {
-		if r := events[i].Rank; r >= 0 && r < procs {
-			counts[r]++
+	for _, c := range chunks {
+		for i := range c {
+			if r := c[i].Rank; r >= 0 && r < procs {
+				counts[r]++
+			}
 		}
 	}
 	out := make([]RankCoverage, procs)
@@ -607,7 +609,7 @@ func MessageRaces(prog *Program, opts Options) ([]MessageRace, error) {
 	})
 	// A deadlocked or crash-truncated run still yields a usable prefix.
 	_ = res
-	return msgrace.Analyze(log.Events()), nil
+	return msgrace.Analyze(log.Chunks()...), nil
 }
 
 // StaticOnly runs just the compile-time phase, returning the plan

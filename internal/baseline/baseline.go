@@ -134,15 +134,31 @@ type Result struct {
 
 // RunMarmot executes the program under the Marmot model.
 func RunMarmot(prog *minic.Program, opts Options) *Result {
+	log := trace.NewLog()
+	run := interp.Run(prog, marmotConfig(opts, log))
+	rep, violations := checkMarmot(log.Chunks(), opts)
+	return &Result{
+		Tool:       ToolMarmot,
+		Violations: violations,
+		Races:      rep.Races,
+		Makespan:   run.Makespan,
+		Deadlocked: run.Deadlocked,
+		Errs:       run.Errs,
+		Events:     log.Len(),
+	}
+}
+
+// marmotConfig is the Marmot model's run: every MPI call is hooked
+// and makes the manager round trip.
+func marmotConfig(opts Options, sink trace.Sink) interp.Config {
 	costs := opts.Costs
 	if costs == (sim.CostModel{}) {
 		costs = sim.DefaultCostModel()
 	}
 	costs.EmitNs = marmotEmitNs
 	costs.AnalysisNsPerEvent = marmotAnalysisNs
-	log := trace.NewLog()
 	managerCost := marmotCallNs(opts.Procs)
-	run := interp.Run(prog, interp.Config{
+	return interp.Config{
 		Procs:    opts.Procs,
 		Threads:  opts.Threads,
 		Seed:     opts.Seed,
@@ -151,28 +167,21 @@ func RunMarmot(prog *minic.Program, opts Options) *Result {
 		// PMPI layer: every MPI call is intercepted and its record
 		// makes the manager round trip.
 		Instrument: func(int) bool { return true },
-		Sink:       log,
+		Sink:       sink,
 		CallHook:   func(ctx *sim.Ctx, _ *trace.MPICall) { ctx.Advance(managerCost) },
-	})
+	}
+}
 
-	events := log.Events()
-	rep := detect.Analyze(events, detect.Options{Mode: detect.ModeCombined})
+// checkMarmot analyzes a Marmot log in place and keeps the races that
+// manifested.
+func checkMarmot(chunks [][]trace.Event, opts Options) (*detect.Report, []spec.Violation) {
+	rep := detect.AnalyzeChunks(chunks, detect.Options{Mode: detect.ModeCombined})
 	window := opts.MarmotOverlapNs
 	if window <= 0 {
 		window = DefaultMarmotOverlapNs
 	}
 	manifested := filterManifest(rep, window)
-	violations := spec.Match(events, manifested)
-
-	return &Result{
-		Tool:       ToolMarmot,
-		Violations: violations,
-		Races:      manifested.Races,
-		Makespan:   run.Makespan,
-		Deadlocked: run.Deadlocked,
-		Errs:       run.Errs,
-		Events:     len(events),
-	}
+	return manifested, spec.MatchChunks(chunks, manifested)
 }
 
 // filterManifest keeps only races whose two accesses actually
@@ -209,33 +218,9 @@ func (s probeBlindSink) Emit(e trace.Event) {
 
 // RunITC executes the program under the Intel Thread Checker model.
 func RunITC(prog *minic.Program, opts Options) *Result {
-	costs := opts.Costs
-	if costs == (sim.CostModel{}) {
-		costs = sim.DefaultCostModel()
-	}
-	costs.EmitNs = itcEmitNs
-	costs.AnalysisNsPerEvent = itcAnalysisNs(opts.Procs, opts.Threads)
 	log := trace.NewLog()
-	run := interp.Run(prog, interp.Config{
-		Procs:    opts.Procs,
-		Threads:  opts.Threads,
-		Seed:     opts.Seed,
-		Costs:    costs,
-		MaxSteps: opts.MaxSteps,
-		// Binary rewriting: every call site and every memory access.
-		Instrument:         func(int) bool { return true },
-		Sink:               probeBlindSink{inner: log},
-		MonitorAllAccesses: true,
-	})
-
-	events := log.Events()
-	// No omp-critical knowledge: lock events are ignored.
-	rep := detect.Analyze(events, detect.Options{
-		Mode:        detect.ModeCombined,
-		IgnoreLocks: true,
-	})
-	violations := spec.Match(events, rep)
-
+	run := interp.Run(prog, itcConfig(opts, log))
+	rep, violations := checkITC(log.Chunks())
 	return &Result{
 		Tool:       ToolITC,
 		Violations: violations,
@@ -243,8 +228,39 @@ func RunITC(prog *minic.Program, opts Options) *Result {
 		Makespan:   run.Makespan,
 		Deadlocked: run.Deadlocked,
 		Errs:       run.Errs,
-		Events:     len(events),
+		Events:     log.Len(),
 	}
+}
+
+// itcConfig is the ITC model's run: binary rewriting instruments every
+// call site and every memory access, and probes reach sink blind.
+func itcConfig(opts Options, sink trace.Sink) interp.Config {
+	costs := opts.Costs
+	if costs == (sim.CostModel{}) {
+		costs = sim.DefaultCostModel()
+	}
+	costs.EmitNs = itcEmitNs
+	costs.AnalysisNsPerEvent = itcAnalysisNs(opts.Procs, opts.Threads)
+	return interp.Config{
+		Procs:              opts.Procs,
+		Threads:            opts.Threads,
+		Seed:               opts.Seed,
+		Costs:              costs,
+		MaxSteps:           opts.MaxSteps,
+		Instrument:         func(int) bool { return true },
+		Sink:               probeBlindSink{inner: sink},
+		MonitorAllAccesses: true,
+	}
+}
+
+// checkITC analyzes an ITC log in place. ITC has no omp-critical
+// knowledge, so lock events are ignored.
+func checkITC(chunks [][]trace.Event) (*detect.Report, []spec.Violation) {
+	rep := detect.AnalyzeChunks(chunks, detect.Options{
+		Mode:        detect.ModeCombined,
+		IgnoreLocks: true,
+	})
+	return rep, spec.MatchChunks(chunks, rep)
 }
 
 // RunBase executes the program uninstrumented (the "Base" series).

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"home/internal/trace"
@@ -18,26 +19,26 @@ func syntheticLog(nThreads, rounds int) []trace.Event {
 		seq++
 		events = append(events, e)
 	}
-	fork := trace.SyncID{Rank: 0, Seq: 999}
-	add(trace.Event{Rank: 0, TID: 0, Op: trace.OpFork, Sync: fork})
+	fork := uint64(999)
+	add(trace.Event{Rank: 0, TID: 0, Op: trace.OpFork, SyncSeq: fork})
 	for tid := 1; tid < nThreads; tid++ {
-		add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBegin, Sync: fork})
+		add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBegin, SyncSeq: fork})
 	}
 	for r := 0; r < rounds; r++ {
 		for tid := 0; tid < nThreads; tid++ {
 			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpAcquire,
-				Lock: trace.LockID{Rank: 0, Name: "L"}})
+				Name: "L"})
 			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpWrite,
-				Loc: trace.Loc{Rank: 0, Name: "protected"}})
+				Name: "protected"})
 			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpRelease,
-				Lock: trace.LockID{Rank: 0, Name: "L"}})
+				Name: "L"})
 			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpWrite,
-				Loc:  trace.Loc{Rank: 0, Name: trace.VarTag},
+				Name: trace.VarTag,
 				Call: &trace.MPICall{Kind: trace.CallRecv, Peer: 1, Tag: r, Comm: 0}})
 		}
-		bar := trace.SyncID{Rank: 0, Seq: uint64(r)}
+		bar := uint64(r)
 		for tid := 0; tid < nThreads; tid++ {
-			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBarrier, Sync: bar})
+			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBarrier, SyncSeq: bar})
 		}
 	}
 	return events
@@ -87,25 +88,25 @@ func allAccessLog(nThreads, rounds int) []trace.Event {
 		e.Seq = uint64(len(events))
 		events = append(events, e)
 	}
-	fork := trace.SyncID{Rank: 0, Seq: 1 << 20}
-	add(trace.Event{Rank: 0, TID: 0, Op: trace.OpFork, Sync: fork})
+	fork := uint64(1 << 20)
+	add(trace.Event{Rank: 0, TID: 0, Op: trace.OpFork, SyncSeq: fork})
 	for tid := 1; tid < nThreads; tid++ {
-		add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBegin, Sync: fork})
+		add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBegin, SyncSeq: fork})
 	}
-	lock := trace.LockID{Rank: 0, Name: "$critical:sum"}
+	const lock = "$critical:sum"
 	for r := 0; r < rounds; r++ {
 		for tid := 0; tid < nThreads; tid++ {
-			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpRead, Loc: trace.Loc{Rank: 0, Name: "u"}})
-			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpWrite, Loc: trace.Loc{Rank: 0, Name: fmt.Sprintf("rhs%d", tid%2)}})
-			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpAcquire, Lock: lock})
-			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpRead, Loc: trace.Loc{Rank: 0, Name: "sum"}})
-			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpWrite, Loc: trace.Loc{Rank: 0, Name: "sum"}})
-			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpRelease, Lock: lock})
+			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpRead, Name: "u"})
+			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpWrite, Name: fmt.Sprintf("rhs%d", tid%2)})
+			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpAcquire, Name: lock})
+			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpRead, Name: "sum"})
+			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpWrite, Name: "sum"})
+			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpRelease, Name: lock})
 		}
 		if r%64 == 63 {
-			bar := trace.SyncID{Rank: 0, Seq: uint64(r)}
+			bar := uint64(r)
 			for tid := 0; tid < nThreads; tid++ {
-				add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBarrier, Sync: bar})
+				add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBarrier, SyncSeq: bar})
 			}
 		}
 	}
@@ -113,13 +114,19 @@ func allAccessLog(nThreads, rounds int) []trace.Event {
 }
 
 // BenchmarkAnalyzeAllAccess is the ITC baseline's analysis: every
-// access logged, locks ignored.
+// access logged, locks ignored. It reports the bytes the analysis
+// allocates per event.
 func BenchmarkAnalyzeAllAccess(b *testing.B) {
 	events := allAccessLog(4, 1000)
+	var before, after runtime.MemStats
 	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Analyze(events, Options{Mode: ModeCombined, IgnoreLocks: true})
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(len(events)), "events")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*len(events)), "B/event")
 }

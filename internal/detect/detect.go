@@ -204,20 +204,20 @@ type threadState struct {
 	ix    uint64 // the lane index the thread's next event gets
 }
 
-// accessRec is an access as the pair checks see it.
+// accessRec is an access as the pair checks see it. It points at its
+// event, which stays put in the log for the whole analysis, rather
+// than copying the event's fields: the rank, thread, time and call
+// are read only when a race names the access.
 type accessRec struct {
-	gid   vclock.TID
-	rank  int
-	tid   int
-	time  int64
-	op    trace.Op
-	eslot vclock.Slot // last-write epoch: accessor's slot ...
-	ev    uint64      // ... and component, pre-tick (FastTrack)
-	ls    lsID        // locks held
-	call  *trace.MPICall
-	ix    uint64         // per-lane event index
+	ev    *trace.Event
 	clock *vclock.Packed // frozen clock snapshot (Explain only)
-	side  int32          // 1 + its index in analyzer.sides once a race names it
+	epoch uint64         // last-write epoch: component at eslot, pre-tick (FastTrack)
+	ix    uint64         // per-lane event index
+	gid   vclock.TID
+	eslot vclock.Slot // the accessor's own slot
+	ls    lsID        // locks held
+	side  int32       // 1 + its index in analyzer.sides once a race names it
+	op    trace.Op    // the event's op, kept beside the epoch for the pair tests
 }
 
 // locState is the detector state of one location: its history window
@@ -390,6 +390,14 @@ func (a *analyzer) report() *Report {
 
 // Analyze replays the event log and returns the race report.
 func Analyze(events []trace.Event, opts Options) *Report {
+	return AnalyzeChunks([][]trace.Event{events}, opts)
+}
+
+// AnalyzeChunks replays an event log held as consecutive chunks, such
+// as trace.Log.Chunks returns, and returns the race report. The
+// analysis reads the events in place, and the report's accesses are
+// built from them, so the chunks must not change while it runs.
+func AnalyzeChunks(chunks [][]trace.Event, opts Options) *Report {
 	if opts.MaxHistoryPerLoc <= 0 {
 		opts.MaxHistoryPerLoc = DefaultMaxHistory
 	}
@@ -402,19 +410,25 @@ func Analyze(events []trace.Event, opts Options) *Report {
 	// participant emits exactly one OpBarrier per episode before any
 	// of them proceeds, so in log order all arrivals of an episode
 	// precede all post-barrier events of its participants.
-	for _, e := range events {
-		if e.Op == trace.OpBarrier {
-			a.barrierExpect[e.Sync]++
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
+		for i := range c {
+			if c[i].Op == trace.OpBarrier {
+				a.barrierExpect[c[i].Sync()]++
+			}
 		}
 	}
 
-	for _, e := range events {
-		a.step(e)
+	for _, c := range chunks {
+		for i := range c {
+			a.step(&c[i])
+		}
 	}
 	a.tally.add(&a.st)
 
 	rep := a.report()
-	rep.EventsAnalyzed = len(events)
+	rep.EventsAnalyzed = n
 	return rep
 }
 
@@ -431,16 +445,16 @@ func (a *analyzer) thread(rank, tid int) (*threadState, vclock.TID) {
 }
 
 // step processes one event.
-func (a *analyzer) step(e trace.Event) {
+func (a *analyzer) step(e *trace.Event) {
 	a.st.events.Inc()
 	st, gid := a.thread(e.Rank, e.TID)
 	ix := st.ix
 	st.ix++
 	switch e.Op {
 	case trace.OpFork:
-		a.forkClocks[e.Sync] = st.clock.Publish()
+		a.forkClocks[e.Sync()] = st.clock.Publish()
 	case trace.OpBegin:
-		if fc, ok := a.forkClocks[e.Sync]; ok {
+		if fc, ok := a.forkClocks[e.Sync()]; ok {
 			// The fork snapshot dominates everything the member thread
 			// has seen except its own ticks (the member's last
 			// contribution flowed to the parent through the previous
@@ -448,34 +462,34 @@ func (a *analyzer) step(e trace.Event) {
 			a.adoptOrJoin(st.clock, fc)
 		}
 	case trace.OpEnd:
-		acc, ok := a.joinAccs[e.Sync]
+		acc, ok := a.joinAccs[e.Sync()]
 		if !ok {
 			// The episode's first contribution IS the accumulator:
 			// publishing the member's clock replaces the join into an
 			// empty clock the map-backed detector performs.
-			a.joinAccs[e.Sync] = st.clock.Publish()
+			a.joinAccs[e.Sync()] = st.clock.Publish()
 			a.st.epochHits.Inc()
 			a.st.vcWidth.Observe(int64(st.clock.Components()))
 			break
 		}
 		a.join(acc, st.clock)
 	case trace.OpJoin:
-		if acc, ok := a.joinAccs[e.Sync]; ok {
+		if acc, ok := a.joinAccs[e.Sync()]; ok {
 			a.join(st.clock, acc)
 		}
 	case trace.OpBarrier:
-		a.barrier(e.Sync, gid, st)
+		a.barrier(e.Sync(), gid, st)
 	case trace.OpAcquire:
 		if !a.opts.IgnoreLocks {
-			if lc, ok := a.lockClocks[e.Lock]; ok {
+			if lc, ok := a.lockClocks[e.Lock()]; ok {
 				a.join(st.clock, lc)
 			}
-			st.ls = a.locksets.move(st.ls, e.Lock.Name, true)
+			st.ls = a.locksets.move(st.ls, e.Name, true)
 		}
 	case trace.OpRelease:
 		if !a.opts.IgnoreLocks {
-			a.lockClocks[e.Lock] = st.clock.Publish()
-			st.ls = a.locksets.move(st.ls, e.Lock.Name, false)
+			a.lockClocks[e.Lock()] = st.clock.Publish()
+			st.ls = a.locksets.move(st.ls, e.Name, false)
 		}
 	case trace.OpRead, trace.OpWrite:
 		a.access(e, st, gid, ix)
@@ -540,24 +554,22 @@ func (a *analyzer) barrier(s trace.SyncID, gid vclock.TID, st *threadState) {
 // window and, while the window has room, enters it. The thread's live
 // clock is exactly the clock the access observed: nothing happens
 // between the access and its check.
-func (a *analyzer) access(e trace.Event, st *threadState, gid vclock.TID, ix uint64) {
+func (a *analyzer) access(e *trace.Event, st *threadState, gid vclock.TID, ix uint64) {
 	a.st.locksetSize.Observe(int64(len(a.locksets.names[st.ls])))
-	l := a.locs[e.Loc]
+	loc := e.Loc()
+	l := a.locs[loc]
 	if l == nil {
 		l = &locState{}
-		a.locs[e.Loc] = l
+		a.locs[loc] = l
 	}
 	rec := accessRec{
-		gid:   gid,
-		rank:  e.Rank,
-		tid:   e.TID,
-		time:  e.Time,
-		op:    e.Op,
-		eslot: st.clock.OwnSlot(),
-		ev:    st.clock.OwnV(),
-		ls:    st.ls,
-		call:  e.Call,
+		ev:    e,
+		epoch: st.clock.OwnV(),
 		ix:    ix,
+		gid:   gid,
+		eslot: st.clock.OwnSlot(),
+		ls:    st.ls,
+		op:    e.Op,
 	}
 	emit := a.countPairs(l, &rec, st.clock) && len(l.races) < a.opts.MaxRacesPerLoc
 	keep := len(l.window) < a.opts.MaxHistoryPerLoc
@@ -607,12 +619,12 @@ func (l *locState) addToClass(r *accessRec) {
 	for i := range l.classes {
 		c := &l.classes[i]
 		if c.gid == r.gid && c.write == write && c.ls == r.ls {
-			c.evs = append(c.evs, r.ev)
+			c.evs = append(c.evs, r.epoch)
 			return
 		}
 	}
 	l.classes = append(l.classes, epochClass{
-		gid: r.gid, slot: r.eslot, write: write, ls: r.ls, evs: []uint64{r.ev},
+		gid: r.gid, slot: r.eslot, write: write, ls: r.ls, evs: []uint64{r.epoch},
 	})
 }
 
@@ -694,7 +706,7 @@ func (a *analyzer) reportPairs(l *locState, rec *accessRec, clock *vclock.Packed
 		// prev happened earlier in the log; it is ordered before the
 		// current access iff its epoch has been observed by the
 		// current thread's clock (FastTrack's epoch test).
-		hbRace := prev.ev > clock.AtSlot(prev.eslot)
+		hbRace := prev.epoch > clock.AtSlot(prev.eslot)
 		if !a.reports(lsRace, hbRace) {
 			continue
 		}
@@ -713,9 +725,10 @@ func (a *analyzer) reportPairs(l *locState, rec *accessRec, clock *vclock.Packed
 // first time a race names it.
 func (a *analyzer) side(r *accessRec) int32 {
 	if r.side == 0 {
+		e := r.ev
 		a.sides = append(a.sides, Access{
-			Rank: r.rank, TID: r.tid, Time: r.time,
-			Op: r.op, Lockset: a.locksets.names[r.ls], Call: r.call,
+			Rank: e.Rank, TID: e.TID, Time: e.Time,
+			Op: e.Op, Lockset: a.locksets.names[r.ls], Call: e.Call,
 			Ix: r.ix, Clock: r.clock,
 		})
 		r.side = int32(len(a.sides))

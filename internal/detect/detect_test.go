@@ -1,8 +1,10 @@
 package detect
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"home/internal/obs"
 	"home/internal/trace"
@@ -24,22 +26,22 @@ func (b *eb) add(e trace.Event) *eb {
 
 func (b *eb) write(rank, tid int, name string) *eb {
 	return b.add(trace.Event{Rank: rank, TID: tid, Op: trace.OpWrite,
-		Loc: trace.Loc{Rank: rank, Name: name}})
+		Name: name})
 }
 
 func (b *eb) read(rank, tid int, name string) *eb {
 	return b.add(trace.Event{Rank: rank, TID: tid, Op: trace.OpRead,
-		Loc: trace.Loc{Rank: rank, Name: name}})
+		Name: name})
 }
 
 func (b *eb) acquire(rank, tid int, lock string) *eb {
 	return b.add(trace.Event{Rank: rank, TID: tid, Op: trace.OpAcquire,
-		Lock: trace.LockID{Rank: rank, Name: lock}})
+		Name: lock})
 }
 
 func (b *eb) release(rank, tid int, lock string) *eb {
 	return b.add(trace.Event{Rank: rank, TID: tid, Op: trace.OpRelease,
-		Lock: trace.LockID{Rank: rank, Name: lock}})
+		Name: lock})
 }
 
 func (b *eb) newSync(rank int) trace.SyncID {
@@ -48,7 +50,7 @@ func (b *eb) newSync(rank int) trace.SyncID {
 }
 
 func (b *eb) op(rank, tid int, op trace.Op, s trace.SyncID) *eb {
-	return b.add(trace.Event{Rank: rank, TID: tid, Op: op, Sync: s})
+	return b.add(trace.Event{Rank: rank, TID: tid, Op: op, SyncSeq: s.Seq})
 }
 
 func analyzeDefault(b *eb) *Report {
@@ -278,9 +280,9 @@ func TestCallRecordAttachedToRace(t *testing.T) {
 	b.op(0, 0, trace.OpFork, s)
 	b.op(0, 1, trace.OpBegin, s)
 	b.add(trace.Event{Rank: 0, TID: 0, Op: trace.OpWrite,
-		Loc: trace.Loc{Rank: 0, Name: trace.VarTag}, Call: call1})
+		Name: trace.VarTag, Call: call1})
 	b.add(trace.Event{Rank: 0, TID: 1, Op: trace.OpWrite,
-		Loc: trace.Loc{Rank: 0, Name: trace.VarTag}, Call: call2})
+		Name: trace.VarTag, Call: call2})
 	races := analyzeDefault(b).Races
 	if len(races) != 1 || races[0].Loc != (trace.Loc{Rank: 0, Name: trace.VarTag}) {
 		t.Fatalf("races = %v", races)
@@ -424,7 +426,7 @@ func TestRaceOutputIndependentOfInterleaving(t *testing.T) {
 					call := &trace.MPICall{Kind: trace.CallRecv, Peer: 1 - rank, Tag: i, Line: 10*tid + i}
 					for _, name := range []string{trace.VarSrc, trace.VarTag} {
 						l.evs = append(l.evs, trace.Event{Rank: rank, TID: tid, Op: op,
-							Loc: trace.Loc{Rank: rank, Name: name}, Call: call})
+							Name: name, Call: call})
 					}
 				}
 				lanes = append(lanes, l)
@@ -474,6 +476,35 @@ func TestParseMode(t *testing.T) {
 	for _, name := range []string{"Combined", "happens-before", "both"} {
 		if _, ok := ParseMode(name); ok {
 			t.Errorf("ParseMode(%q) accepted an unknown mode", name)
+		}
+	}
+}
+
+// TestAccessRecSize pins the history-window record at no more than 56
+// bytes: ITC's all-access runs keep up to MaxHistoryPerLoc of them per
+// location.
+func TestAccessRecSize(t *testing.T) {
+	if got := unsafe.Sizeof(accessRec{}); got > 56 {
+		t.Fatalf("accessRec is %d bytes, want at most 56", got)
+	}
+}
+
+// TestAnalyzeChunksMatchesAnalyze pins that where the log is cut into
+// chunks does not change the report: a race side and a barrier
+// episode may straddle a cut.
+func TestAnalyzeChunksMatchesAnalyze(t *testing.T) {
+	for _, events := range [][]trace.Event{syntheticLog(4, 50), allAccessLog(3, 200)} {
+		for _, opts := range []Options{{}, {IgnoreLocks: true, MaxHistoryPerLoc: 8}, {Mode: ModeLocksetOnly, Explain: true}} {
+			want := Analyze(events, opts)
+			for _, size := range []int{1, 7, 64, len(events) - 1} {
+				var chunks [][]trace.Event
+				for rest := events; len(rest) > 0; rest = rest[min(size, len(rest)):] {
+					chunks = append(chunks, rest[:min(size, len(rest))])
+				}
+				if got := AnalyzeChunks(chunks, opts); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d events in chunks of %d, %+v: report differs from Analyze's", len(events), size, opts)
+				}
+			}
 		}
 	}
 }

@@ -19,10 +19,10 @@ func randomTrace(seed int64, nThreads, rounds int, withLocks bool) []trace.Event
 		seq++
 		events = append(events, e)
 	}
-	fork := trace.SyncID{Rank: 0, Seq: 777}
-	add(trace.Event{Rank: 0, TID: 0, Op: trace.OpFork, Sync: fork})
+	fork := uint64(777)
+	add(trace.Event{Rank: 0, TID: 0, Op: trace.OpFork, SyncSeq: fork})
 	for tid := 1; tid < nThreads; tid++ {
-		add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBegin, Sync: fork})
+		add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBegin, SyncSeq: fork})
 	}
 	locs := []string{"x", "y", "z"}
 	for round := 0; round < rounds; round++ {
@@ -36,18 +36,18 @@ func randomTrace(seed int64, nThreads, rounds int, withLocks bool) []trace.Event
 			}
 			if withLocks {
 				add(trace.Event{Rank: 0, TID: tid, Op: trace.OpAcquire,
-					Lock: trace.LockID{Rank: 0, Name: "G"}})
+					Name: "G"})
 			}
-			add(trace.Event{Rank: 0, TID: tid, Op: op, Loc: trace.Loc{Rank: 0, Name: loc}})
+			add(trace.Event{Rank: 0, TID: tid, Op: op, Name: loc})
 			if withLocks {
 				add(trace.Event{Rank: 0, TID: tid, Op: trace.OpRelease,
-					Lock: trace.LockID{Rank: 0, Name: "G"}})
+					Name: "G"})
 			}
 		}
 		if r.Intn(3) == 0 {
-			bar := trace.SyncID{Rank: 0, Seq: uint64(round)}
+			bar := uint64(round)
 			for tid := 0; tid < nThreads; tid++ {
-				add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBarrier, Sync: bar})
+				add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBarrier, SyncSeq: bar})
 			}
 		}
 	}
@@ -143,10 +143,10 @@ func TestMetaBarrierEverywhereSilencesEverything(t *testing.T) {
 		events = append(events, e)
 	}
 	const nThreads = 4
-	fork := trace.SyncID{Rank: 0, Seq: 900}
-	add(trace.Event{Rank: 0, TID: 0, Op: trace.OpFork, Sync: fork})
+	fork := uint64(900)
+	add(trace.Event{Rank: 0, TID: 0, Op: trace.OpFork, SyncSeq: fork})
 	for tid := 1; tid < nThreads; tid++ {
-		add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBegin, Sync: fork})
+		add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBegin, SyncSeq: fork})
 	}
 	for round := 0; round < 10; round++ {
 		// Every thread writes the SAME location but rounds are
@@ -154,11 +154,11 @@ func TestMetaBarrierEverywhereSilencesEverything(t *testing.T) {
 		// own slot.
 		for tid := 0; tid < nThreads; tid++ {
 			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpWrite,
-				Loc: trace.Loc{Rank: 0, Name: string(rune('a' + tid))}})
+				Name: string(rune('a' + tid))})
 		}
-		bar := trace.SyncID{Rank: 0, Seq: uint64(round)}
+		bar := uint64(round)
 		for tid := 0; tid < nThreads; tid++ {
-			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBarrier, Sync: bar})
+			add(trace.Event{Rank: 0, TID: tid, Op: trace.OpBarrier, SyncSeq: bar})
 		}
 	}
 	rep := Analyze(events, Options{Mode: ModeCombined})

@@ -167,7 +167,7 @@ func randomTrace(data []byte) []trace.Event {
 			if kind >= 3 {
 				e.Op = trace.OpRead
 			}
-			e.Loc = trace.Loc{Rank: e.Rank, Name: string(rune('a' + y%3))}
+			e.Name = string(rune('a' + y%3))
 			if y&0x80 != 0 {
 				e.Call = &trace.MPICall{Kind: trace.CallRecv, Peer: 1 - e.Rank, Tag: int(y>>4) & 3, Line: int(y)}
 			}
@@ -176,10 +176,10 @@ func randomTrace(data []byte) []trace.Event {
 			if kind == 6 {
 				e.Op = trace.OpRelease
 			}
-			e.Lock = trace.LockID{Rank: e.Rank, Name: string(rune('L' + y%2))}
+			e.Name = string(rune('L' + y%2))
 		default:
 			e.Op = []trace.Op{trace.OpFork, trace.OpBegin, trace.OpEnd, trace.OpJoin, trace.OpBarrier}[y%5]
-			e.Sync = trace.SyncID{Rank: e.Rank, Seq: uint64(y>>3) % 4}
+			e.SyncSeq = uint64(y>>3) % 4
 		}
 		events = append(events, e)
 	}

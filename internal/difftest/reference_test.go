@@ -49,7 +49,7 @@ func refAnalyze(events []trace.Event, opts detect.Options) *detect.Report {
 	}
 	for _, e := range events {
 		if e.Op == trace.OpBarrier {
-			a.barrierExpect[e.Sync]++
+			a.barrierExpect[e.Sync()]++
 		}
 	}
 	for _, e := range events {
@@ -136,37 +136,37 @@ func (a *refAnalyzer) step(e trace.Event) {
 	a.laneIx[gid] = ix + 1
 	switch e.Op {
 	case trace.OpFork:
-		a.forkClocks[e.Sync] = st.clock.Publish()
+		a.forkClocks[e.Sync()] = st.clock.Publish()
 	case trace.OpBegin:
-		if fc, ok := a.forkClocks[e.Sync]; ok {
+		if fc, ok := a.forkClocks[e.Sync()]; ok {
 			a.adoptOrJoin(st.clock, fc)
 		}
 	case trace.OpEnd:
-		acc, ok := a.joinAccs[e.Sync]
+		acc, ok := a.joinAccs[e.Sync()]
 		if !ok {
-			a.joinAccs[e.Sync] = st.clock.Publish()
+			a.joinAccs[e.Sync()] = st.clock.Publish()
 			a.epochHits.Inc()
 			a.vcWidth.Observe(int64(st.clock.Components()))
 			break
 		}
 		a.join(acc, st.clock)
 	case trace.OpJoin:
-		if acc, ok := a.joinAccs[e.Sync]; ok {
+		if acc, ok := a.joinAccs[e.Sync()]; ok {
 			a.join(st.clock, acc)
 		}
 	case trace.OpBarrier:
-		a.barrier(e.Sync, gid, st)
+		a.barrier(e.Sync(), gid, st)
 	case trace.OpAcquire:
 		if !a.opts.IgnoreLocks {
-			if lc, ok := a.lockClocks[e.Lock]; ok {
+			if lc, ok := a.lockClocks[e.Lock()]; ok {
 				a.join(st.clock, lc)
 			}
-			st.locks[e.Lock.Name] = struct{}{}
+			st.locks[e.Name] = struct{}{}
 		}
 	case trace.OpRelease:
 		if !a.opts.IgnoreLocks {
-			a.lockClocks[e.Lock] = st.clock.Publish()
-			delete(st.locks, e.Lock.Name)
+			a.lockClocks[e.Lock()] = st.clock.Publish()
+			delete(st.locks, e.Name)
 		}
 	case trace.OpRead, trace.OpWrite:
 		rec := refAccess{
@@ -182,7 +182,7 @@ func (a *refAnalyzer) step(e trace.Event) {
 			rec.clock = rec.pclock
 		}
 		a.locksetSize.Observe(int64(len(rec.locks)))
-		a.history[e.Loc] = append(a.history[e.Loc], rec)
+		a.history[e.Loc()] = append(a.history[e.Loc()], rec)
 	}
 	st.clock.Tick()
 }

@@ -208,18 +208,18 @@ func newIndex(events []trace.Event) *index {
 		idx.lane[k] = append(idx.lane[k], i)
 		switch e.Op {
 		case trace.OpFork:
-			idx.forks[e.Sync] = e
+			idx.forks[e.Sync()] = e
 		case trace.OpJoin:
-			idx.joins[e.Sync] = e
+			idx.joins[e.Sync()] = e
 		case trace.OpBarrier:
-			idx.barriers[e.Sync] = append(idx.barriers[e.Sync], e)
+			idx.barriers[e.Sync()] = append(idx.barriers[e.Sync()], e)
 		case trace.OpRelease:
-			lastRel[e.Lock] = &events[i]
+			lastRel[e.Lock()] = &events[i]
 		case trace.OpAcquire:
-			if r := lastRel[e.Lock]; r != nil && (r.Rank != e.Rank || r.TID != e.TID) {
+			if r := lastRel[e.Lock()]; r != nil && (r.Rank != e.Rank || r.TID != e.TID) {
 				idx.handoff[e.Seq] = *r
 			}
-			lastRel[e.Lock] = nil
+			lastRel[e.Lock()] = nil
 		}
 	}
 	return idx
@@ -303,9 +303,9 @@ func (idx *index) holdsAt(rank, tid int, at uint64) []Hold {
 		e := idx.events[ei]
 		switch e.Op {
 		case trace.OpAcquire:
-			held[e.Lock.Name] = uint64(i)
+			held[e.Name] = uint64(i)
 		case trace.OpRelease:
-			delete(held, e.Lock.Name)
+			delete(held, e.Name)
 		}
 	}
 	names := make([]string, 0, len(held))
@@ -335,26 +335,26 @@ func (idx *index) inEdge(rank, tid int, at uint64) string {
 		e := idx.events[lane[i]]
 		switch e.Op {
 		case trace.OpBegin:
-			if f, ok := idx.forks[e.Sync]; ok {
+			if f, ok := idx.forks[e.Sync()]; ok {
 				return fmt.Sprintf("forked by p%d.t%d (region p%d/%d) at #%d",
-					f.Rank, f.TID, e.Sync.Rank, e.Sync.Seq, i)
+					f.Rank, f.TID, e.Rank, e.SyncSeq, i)
 			}
 		case trace.OpJoin:
-			return fmt.Sprintf("joined region p%d/%d at #%d", e.Sync.Rank, e.Sync.Seq, i)
+			return fmt.Sprintf("joined region p%d/%d at #%d", e.Rank, e.SyncSeq, i)
 		case trace.OpBarrier:
 			var peers []string
-			for _, b := range idx.barriers[e.Sync] {
+			for _, b := range idx.barriers[e.Sync()] {
 				if b.Rank != rank || b.TID != tid {
 					peers = append(peers, fmt.Sprintf("p%d.t%d", b.Rank, b.TID))
 				}
 			}
 			sort.Strings(peers)
 			return fmt.Sprintf("barrier p%d/%d at #%d with %s",
-				e.Sync.Rank, e.Sync.Seq, i, strings.Join(peers, ", "))
+				e.Rank, e.SyncSeq, i, strings.Join(peers, ", "))
 		case trace.OpAcquire:
 			if rel, ok := idx.handoff[e.Seq]; ok {
 				return fmt.Sprintf("acquired %s at #%d after p%d.t%d released it at #%d",
-					e.Lock.Name, i, rel.Rank, rel.TID, idx.ixOf[rel.Seq])
+					e.Name, i, rel.Rank, rel.TID, idx.ixOf[rel.Seq])
 			}
 		}
 	}

@@ -322,7 +322,7 @@ func (tc *threadCtx) wrapRecord(c *minic.Call, rec *trace.MPICall) *trace.MPICal
 	for _, name := range monitoredFor(kind) {
 		tc.ctx.Emit(trace.Event{
 			Op:   trace.OpWrite,
-			Loc:  trace.Loc{Rank: tc.ctx.Rank, Name: name},
+			Name: name,
 			Call: rec,
 		})
 	}
@@ -549,23 +549,14 @@ func lowerOmpLock(set bool) func(*lowerer, *minic.Call) valFn {
 
 // ---- Irecv completion buffers ----
 
-// noteIrecvBuffer remembers where a pending Irecv should deposit its
-// payload once Wait/Test completes it: the call's buffer and count
-// arguments, evaluated again after the call.
-func (in *Instance) noteIrecvBuffer(tc *threadCtx, req *mpi.Request, bufArg func(*threadCtx) (*buffer, error), countArg func(*threadCtx) (int, error)) {
-	buf, err := bufArg(tc)
-	if err != nil {
-		return
-	}
-	count, err := countArg(tc)
-	if err != nil {
-		return
-	}
+// noteIrecvBuffer remembers where a pending Irecv deposits its
+// payload once Wait/Test completes it.
+func (in *Instance) noteIrecvBuffer(req *mpi.Request, tgt irecvTarget) {
 	in.irecvMu.Lock()
 	if in.irecvBufs == nil {
 		in.irecvBufs = make(map[*mpi.Request]irecvTarget)
 	}
-	in.irecvBufs[req] = irecvTarget{buf: buf, count: count}
+	in.irecvBufs[req] = tgt
 	in.irecvMu.Unlock()
 }
 

@@ -185,13 +185,75 @@ int main() {
 	for _, e := range log.Events() {
 		switch e.Op {
 		case trace.OpRead:
-			fmt.Fprintf(&b, "R%s ", e.Loc.Name)
+			fmt.Fprintf(&b, "R%s ", e.Name)
 		case trace.OpWrite:
-			fmt.Fprintf(&b, "W%s ", e.Loc.Name)
+			fmt.Fprintf(&b, "W%s ", e.Name)
 		}
 	}
 	if got, want := b.String(), "Wp Rx Rg Ri Wa Ri Ra Ri Ra Wa Ra Rx Wx Ri Wi Ri Rv Rv Ri Rx Wg Rg Rrank Ri Rrank Rrank Wfinalizetmp Rg "; got != want {
 		t.Errorf("access log:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestIrecvEvaluatesArgumentsOnce pins that MPI_Irecv evaluates each
+// argument once, before the call: the all-access log reads the buffer
+// index once, a side effect in the index runs once, and the payload
+// still lands at the element that one evaluation named.
+func TestIrecvEvaluatesArgumentsOnce(t *testing.T) {
+	log := trace.NewLog()
+	res := run(t, `
+int main() {
+  int p;
+  MPI_Init_thread(MPI_THREAD_MULTIPLE, &p);
+  int rank = MPI_Comm_rank(MPI_COMM_WORLD);
+  double a[4];
+  double b[1];
+  b[0] = 6.0;
+  int k = 2;
+  MPI_Request r;
+  MPI_Send(b, 1, rank, 5, MPI_COMM_WORLD);
+  MPI_Irecv(a[k], 1, rank, 5, MPI_COMM_WORLD, &r);
+  k = 0;
+  MPI_Wait(&r);
+  MPI_Finalize();
+  return a[2];
+}`, Config{Sink: log, MonitorAllAccesses: true})
+	if err := res.FirstError(); err != nil {
+		t.Fatal(err)
+	}
+	if res.ExitCodes[0] != 6 {
+		t.Errorf("a[2] = %d, want the payload 6", res.ExitCodes[0])
+	}
+	reads := 0
+	for _, e := range log.Events() {
+		if e.Op == trace.OpRead && e.Name == "k" {
+			reads++
+		}
+	}
+	if reads != 1 {
+		t.Errorf("the log reads k %d times, want 1", reads)
+	}
+
+	res = run(t, `
+int g = 0;
+int bump() { g = g + 1; return 1; }
+int main() {
+  int p;
+  MPI_Init_thread(MPI_THREAD_MULTIPLE, &p);
+  int rank = MPI_Comm_rank(MPI_COMM_WORLD);
+  double a[4];
+  MPI_Request r;
+  MPI_Send(a, 1, rank, 5, MPI_COMM_WORLD);
+  MPI_Irecv(a[bump()], 1, rank, 5, MPI_COMM_WORLD, &r);
+  MPI_Wait(&r);
+  MPI_Finalize();
+  return g;
+}`, Config{})
+	if err := res.FirstError(); err != nil {
+		t.Fatal(err)
+	}
+	if res.ExitCodes[0] != 1 {
+		t.Errorf("g = %d after one MPI_Irecv, want 1", res.ExitCodes[0])
 	}
 }
 

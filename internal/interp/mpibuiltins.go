@@ -256,11 +256,10 @@ func lowerRecv(l *lowerer, c *minic.Call) valFn {
 }
 
 // lowerIrecv lowers MPI_Irecv(buf, count, source, tag, comm, &req).
-// The buffer is validated at the call; the data lands at Wait/Test,
-// where the buffer and count arguments are read again.
+// Every argument is evaluated once, left to right, before the call;
+// the data lands in that buffer, cut at that count, at Wait/Test.
 func lowerIrecv(l *lowerer, c *minic.Call) valFn {
-	args, out := l.args(c, "b_iii"), l.outArg(c, 5)
-	buf, count := l.bufferArg(c, 0), l.intArg(c, 1)
+	args, out := l.args(c, "biiii"), l.outArg(c, 5)
 	return func(tc *threadCtx) (Value, error) {
 		a, err := args(tc)
 		if err != nil {
@@ -276,8 +275,7 @@ func lowerIrecv(l *lowerer, c *minic.Call) valFn {
 		if err := out(tc, v); err != nil {
 			return Value{}, err
 		}
-		// Remember the destination buffer for completion.
-		tc.in.noteIrecvBuffer(tc, req, buf, count)
+		tc.in.noteIrecvBuffer(req, irecvTarget{buf: a.b[0], count: a.n[1]})
 		return v, nil
 	}
 }

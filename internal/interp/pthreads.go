@@ -133,7 +133,7 @@ func (tc *threadCtx) pthreadCreate(fn *function, args []Value, line int) int {
 	ps.byID[handle] = pt
 	ps.mu.Unlock()
 
-	tc.ctx.Emit(trace.Event{Op: trace.OpFork, Sync: syncID})
+	tc.ctx.Emit(trace.Event{Op: trace.OpFork, SyncSeq: syncID.Seq})
 	activity := tc.in.world.Activity()
 	activity.AddThreads(1)
 
@@ -143,10 +143,10 @@ func (tc *threadCtx) pthreadCreate(fn *function, args []Value, line int) int {
 		member: nil, // pthread functions are outside any omp team
 	}
 	activity.Go(func() {
-		child.ctx.Emit(trace.Event{Op: trace.OpBegin, Sync: syncID})
+		child.ctx.Emit(trace.Event{Op: trace.OpBegin, SyncSeq: syncID.Seq})
 		_, err := child.callFunction(fn, args, line)
 		child.flushSteps()
-		child.ctx.Emit(trace.Event{Op: trace.OpEnd, Sync: syncID})
+		child.ctx.Emit(trace.Event{Op: trace.OpEnd, SyncSeq: syncID.Seq})
 		child.ctx.Finish()
 		pt.mu.Lock()
 		pt.done = true
@@ -209,7 +209,7 @@ func (tc *threadCtx) pthreadJoin(handle, line int) (Value, error) {
 	pt.mu.Unlock()
 
 	tc.ctx.SyncTo(endNow)
-	tc.ctx.Emit(trace.Event{Op: trace.OpJoin, Sync: pt.syncID})
+	tc.ctx.Emit(trace.Event{Op: trace.OpJoin, SyncSeq: pt.syncID.Seq})
 	if err != nil {
 		return Value{}, err
 	}

@@ -74,7 +74,7 @@ int main() {
 	}
 	var winWrites int
 	for _, e := range log.Events() {
-		if e.Op == trace.OpWrite && e.Loc.Name == trace.VarWindow {
+		if e.Op == trace.OpWrite && e.Name == trace.VarWindow {
 			winWrites++
 			if e.Call == nil || e.Call.Win <= 0 {
 				t.Fatalf("window write without a window id: %+v", e)

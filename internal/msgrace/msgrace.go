@@ -70,35 +70,39 @@ type recvKey struct {
 // Analyze scans the recorded call stream for receive signatures with
 // multiple competing senders. It needs the instrument-everything
 // stream (PMPI-style); with HOME's selective instrumentation it sees
-// only parallel-region traffic.
-func Analyze(events []trace.Event) []Report {
+// only parallel-region traffic. The stream may come as consecutive
+// chunks, such as trace.Log.Chunks returns.
+func Analyze(chunks ...[]trace.Event) []Report {
 	// Sends grouped by (dest, tag, comm): which ranks sent, how many
 	// messages. The destination is Call.Peer on the send side.
 	sends := map[sendKey]map[int]int{} // key -> sender rank -> count
 	// Receives grouped by selector; values are source lines.
 	recvs := map[recvKey][]int{}
 
-	for _, e := range events {
-		if e.Op != trace.OpMPICall || e.Call == nil {
-			continue
-		}
-		c := e.Call
-		switch c.Kind {
-		case trace.CallSend, trace.CallIsend:
-			k := sendKey{dest: c.Peer, tag: c.Tag, comm: c.Comm}
-			if sends[k] == nil {
-				sends[k] = map[int]int{}
+	for _, chunk := range chunks {
+		for i := range chunk {
+			e := &chunk[i]
+			if e.Op != trace.OpMPICall || e.Call == nil {
+				continue
 			}
-			sends[k][e.Rank]++
-		case trace.CallSendrecv:
-			// The send half targets Peer with the *send* tag, which
-			// the record does not carry separately; the receive half
-			// is handled below. Conservatively skip the send half.
-		}
-		switch c.Kind {
-		case trace.CallRecv, trace.CallIrecv, trace.CallSendrecv:
-			k := recvKey{rank: e.Rank, source: c.Peer, tag: c.Tag, comm: c.Comm}
-			recvs[k] = append(recvs[k], c.Line)
+			c := e.Call
+			switch c.Kind {
+			case trace.CallSend, trace.CallIsend:
+				k := sendKey{dest: c.Peer, tag: c.Tag, comm: c.Comm}
+				if sends[k] == nil {
+					sends[k] = map[int]int{}
+				}
+				sends[k][e.Rank]++
+			case trace.CallSendrecv:
+				// The send half targets Peer with the *send* tag, which
+				// the record does not carry separately; the receive half
+				// is handled below. Conservatively skip the send half.
+			}
+			switch c.Kind {
+			case trace.CallRecv, trace.CallIrecv, trace.CallSendrecv:
+				k := recvKey{rank: e.Rank, source: c.Peer, tag: c.Tag, comm: c.Comm}
+				recvs[k] = append(recvs[k], c.Line)
+			}
 		}
 	}
 

@@ -153,7 +153,7 @@ func TestEmptyAndIrrelevantEvents(t *testing.T) {
 		t.Fatal("empty analysis should be empty")
 	}
 	events := []trace.Event{
-		{Op: trace.OpWrite, Loc: trace.Loc{Rank: 0, Name: "x"}},
+		{Op: trace.OpWrite, Name: "x"},
 		{Op: trace.OpBarrier},
 	}
 	if got := Analyze(events); len(got) != 0 {

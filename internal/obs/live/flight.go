@@ -113,12 +113,9 @@ func (f *FlightRecorder) Emit(e trace.Event) {
 func flatten(e trace.Event) FlightEntry {
 	fe := FlightEntry{Time: e.Time}
 	switch e.Op {
-	case trace.OpRead, trace.OpWrite:
+	case trace.OpRead, trace.OpWrite, trace.OpAcquire, trace.OpRelease:
 		fe.Op = e.Op.String()
-		fe.Detail = e.Loc.Name
-	case trace.OpAcquire, trace.OpRelease:
-		fe.Op = e.Op.String()
-		fe.Detail = e.Lock.Name
+		fe.Detail = e.Name
 	case trace.OpMPICall:
 		if e.Call != nil {
 			fe.Op = e.Call.Kind.String()
@@ -129,7 +126,7 @@ func flatten(e trace.Event) FlightEntry {
 		}
 	default:
 		fe.Op = e.Op.String()
-		fe.Detail = fmt.Sprintf("sync=%d", e.Sync.Seq)
+		fe.Detail = fmt.Sprintf("sync=%d", e.SyncSeq)
 	}
 	return fe
 }

@@ -23,10 +23,10 @@ func TestFlightRingWraparound(t *testing.T) {
 	const total = RingSize + 17
 	for i := 0; i < total; i++ {
 		fr.Emit(trace.Event{Rank: 0, TID: 1, Time: int64(i), Op: trace.OpRead,
-			Loc: trace.Loc{Name: fmt.Sprintf("x%d", i)}})
+			Name: fmt.Sprintf("x%d", i)})
 	}
 	// A second lane that never wraps.
-	fr.Emit(trace.Event{Rank: 1, TID: 0, Time: 7, Op: trace.OpWrite, Loc: trace.Loc{Name: "y"}})
+	fr.Emit(trace.Event{Rank: 1, TID: 0, Time: 7, Op: trace.OpWrite, Name: "y"})
 
 	if got := fr.Events(); got != total+1 {
 		t.Fatalf("Events() = %d, want %d", got, total+1)
@@ -275,7 +275,7 @@ func TestServerSmoke(t *testing.T) {
 	h := p.Register(RunInfo{Program: "smoke", Procs: 2, Threads: 2, Seed: 3})
 	h.AttachStats(stats)
 	h.Phase("execute")
-	h.Flight().Emit(trace.Event{Rank: 0, TID: 0, Op: trace.OpWrite, Loc: trace.Loc{Name: "buf"}})
+	h.Flight().Emit(trace.Event{Rank: 0, TID: 0, Op: trace.OpWrite, Name: "buf"})
 	h.AutoDump("test-signal")
 	h.Finish("clean")
 

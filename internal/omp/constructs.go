@@ -58,7 +58,7 @@ func (m *Member) barrierAt(ord uint64) error {
 		// is native or forced.
 		if t.size > 1 {
 			st := t.state(ord)
-			m.Ctx.Emit(trace.Event{Op: trace.OpBarrier, Sync: st.sync})
+			m.Ctx.Emit(trace.Event{Op: trace.OpBarrier, SyncSeq: st.sync.Seq})
 		}
 		return ErrRankAborted
 	}
@@ -73,7 +73,7 @@ func (m *Member) barrierAt(ord uint64) error {
 	if m.Ctx.Now > st.maxT {
 		st.maxT = m.Ctx.Now
 	}
-	m.Ctx.Emit(trace.Event{Op: trace.OpBarrier, Sync: st.sync})
+	m.Ctx.Emit(trace.Event{Op: trace.OpBarrier, SyncSeq: st.sync.Seq})
 	if st.arrived == t.size {
 		st.release = st.maxT + barrierCostNs
 		for _, w := range st.waiters {
@@ -406,7 +406,7 @@ func (m *Member) granted(freeAt int64, id trace.LockID) {
 	}
 	m.Ctx.SyncTo(freeAt)
 	m.Ctx.Advance(lockCostNs)
-	m.Ctx.Emit(trace.Event{Op: trace.OpAcquire, Lock: id})
+	m.Ctx.Emit(trace.Event{Op: trace.OpAcquire, Name: id.Name})
 }
 
 // recordGrantLocked assigns the next acquisition ticket and records it
@@ -473,7 +473,7 @@ func (m *Member) acquireForced(l *lockState, id trace.LockID, qa uint64) error {
 // release frees the lock, publishing the holder's clock and handing
 // ownership to the next waiter, if any.
 func (m *Member) release(l *lockState, id trace.LockID) {
-	m.Ctx.Emit(trace.Event{Op: trace.OpRelease, Lock: id})
+	m.Ctx.Emit(trace.Event{Op: trace.OpRelease, Name: id.Name})
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.freeAt = m.Ctx.Now

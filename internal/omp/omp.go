@@ -205,7 +205,7 @@ func (rt *Runtime) Parallel(ctx *sim.Ctx, n int, body func(m *Member) error) err
 	}
 
 	forkSync := rt.nextSync()
-	ctx.Emit(trace.Event{Op: trace.OpFork, Sync: forkSync})
+	ctx.Emit(trace.Event{Op: trace.OpFork, SyncSeq: forkSync.Seq})
 	ctx.Advance(forkCostNs)
 
 	// Join rendezvous. Each worker leaves its result in its slot;
@@ -233,10 +233,10 @@ func (rt *Runtime) Parallel(ctx *sim.Ctx, n int, body func(m *Member) error) err
 		rt.mu.Unlock()
 		tctx.SchedSeq, tctx.MsgSeq, tctx.ConstructSeq = seqs.sched, seqs.msg, seqs.construct
 		rt.activity.Go(func() {
-			tctx.Emit(trace.Event{Op: trace.OpBegin, Sync: forkSync})
+			tctx.Emit(trace.Event{Op: trace.OpBegin, SyncSeq: forkSync.Seq})
 			m := &Member{Ctx: tctx, TID: tid, team: t}
 			err := body(m)
-			tctx.Emit(trace.Event{Op: trace.OpEnd, Sync: forkSync})
+			tctx.Emit(trace.Event{Op: trace.OpEnd, SyncSeq: forkSync.Seq})
 			tctx.Finish()
 			rt.mu.Lock()
 			rt.laneSeqs[tid] = laneSeqs{tctx.SchedSeq, tctx.MsgSeq, tctx.ConstructSeq}
@@ -308,7 +308,7 @@ func (rt *Runtime) Parallel(ctx *sim.Ctx, n int, body func(m *Member) error) err
 	}
 	ctx.SyncTo(maxNow)
 	ctx.Advance(joinCostNs)
-	ctx.Emit(trace.Event{Op: trace.OpJoin, Sync: forkSync})
+	ctx.Emit(trace.Event{Op: trace.OpJoin, SyncSeq: forkSync.Seq})
 	return firstErr
 }
 

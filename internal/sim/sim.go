@@ -205,7 +205,7 @@ func (c *Ctx) Emit(e trace.Event) {
 
 // EmitAccess is a convenience for read/write events on a location.
 func (c *Ctx) EmitAccess(op trace.Op, name string) {
-	c.Emit(trace.Event{Op: op, Loc: trace.Loc{Rank: c.Rank, Name: name}})
+	c.Emit(trace.Event{Op: op, Name: name})
 }
 
 // Child derives a context for an OpenMP worker thread forked from c:

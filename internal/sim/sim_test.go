@@ -90,7 +90,7 @@ func TestCtxEmitStampsAndCharges(t *testing.T) {
 		t.Fatalf("events = %d", len(evs))
 	}
 	e := evs[0]
-	if e.Rank != 3 || e.TID != 1 || e.Time != 600 || e.Loc.Name != "x" || e.Loc.Rank != 3 {
+	if e.Rank != 3 || e.TID != 1 || e.Time != 600 || e.Loc() != (trace.Loc{Rank: 3, Name: "x"}) {
 		t.Fatalf("event = %+v", e)
 	}
 }

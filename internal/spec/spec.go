@@ -134,6 +134,12 @@ type rankInfo struct {
 // Match evaluates the specification against the event log and the
 // race report, returning the violations sorted by (kind, rank).
 func Match(events []trace.Event, rep *detect.Report) []Violation {
+	return MatchChunks([][]trace.Event{events}, rep)
+}
+
+// MatchChunks is Match over an event log held as consecutive chunks,
+// such as trace.Log.Chunks returns, read in place.
+func MatchChunks(chunks [][]trace.Event, rep *detect.Report) []Violation {
 	ranks := map[int]*rankInfo{}
 	info := func(r int) *rankInfo {
 		ri, ok := ranks[r]
@@ -143,20 +149,22 @@ func Match(events []trace.Event, rep *detect.Report) []Violation {
 		}
 		return ri
 	}
-	for i := range events {
-		e := &events[i]
-		switch e.Op {
-		case trace.OpBegin:
-			info(e.Rank).hasParallel = true
-		case trace.OpMPICall:
-			ri := info(e.Rank)
-			switch e.Call.Kind {
-			case trace.CallInit, trace.CallInitThread:
-				ri.level = e.Call.Level
-				ri.initTID = e.TID
-				ri.initEvent = e
+	for _, c := range chunks {
+		for i := range c {
+			e := &c[i]
+			switch e.Op {
+			case trace.OpBegin:
+				info(e.Rank).hasParallel = true
+			case trace.OpMPICall:
+				ri := info(e.Rank)
+				switch e.Call.Kind {
+				case trace.CallInit, trace.CallInitThread:
+					ri.level = e.Call.Level
+					ri.initTID = e.TID
+					ri.initEvent = e
+				}
+				ri.calls = append(ri.calls, e)
 			}
-			ri.calls = append(ri.calls, e)
 		}
 	}
 	// Per-thread subsequences of the log follow program order, but the

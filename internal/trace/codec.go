@@ -92,17 +92,52 @@ var callByName = func() map[string]CallKind {
 	return m
 }()
 
+// payload moves the record's location, lock or episode into e, whose
+// Op and Rank are set. An event names them within its own rank and
+// carries at most one of them, the one its op takes, so a record with
+// a payload rank other than its rank, or a payload its op does not
+// take, is refused rather than silently changed.
+func (je *jsonEvent) payload(e *Event) error {
+	want := func(carried bool) int {
+		if carried {
+			return je.Rank
+		}
+		return 0
+	}
+	loc := e.Op == OpRead || e.Op == OpWrite
+	lock := e.Op == OpAcquire || e.Op == OpRelease
+	sync := e.Op.isSync()
+	switch {
+	case je.LocRank != want(loc):
+		return fmt.Errorf("%s at rank %d has locRank %d", e.Op, je.Rank, je.LocRank)
+	case je.LockRank != want(lock):
+		return fmt.Errorf("%s at rank %d has lockRank %d", e.Op, je.Rank, je.LockRank)
+	case je.SyncRank != want(sync):
+		return fmt.Errorf("%s at rank %d has syncRank %d", e.Op, je.Rank, je.SyncRank)
+	case je.LocName != "" && !loc:
+		return fmt.Errorf("%s has a locName", e.Op)
+	case je.LockName != "" && !lock:
+		return fmt.Errorf("%s has a lockName", e.Op)
+	case je.SyncSeq != 0 && !sync:
+		return fmt.Errorf("%s has a syncSeq", e.Op)
+	}
+	e.Name = je.LocName + je.LockName
+	e.SyncSeq = je.SyncSeq
+	return nil
+}
+
 // WriteJSON serializes events as newline-delimited JSON.
 func WriteJSON(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, e := range events {
+		loc, lock, sync := e.Loc(), e.Lock(), e.Sync()
 		je := jsonEvent{
 			Seq: e.Seq, Rank: e.Rank, TID: e.TID, Time: e.Time,
 			Op:      e.Op.String(),
-			LocRank: e.Loc.Rank, LocName: e.Loc.Name,
-			LockRank: e.Lock.Rank, LockName: e.Lock.Name,
-			SyncRank: e.Sync.Rank, SyncSeq: e.Sync.Seq,
+			LocRank: loc.Rank, LocName: loc.Name,
+			LockRank: lock.Rank, LockName: lock.Name,
+			SyncRank: sync.Rank, SyncSeq: sync.Seq,
 		}
 		if e.Call != nil {
 			je.Call = &jsonCall{
@@ -126,6 +161,10 @@ func WriteJSON(w io.Writer, events []Event) error {
 // re-deduplicated: each event gets its own record with equal contents,
 // which the analyses treat identically.
 //
+// A record whose location, lock or episode is named at another rank
+// than its own, or that names one its op does not take, is refused
+// with an error naming its index: an Event cannot hold it.
+//
 // A stream that ends mid-record returns the complete events decoded so
 // far together with a *TruncatedError, so a recording cut short by a
 // crash can still be replayed as a prefix.
@@ -144,11 +183,9 @@ func ReadJSON(r io.Reader) ([]Event, error) {
 		if !ok {
 			return nil, fmt.Errorf("trace: event %d has unknown op %q", len(out), je.Op)
 		}
-		e := Event{
-			Seq: je.Seq, Rank: je.Rank, TID: je.TID, Time: je.Time, Op: op,
-			Loc:  Loc{Rank: je.LocRank, Name: je.LocName},
-			Lock: LockID{Rank: je.LockRank, Name: je.LockName},
-			Sync: SyncID{Rank: je.SyncRank, Seq: je.SyncSeq},
+		e := Event{Seq: je.Seq, Rank: je.Rank, TID: je.TID, Time: je.Time, Op: op}
+		if err := je.payload(&e); err != nil {
+			return nil, fmt.Errorf("trace: event %d: %w", len(out), err)
 		}
 		if je.Call != nil {
 			kind, ok := callByName[je.Call.Kind]

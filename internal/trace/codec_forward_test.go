@@ -26,7 +26,7 @@ func TestReadJSONIgnoresUnknownFields(t *testing.T) {
 	if len(events) != 3 {
 		t.Fatalf("decoded %d events, want 3", len(events))
 	}
-	want0 := Event{Seq: 0, Rank: 1, TID: 2, Time: 300, Op: OpWrite, Loc: Loc{Rank: 1, Name: VarTag}}
+	want0 := Event{Seq: 0, Rank: 1, TID: 2, Time: 300, Op: OpWrite, Name: VarTag}
 	if events[0] != want0 {
 		t.Errorf("event 0 = %+v, want %+v", events[0], want0)
 	}
@@ -34,13 +34,15 @@ func TestReadJSONIgnoresUnknownFields(t *testing.T) {
 	if events[1].Call == nil || *events[1].Call != wantCall {
 		t.Errorf("event 1 call = %+v, want %+v", events[1].Call, wantCall)
 	}
-	want2 := Event{Seq: 2, Rank: 0, TID: 0, Time: 320, Op: OpBarrier, Sync: SyncID{Rank: 0, Seq: 4}}
+	want2 := Event{Seq: 2, Rank: 0, TID: 0, Time: 320, Op: OpBarrier, SyncSeq: 4}
 	if events[2] != want2 {
 		t.Errorf("event 2 = %+v, want %+v", events[2], want2)
 	}
 }
 
-// randomEvent draws an arbitrary but wire-representable event.
+// randomEvent draws an arbitrary but wire-representable event: its
+// location, lock or episode is named within its own rank, as every
+// emitter names them.
 func randomEvent(r *rand.Rand, seq uint64) Event {
 	names := []string{VarSrc, VarTag, VarComm, VarRequest, VarCollective, VarFinalize, "u:grid", "$critical:c1"}
 	e := Event{
@@ -51,12 +53,10 @@ func randomEvent(r *rand.Rand, seq uint64) Event {
 		Op:   Op(r.Intn(len(opNames))),
 	}
 	switch e.Op {
-	case OpRead, OpWrite:
-		e.Loc = Loc{Rank: r.Intn(8), Name: names[r.Intn(len(names))]}
-	case OpAcquire, OpRelease:
-		e.Lock = LockID{Rank: r.Intn(8), Name: names[r.Intn(len(names))]}
+	case OpRead, OpWrite, OpAcquire, OpRelease:
+		e.Name = names[r.Intn(len(names))]
 	case OpFork, OpJoin, OpBegin, OpEnd, OpBarrier:
-		e.Sync = SyncID{Rank: r.Intn(8), Seq: uint64(r.Intn(1000))}
+		e.SyncSeq = uint64(r.Intn(1000))
 	}
 	if e.Op == OpMPICall || r.Intn(4) == 0 {
 		e.Call = &MPICall{
@@ -100,6 +100,30 @@ func TestJSONRoundTripRandomized(t *testing.T) {
 				t.Fatalf("trial %d event %d: %s\n got %+v\nwant %+v",
 					trial, i, diffHint(events[i], got[i]), got[i], events[i])
 			}
+		}
+	}
+}
+
+// TestReadJSONRefusesForeignPayloads pins what the decoder refuses:
+// a record whose location, lock or episode is named at another rank
+// than its own, or that carries a name its op does not take. An Event
+// names its payload within its own rank and holds one name, so such a
+// record could not be read back unchanged.
+func TestReadJSONRefusesForeignPayloads(t *testing.T) {
+	for _, tc := range []struct{ line, want string }{
+		{`{"seq":0,"rank":1,"tid":0,"time":5,"op":"Write","locRank":2,"locName":"x"}`, "locRank 2"},
+		{`{"seq":0,"rank":1,"tid":0,"time":5,"op":"Write","locName":"x"}`, "locRank 0"},
+		{`{"seq":0,"rank":0,"tid":1,"time":5,"op":"Acquire","lockRank":3,"lockName":"$critical:c"}`, "lockRank 3"},
+		{`{"seq":0,"rank":2,"tid":0,"time":5,"op":"Barrier","syncRank":1,"syncSeq":4}`, "syncRank 1"},
+		{`{"seq":0,"rank":0,"tid":0,"time":5,"op":"Write","locName":"x","syncRank":2}`, "syncRank 2"},
+		{`{"seq":0,"rank":0,"tid":0,"time":5,"op":"Write","locName":"x","lockName":"L"}`, "has a lockName"},
+		{`{"seq":0,"rank":0,"tid":0,"time":5,"op":"Release","lockName":"L","locName":"x"}`, "has a locName"},
+		{`{"seq":0,"rank":0,"tid":0,"time":5,"op":"Fork","locName":"x","syncSeq":1}`, "has a locName"},
+	} {
+		valid := `{"seq":0,"rank":0,"tid":0,"time":1,"op":"Read","locName":"y"}` + "\n"
+		_, err := ReadJSON(strings.NewReader(valid + tc.line + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "event 1") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming event 1 and %q", tc.line, err, tc.want)
 		}
 	}
 }

@@ -11,13 +11,13 @@ import (
 func sampleEvents() []Event {
 	call := &MPICall{Kind: CallRecv, Peer: 1, Tag: 5, Comm: 0, Request: -1, Level: -1, Line: 12}
 	return []Event{
-		{Seq: 0, Rank: 0, TID: 0, Time: 100, Op: OpFork, Sync: SyncID{Rank: 0, Seq: 1}},
-		{Seq: 1, Rank: 0, TID: 1, Time: 120, Op: OpBegin, Sync: SyncID{Rank: 0, Seq: 1}},
-		{Seq: 2, Rank: 0, TID: 1, Time: 150, Op: OpAcquire, Lock: LockID{Rank: 0, Name: "$critical:c"}},
-		{Seq: 3, Rank: 0, TID: 1, Time: 160, Op: OpWrite, Loc: Loc{Rank: 0, Name: VarTag}, Call: call},
+		{Seq: 0, Rank: 0, TID: 0, Time: 100, Op: OpFork, SyncSeq: 1},
+		{Seq: 1, Rank: 0, TID: 1, Time: 120, Op: OpBegin, SyncSeq: 1},
+		{Seq: 2, Rank: 0, TID: 1, Time: 150, Op: OpAcquire, Name: "$critical:c"},
+		{Seq: 3, Rank: 0, TID: 1, Time: 160, Op: OpWrite, Name: VarTag, Call: call},
 		{Seq: 4, Rank: 0, TID: 1, Time: 170, Op: OpMPICall, Call: call},
-		{Seq: 5, Rank: 0, TID: 1, Time: 180, Op: OpRelease, Lock: LockID{Rank: 0, Name: "$critical:c"}},
-		{Seq: 6, Rank: 1, TID: 0, Time: 90, Op: OpBarrier, Sync: SyncID{Rank: 1, Seq: 2}},
+		{Seq: 5, Rank: 0, TID: 1, Time: 180, Op: OpRelease, Name: "$critical:c"},
+		{Seq: 6, Rank: 1, TID: 0, Time: 90, Op: OpBarrier, SyncSeq: 2},
 	}
 }
 
@@ -39,7 +39,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		if a.Seq != b.Seq || a.Rank != b.Rank || a.TID != b.TID || a.Time != b.Time || a.Op != b.Op {
 			t.Fatalf("event %d header mismatch: %+v vs %+v", i, a, b)
 		}
-		if a.Loc != b.Loc || a.Lock != b.Lock || a.Sync != b.Sync {
+		if a.Loc() != b.Loc() || a.Lock() != b.Lock() || a.Sync() != b.Sync() {
 			t.Fatalf("event %d payload mismatch: %+v vs %+v", i, a, b)
 		}
 		if (a.Call == nil) != (b.Call == nil) {

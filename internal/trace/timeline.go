@@ -227,15 +227,15 @@ func (t *Timeline) buildSyncFlows(keys []laneKey) {
 			le := t.lanes[k][i]
 			switch le.ev.Op {
 			case OpFork:
-				grp(le.ev.Sync).fork = &t.lanes[k][i]
+				grp(le.ev.Sync()).fork = &t.lanes[k][i]
 			case OpJoin:
-				grp(le.ev.Sync).join = &t.lanes[k][i]
+				grp(le.ev.Sync()).join = &t.lanes[k][i]
 			case OpBegin:
-				grp(le.ev.Sync).begins = append(grp(le.ev.Sync).begins, le)
+				grp(le.ev.Sync()).begins = append(grp(le.ev.Sync()).begins, le)
 			case OpEnd:
-				grp(le.ev.Sync).ends = append(grp(le.ev.Sync).ends, le)
+				grp(le.ev.Sync()).ends = append(grp(le.ev.Sync()).ends, le)
 			case OpBarrier:
-				grp(le.ev.Sync).barriers = append(grp(le.ev.Sync).barriers, le)
+				grp(le.ev.Sync()).barriers = append(grp(le.ev.Sync()).barriers, le)
 			}
 		}
 	}
@@ -282,12 +282,12 @@ func (t *Timeline) buildLockFlows(events []Event) {
 		e := events[i]
 		switch e.Op {
 		case OpRelease:
-			lastRel[e.Lock] = &events[i]
+			lastRel[e.Lock()] = &events[i]
 		case OpAcquire:
-			if r := lastRel[e.Lock]; r != nil && (r.Rank != e.Rank || r.TID != e.TID) {
+			if r := lastRel[e.Lock()]; r != nil && (r.Rank != e.Rank || r.TID != e.TID) {
 				edges = append(edges, edge{rel: *r, acq: e})
 			}
-			lastRel[e.Lock] = nil
+			lastRel[e.Lock()] = nil
 		}
 	}
 	for _, ed := range edges {
@@ -366,9 +366,9 @@ func sortByLane(les []laneEvent) []laneEvent {
 func opEventName(e Event) string {
 	switch e.Op {
 	case OpRead, OpWrite:
-		return fmt.Sprintf("%s %s", e.Op, e.Loc.Name)
+		return fmt.Sprintf("%s %s", e.Op, e.Name)
 	case OpAcquire, OpRelease:
-		return fmt.Sprintf("%s %s", e.Op, e.Lock.Name)
+		return fmt.Sprintf("%s %s", e.Op, e.Name)
 	case OpMPICall:
 		if e.Call != nil {
 			return e.Call.Kind.String()
@@ -405,9 +405,9 @@ func opArgs(e Event, ix uint64) map[string]any {
 			}
 		}
 	case OpRead, OpWrite:
-		args["var"] = e.Loc.String()
+		args["var"] = e.Loc().String()
 	case OpFork, OpJoin, OpBegin, OpEnd, OpBarrier:
-		args["sync"] = fmt.Sprintf("%d/%d", e.Sync.Rank, e.Sync.Seq)
+		args["sync"] = fmt.Sprintf("%d/%d", e.Rank, e.SyncSeq)
 	}
 	return args
 }

@@ -20,7 +20,7 @@ import (
 )
 
 // Op enumerates the kinds of events the instrumentation emits.
-type Op int
+type Op uint8
 
 const (
 	// OpRead and OpWrite are accesses to a monitored memory location
@@ -240,6 +240,14 @@ func (c MPICall) String() string {
 }
 
 // Event is one observation in the instrumentation stream.
+//
+// An event carries one payload beside its identity: a name (the
+// location of OpRead/OpWrite, the lock of OpAcquire/OpRelease), a
+// synchronization episode (OpFork/OpJoin/OpBegin/OpEnd/OpBarrier) or
+// a call record (OpMPICall; the monitored-variable writes of a call
+// share its record too). Locations, locks and episodes are named
+// within the emitting rank, so Loc, Lock and Sync build them from the
+// event's own Rank.
 type Event struct {
 	Seq  uint64 // global sequence number, assigned by the Log
 	Rank int    // MPI rank (simulated process)
@@ -247,22 +255,52 @@ type Event struct {
 	Time int64  // virtual time in nanoseconds at emission
 	Op   Op
 
-	Loc  Loc      // for OpRead/OpWrite
-	Lock LockID   // for OpAcquire/OpRelease
-	Sync SyncID   // for OpFork/OpJoin/OpBegin/OpEnd/OpBarrier
-	Call *MPICall // for OpMPICall
+	Name    string   // location (OpRead/OpWrite) or lock (OpAcquire/OpRelease)
+	SyncSeq uint64   // episode within the rank (OpFork/OpJoin/OpBegin/OpEnd/OpBarrier)
+	Call    *MPICall // for OpMPICall
 }
+
+// Loc returns the location an OpRead or OpWrite accesses, and the
+// zero Loc for any other op.
+func (e Event) Loc() Loc {
+	if e.Op != OpRead && e.Op != OpWrite {
+		return Loc{}
+	}
+	return Loc{Rank: e.Rank, Name: e.Name}
+}
+
+// Lock returns the lock an OpAcquire or OpRelease names, and the zero
+// LockID for any other op.
+func (e Event) Lock() LockID {
+	if e.Op != OpAcquire && e.Op != OpRelease {
+		return LockID{}
+	}
+	return LockID{Rank: e.Rank, Name: e.Name}
+}
+
+// Sync returns the episode a fork, join, begin, end or barrier event
+// belongs to, and the zero SyncID for any other op.
+func (e Event) Sync() SyncID {
+	if !e.Op.isSync() {
+		return SyncID{}
+	}
+	return SyncID{Rank: e.Rank, Seq: e.SyncSeq}
+}
+
+// isSync reports whether the op marks a synchronization episode.
+func (o Op) isSync() bool { return o >= OpFork && o <= OpBarrier }
 
 func (e Event) String() string {
 	switch e.Op {
 	case OpRead, OpWrite:
-		return fmt.Sprintf("#%d p%d.t%d %s %s", e.Seq, e.Rank, e.TID, e.Op, e.Loc)
+		return fmt.Sprintf("#%d p%d.t%d %s %s", e.Seq, e.Rank, e.TID, e.Op, e.Loc())
 	case OpAcquire, OpRelease:
-		return fmt.Sprintf("#%d p%d.t%d %s %s", e.Seq, e.Rank, e.TID, e.Op, e.Lock)
+		return fmt.Sprintf("#%d p%d.t%d %s %s", e.Seq, e.Rank, e.TID, e.Op, e.Lock())
 	case OpMPICall:
 		return fmt.Sprintf("#%d p%d.t%d %s", e.Seq, e.Rank, e.TID, e.Call)
 	default:
-		return fmt.Sprintf("#%d p%d.t%d %s sync=%d/%d", e.Seq, e.Rank, e.TID, e.Op, e.Sync.Rank, e.Sync.Seq)
+		s := e.Sync()
+		return fmt.Sprintf("#%d p%d.t%d %s sync=%d/%d", e.Seq, e.Rank, e.TID, e.Op, s.Rank, s.Seq)
 	}
 }
 
@@ -289,8 +327,9 @@ type Sink interface {
 // and grows under mu only when an emitter's slot falls in a chunk that
 // does not exist yet.
 //
-// Events and Len read a log whose emitters have finished: a slot whose
-// Seq is taken may not be stored yet while an Emit is still running.
+// Chunks, Events and Len read a log whose emitters have finished: a
+// slot whose Seq is taken may not be stored yet while an Emit is still
+// running.
 type Log struct {
 	n   atomic.Uint64
 	dir atomic.Pointer[chunkDir]
@@ -378,17 +417,30 @@ func (l *Log) chunk(i int) *[]Event {
 	return c
 }
 
+// Chunks returns the log contents in sequence order as views of the
+// log's own chunks, the last one cut at Len: nothing is copied, and an
+// event keeps its address for as long as the log lives. The caller
+// must not write through the views.
+func (l *Log) Chunks() [][]Event {
+	n := l.n.Load()
+	if n == 0 {
+		return nil
+	}
+	last, off := chunkOf(n - 1)
+	d := *l.dir.Load()
+	out := make([][]Event, last+1)
+	for i := range out {
+		out[i] = *d[i].Load()
+	}
+	out[last] = out[last][:off+1]
+	return out
+}
+
 // Events returns a copy of the log contents in sequence order.
 func (l *Log) Events() []Event {
-	n := l.n.Load()
-	out := make([]Event, 0, n)
-	if n == 0 {
-		return out
-	}
-	d := *l.dir.Load()
-	for i := 0; uint64(len(out)) < n; i++ {
-		c := *d[i].Load()
-		out = append(out, c[:min(uint64(len(c)), n-uint64(len(out)))]...)
+	out := make([]Event, 0, l.n.Load())
+	for _, c := range l.Chunks() {
+		out = append(out, c...)
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func TestLogAssignsSequenceNumbers(t *testing.T) {
@@ -82,6 +83,71 @@ func TestLogChunkBoundaries(t *testing.T) {
 	}
 }
 
+// TestLogChunksAliasTheLog pins that Chunks copies nothing: its views
+// are the log's own memory, come out in Seq order with every event
+// once, and the last is cut at Len.
+func TestLogChunksAliasTheLog(t *testing.T) {
+	for _, n := range []int{0, 1, firstChunk, firstChunk + 1, growEvents + maxChunk + 3} {
+		l := NewLog()
+		for i := 0; i < n; i++ {
+			l.Emit(Event{Op: OpWrite, Time: int64(i)})
+		}
+		chunks := l.Chunks()
+		next := 0
+		for ci, c := range chunks {
+			if len(c) == 0 {
+				t.Fatalf("n=%d: chunk %d is empty", n, ci)
+			}
+			for i := range c {
+				if c[i].Seq != uint64(next) || c[i].Time != int64(next) {
+					t.Fatalf("n=%d: chunk %d event %d has seq %d, want %d", n, ci, i, c[i].Seq, next)
+				}
+				next++
+			}
+			// The view is the chunk the log stores into.
+			ch, off := chunkOf(c[0].Seq)
+			if stored := &(*(*l.dir.Load())[ch].Load())[off]; stored != &c[0] {
+				t.Fatalf("n=%d: chunk %d is a copy, not a view of the log", n, ci)
+			}
+		}
+		if next != n {
+			t.Fatalf("n=%d: the views hold %d events", n, next)
+		}
+		if n > 0 {
+			before := l.Events()
+			chunks[0][0].Time = -1
+			if l.Events()[0].Time != -1 || before[0].Time != 0 {
+				t.Fatalf("n=%d: writing through a view did not reach the log, or Events shares it", n)
+			}
+		}
+	}
+}
+
+// TestEventSize pins the event at 72 bytes: the log stores every
+// event of a run, and ITC's all-access runs log up to 160k of them.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 72 {
+		t.Fatalf("trace.Event is %d bytes, want 72", got)
+	}
+}
+
+// TestEventPayloadAccessors pins that Loc, Lock and Sync name their
+// payload within the event's own rank, and are zero for other ops.
+func TestEventPayloadAccessors(t *testing.T) {
+	w := Event{Rank: 3, Op: OpWrite, Name: "x"}
+	a := Event{Rank: 3, Op: OpAcquire, Name: "$critical:c"}
+	b := Event{Rank: 3, Op: OpBarrier, SyncSeq: 9}
+	if w.Loc() != (Loc{Rank: 3, Name: "x"}) || w.Lock() != (LockID{}) || w.Sync() != (SyncID{}) {
+		t.Errorf("write: loc %v lock %v sync %v", w.Loc(), w.Lock(), w.Sync())
+	}
+	if a.Lock() != (LockID{Rank: 3, Name: "$critical:c"}) || a.Loc() != (Loc{}) || a.Sync() != (SyncID{}) {
+		t.Errorf("acquire: loc %v lock %v sync %v", a.Loc(), a.Lock(), a.Sync())
+	}
+	if b.Sync() != (SyncID{Rank: 3, Seq: 9}) || b.Loc() != (Loc{}) || b.Lock() != (LockID{}) {
+		t.Errorf("barrier: loc %v lock %v sync %v", b.Loc(), b.Lock(), b.Sync())
+	}
+}
+
 func TestLogEventsIsSnapshot(t *testing.T) {
 	l := NewLog()
 	l.Emit(Event{Op: OpRead})
@@ -155,10 +221,10 @@ func TestStringers(t *testing.T) {
 		t.Fatalf("MPICall stringer: %q", s)
 	}
 	events := []Event{
-		{Op: OpWrite, Rank: 1, TID: 0, Loc: Loc{Rank: 1, Name: "x"}},
-		{Op: OpAcquire, Rank: 0, TID: 1, Lock: LockID{Rank: 0, Name: "$critical:c"}},
+		{Op: OpWrite, Rank: 1, TID: 0, Name: "x"},
+		{Op: OpAcquire, Rank: 0, TID: 1, Name: "$critical:c"},
 		{Op: OpMPICall, Call: &c},
-		{Op: OpBarrier, Sync: SyncID{Rank: 0, Seq: 3}},
+		{Op: OpBarrier, SyncSeq: 3},
 	}
 	for _, e := range events {
 		if e.String() == "" {
