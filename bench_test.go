@@ -11,6 +11,7 @@ package home_test
 // with full knobs.
 
 import (
+	"runtime"
 	"testing"
 
 	"home"
@@ -171,17 +172,25 @@ func npbRaceLog(b *testing.B) []home.TraceEvent {
 }
 
 // BenchmarkAnalyzeNPB measures the race detector alone on the
-// npb-check log.
+// npb-check log, per event too. Its 64 ranks replay on up to -cpu
+// workers.
 func BenchmarkAnalyzeNPB(b *testing.B) {
 	events := npbRaceLog(b)
+	var before, after runtime.MemStats
 	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	var rep *detect.Report
 	for i := 0; i < b.N; i++ {
 		rep = detect.Analyze(events, detect.Options{})
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * len(events))
 	b.ReportMetric(float64(len(events)), "events")
 	b.ReportMetric(float64(len(rep.Races)), "races")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/event")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/event")
 }
 
 // BenchmarkMatchNPB measures the specification matcher alone on the

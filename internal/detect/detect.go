@@ -25,7 +25,7 @@
 // serialize the accesses (the property the paper contrasts with
 // Marmot).
 //
-// Analysis is one pass over the log, in order. The replay builds the
+// The analysis replays the log in order. The replay builds the
 // happens-before relation, and each access is checked on arrival,
 // against its thread's live clock, with the location's history window:
 // the location's first MaxHistoryPerLoc accesses, the only ones kept.
@@ -38,14 +38,30 @@
 // under MaxRacesPerLoc, walks the window pair by pair to emit races.
 // An access past the window has its pairs counted, and is dropped and
 // counted in detect.window_dropped.
+//
+// Analysis is one in-order replay per rank. Every happens-before edge
+// the replay draws is rank-local: fork, begin, end, join and barrier
+// episodes, locks and locations are all named within the emitting
+// rank (trace.Event's Sync, Lock and Loc take the event's own Rank),
+// and the paper's monitored variables are per process. So each rank
+// owns its replay state: a clock space of its own threads only, whose
+// clocks are as wide as the rank's team; its threads, by tid; its
+// episode and lock clocks, by episode number and lock name; and its
+// locations, by name. No state crosses ranks. AnalyzeChunks replays
+// the ranks on parallel workers, each reading the whole log in place
+// and stepping only its own ranks' events. A rank's events keep their
+// log order on whichever worker replays them, so the report and the
+// stats do not depend on the worker count.
 package detect
 
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"home/internal/obs"
 	"home/internal/sim"
@@ -207,17 +223,17 @@ type threadState struct {
 // accessRec is an access as the pair checks see it. It points at its
 // event, which stays put in the log for the whole analysis, rather
 // than copying the event's fields: the rank, thread, time and call
-// are read only when a race names the access.
+// are read only when a race names the access. Its rank's clock slot
+// names its thread.
 type accessRec struct {
 	ev    *trace.Event
 	clock *vclock.Packed // frozen clock snapshot (Explain only)
 	epoch uint64         // last-write epoch: component at eslot, pre-tick (FastTrack)
 	ix    uint64         // per-lane event index
-	gid   vclock.TID
-	eslot vclock.Slot // the accessor's own slot
-	ls    lsID        // locks held
-	side  int32       // 1 + its index in analyzer.sides once a race names it
-	op    trace.Op    // the event's op, kept beside the epoch for the pair tests
+	eslot vclock.Slot    // the accessor's own slot
+	ls    lsID           // locks held
+	side  int32          // 1 + its index in its worker's sides once a race names it
+	op    trace.Op       // the event's op, kept beside the epoch for the pair tests
 }
 
 // locState is the detector state of one location: its history window
@@ -230,40 +246,152 @@ type locState struct {
 }
 
 // raceRec is a race as the scan stores it: its two accesses, as
-// indexes into analyzer.sides in canonical order, and its verdicts.
+// indexes into its worker's sides in canonical order, and its verdicts.
 type raceRec struct {
 	first, second  int32
 	lsRace, hbRace bool
 }
 
-// analyzer carries the replay state.
-type analyzer struct {
-	opts    Options
+// rankState is the replay state of one rank. Nothing in it is shared
+// with another rank, and only the worker that owns the rank reads or
+// writes it.
+type rankState struct {
+	rank   int
+	worker int // the index of the worker that replays the rank
+	// space interns the rank's threads only, so a clock is as wide as
+	// the rank's team.
 	space   *vclock.Space
-	threads map[vclock.TID]*threadState
-	// fork snapshots and join accumulators per sync episode
-	forkClocks map[trace.SyncID]*vclock.Packed
-	joinAccs   map[trace.SyncID]*vclock.Packed
-	// barrier episodes: expected participant count (from pre-pass) and
-	// accumulated state
-	barrierExpect  map[trace.SyncID]int
-	barrierArrived map[trace.SyncID][]vclock.TID
-	barrierMerge   map[trace.SyncID]*vclock.Packed
-	// lock vector clocks for release->acquire edges; a lock is named
-	// within its rank, so same-named locks of two ranks never hand off
-	lockClocks map[trace.LockID]*vclock.Packed
-	locksets   locksets
-	locs       map[trace.Loc]*locState
+	threads []*threadState       // by tid
+	far     map[int]*threadState // tids outside any team's range, which a hand-written log may carry
+	syncs   map[uint64]*episode  // by episode number
+	// lock vector clocks for release->acquire edges, by lock name
+	locks map[string]*vclock.Packed
+	locs  map[string]*locState // by location name
+}
+
+// episode is the replay state of one synchronization episode: the
+// fork snapshot, the join accumulator and, for a barrier, its
+// participant count from the pre-pass, its arrivals so far and their
+// merged clock.
+type episode struct {
+	fork, join *vclock.Packed
+	expect     int
+	arrived    []*threadState
+	merge      *vclock.Packed
+}
+
+func newRankState(rank int) *rankState {
+	return &rankState{
+		rank:  rank,
+		space: vclock.NewSpace(),
+		syncs: make(map[uint64]*episode),
+		locks: make(map[string]*vclock.Packed),
+		locs:  make(map[string]*locState),
+	}
+}
+
+// thread returns (creating) the state of the rank's thread tid.
+func (rs *rankState) thread(tid int) *threadState {
+	if uint(tid) < uint(len(rs.threads)) && rs.threads[tid] != nil {
+		return rs.threads[tid]
+	}
+	if st := rs.far[tid]; st != nil {
+		return st
+	}
+	// The clock keeps the thread's global (rank, tid) identity, so
+	// rendered clocks and witness certificates name each thread with
+	// its rank.
+	st := &threadState{clock: rs.space.Clock(sim.GID(rs.rank, tid))}
+	st.clock.Tick()
+	if uint(tid) >= sim.MaxThreadsPerRank {
+		if rs.far == nil {
+			rs.far = make(map[int]*threadState)
+		}
+		rs.far[tid] = st
+		return st
+	}
+	if tid >= len(rs.threads) {
+		rs.threads = append(rs.threads, make([]*threadState, tid+1-len(rs.threads))...)
+	}
+	rs.threads[tid] = st
+	return st
+}
+
+// episode returns (creating) the state of the rank's episode seq.
+func (rs *rankState) episode(seq uint64) *episode {
+	ep := rs.syncs[seq]
+	if ep == nil {
+		ep = &episode{}
+		rs.syncs[seq] = ep
+	}
+	return ep
+}
+
+// rankTable finds the state of each rank a log names: by index for a
+// rank in [0, len(log)), which bounds the table by the log, and
+// through a map for any other number a hand-written log may carry.
+type rankTable struct {
+	byIndex []*rankState
+	far     map[int]*rankState
+}
+
+// of returns the state of rank r, or nil before the pre-pass met r.
+func (t *rankTable) of(r int) *rankState {
+	if uint(r) < uint(len(t.byIndex)) {
+		return t.byIndex[r]
+	}
+	return t.far[r]
+}
+
+// add creates the state of rank r, met in a log of n events.
+func (t *rankTable) add(r, n int) *rankState {
+	rs := newRankState(r)
+	if uint(r) >= uint(n) {
+		if t.far == nil {
+			t.far = make(map[int]*rankState)
+		}
+		t.far[r] = rs
+		return rs
+	}
+	if r >= len(t.byIndex) {
+		t.byIndex = append(t.byIndex, make([]*rankState, r+1-len(t.byIndex))...)
+	}
+	t.byIndex[r] = rs
+	return rs
+}
+
+// sorted returns the state of every rank, in rank order.
+func (t *rankTable) sorted() []*rankState {
+	var all []*rankState
+	for _, rs := range t.byIndex {
+		if rs != nil {
+			all = append(all, rs)
+		}
+	}
+	for _, rs := range t.far {
+		all = append(all, rs)
+	}
+	slices.SortFunc(all, func(x, y *rankState) int { return cmp.Compare(x.rank, y.rank) })
+	return all
+}
+
+// analyzer is one worker of a replay. The ranks it owns keep their
+// state in the shared rankTable; the rest is the worker's own: the
+// interned locksets, the sides its races name and its tallies, which
+// the report and the registry read after every worker has finished.
+type analyzer struct {
+	opts     Options
+	id       int
+	ranks    *rankTable
+	locksets locksets
 	// sides holds every access a race names, built once, in the order
 	// the scan first named them.
 	sides []Access
-
-	tally pairTally
-	st    analyzerStats
+	tally tally
 }
 
-// analyzerStats caches the analysis's observability handles (all nil
-// when no registry is configured; see package obs).
+// flushStats hands the workers' tallies to the registry, once per
+// analysis.
 //
 // Stat names:
 //
@@ -289,97 +417,73 @@ type analyzer struct {
 // packed clock's epoch fast path replaced a full join with an O(1)
 // slice share; every hit is a join the map-backed detector would have
 // performed. Both counts depend only on the trace's synchronization
-// structure, not on host scheduling, so they stay gate-worthy
-// deterministic metrics.
-type analyzerStats struct {
-	events      *obs.Counter
-	vcCompares  *obs.Counter
-	vcJoins     *obs.Counter
-	epochHits   *obs.Counter
-	vcWidth     *obs.Gauge
-	locksetSize *obs.Histogram
-	lsCandid    *obs.Counter
-	hbCandid    *obs.Counter
-	confirmed   *obs.Counter
-	dropped     *obs.Counter
-}
-
-func newAnalyzerStats(reg *obs.Registry) analyzerStats {
-	return analyzerStats{
-		events:      reg.Counter("detect.events"),
-		vcCompares:  reg.Counter("detect.vc_comparisons"),
-		vcJoins:     reg.Counter("detect.vc_joins"),
-		epochHits:   reg.Counter("detect.epoch_hits"),
-		vcWidth:     reg.Gauge("detect.vc_width"),
-		locksetSize: reg.Histogram("detect.lockset_size"),
-		lsCandid:    reg.Counter("detect.lockset_candidates"),
-		hbCandid:    reg.Counter("detect.hb_candidates"),
-		confirmed:   reg.Counter("detect.confirmed_races"),
-		dropped:     reg.Counter("detect.window_dropped"),
+// structure, not on host scheduling or the worker count, so they stay
+// gate-worthy deterministic metrics.
+func flushStats(reg *obs.Registry, events int, workers []*analyzer) {
+	var t tally
+	sizes := reg.Histogram("detect.lockset_size")
+	for _, a := range workers {
+		t.add(&a.tally)
+		for id, n := range a.locksets.accesses {
+			sizes.ObserveN(int64(len(a.locksets.names[id])), n)
+		}
 	}
-}
-
-// newAnalyzer builds the replay state (opts already defaulted).
-func newAnalyzer(opts Options) *analyzer {
-	return &analyzer{
-		opts:           opts,
-		st:             newAnalyzerStats(opts.Stats),
-		space:          vclock.NewSpace(),
-		threads:        make(map[vclock.TID]*threadState),
-		forkClocks:     make(map[trace.SyncID]*vclock.Packed),
-		joinAccs:       make(map[trace.SyncID]*vclock.Packed),
-		barrierExpect:  make(map[trace.SyncID]int),
-		barrierArrived: make(map[trace.SyncID][]vclock.TID),
-		barrierMerge:   make(map[trace.SyncID]*vclock.Packed),
-		lockClocks:     make(map[trace.LockID]*vclock.Packed),
-		locksets:       newLocksets(),
-		locs:           make(map[trace.Loc]*locState),
-	}
+	reg.Counter("detect.events").Add(int64(events))
+	reg.Counter("detect.vc_comparisons").Add(t.vcCompares)
+	reg.Counter("detect.vc_joins").Add(t.vcJoins)
+	reg.Counter("detect.epoch_hits").Add(t.epochHits)
+	reg.Gauge("detect.vc_width").Observe(t.vcWidth)
+	reg.Counter("detect.lockset_candidates").Add(t.lsCandid)
+	reg.Counter("detect.hb_candidates").Add(t.hbCandid)
+	reg.Counter("detect.confirmed_races").Add(t.confirmed)
+	reg.Counter("detect.window_dropped").Add(t.dropped)
 }
 
 // report assembles the races in canonical order: by location (rank,
-// name), then by the lane coordinates of First and then Second. Each
-// race is copied once, into a list allocated at its final length; a
-// report without races keeps a nil list.
-func (a *analyzer) report() *Report {
-	rep := &Report{Mode: a.opts.Mode}
+// name), then by the lane coordinates of First and then Second. ranks
+// is in rank order, and each race's sides are its rank's worker's.
+// Each race is copied once, into a list allocated at its final length;
+// a report without races keeps a nil list.
+func report(mode Mode, ranks []*rankState, workers []*analyzer) *Report {
+	rep := &Report{Mode: mode}
 	type locRaces struct {
-		loc   trace.Loc
+		rs    *rankState
+		name  string
 		races []raceRec
 	}
 	var locs []locRaces
 	n := 0
-	for l, ls := range a.locs {
-		if len(ls.races) > 0 {
-			locs = append(locs, locRaces{l, ls.races})
-			n += len(ls.races)
+	for _, rs := range ranks {
+		first := len(locs)
+		for name, l := range rs.locs {
+			if len(l.races) > 0 {
+				locs = append(locs, locRaces{rs, name, l.races})
+				n += len(l.races)
+			}
 		}
+		slices.SortFunc(locs[first:], func(x, y locRaces) int { return strings.Compare(x.name, y.name) })
 	}
 	if n == 0 {
 		return rep
 	}
-	slices.SortFunc(locs, func(x, y locRaces) int {
-		if c := cmp.Compare(x.loc.Rank, y.loc.Rank); c != 0 {
-			return c
-		}
-		return strings.Compare(x.loc.Name, y.loc.Name)
-	})
 	rep.Races = make([]Race, 0, n)
 	for _, l := range locs {
+		sides := workers[l.rs.worker].sides
 		// Arrival order within a location depends on how the host
 		// interleaved the threads; sort by the canonical pair
 		// coordinates so reports are stable.
 		slices.SortFunc(l.races, func(x, y raceRec) int {
-			if c := laneCmp(&a.sides[x.first], &a.sides[y.first]); c != 0 {
+			if c := laneCmp(&sides[x.first], &sides[y.first]); c != 0 {
 				return c
 			}
-			return laneCmp(&a.sides[x.second], &a.sides[y.second])
+			return laneCmp(&sides[x.second], &sides[y.second])
 		})
+		loc := trace.Loc{Rank: l.rs.rank, Name: l.name}
 		for _, r := range l.races {
 			rep.Races = append(rep.Races, Race{
-				Loc:         l.loc,
-				First:       a.sides[r.first],
-				Second:      a.sides[r.second],
+				Loc:         loc,
+				First:       sides[r.first],
+				Second:      sides[r.second],
 				LocksetRace: r.lsRace,
 				HBRace:      r.hbRace,
 			})
@@ -393,106 +497,180 @@ func Analyze(events []trace.Event, opts Options) *Report {
 	return AnalyzeChunks([][]trace.Event{events}, opts)
 }
 
+// minEventsPerWorker is the log length each replay worker must have
+// to itself before AnalyzeChunks starts another: below it, starting
+// and joining a goroutine costs more than the replay it takes over (a
+// chaos replay's log has about 70 events). It is a constant rather
+// than an option because the report is the same at every worker
+// count; only the wall time moves.
+const minEventsPerWorker = 4096
+
 // AnalyzeChunks replays an event log held as consecutive chunks, such
 // as trace.Log.Chunks returns, and returns the race report. The
 // analysis reads the events in place, and the report's accesses are
 // built from them, so the chunks must not change while it runs.
+//
+// The ranks are replayed on min(GOMAXPROCS, ranks, ceil(events/4096))
+// workers: the calling goroutine and, past one worker, goroutines that
+// have all finished when AnalyzeChunks returns.
 func AnalyzeChunks(chunks [][]trace.Event, opts Options) *Report {
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
+	}
+	w := 1
+	if n > minEventsPerWorker {
+		// Only a log past one worker's share asks for GOMAXPROCS,
+		// whose query takes the runtime scheduler's lock: a short
+		// log's replay touches no state outside the analysis.
+		w = min(runtime.GOMAXPROCS(0), (n+minEventsPerWorker-1)/minEventsPerWorker)
+	}
+	return analyzeChunks(chunks, opts, w)
+}
+
+// analyzeChunks is AnalyzeChunks on at most maxWorkers workers, and on
+// no more workers than the log has ranks.
+func analyzeChunks(chunks [][]trace.Event, opts Options, maxWorkers int) *Report {
 	if opts.MaxHistoryPerLoc <= 0 {
 		opts.MaxHistoryPerLoc = DefaultMaxHistory
 	}
 	if opts.MaxRacesPerLoc <= 0 {
 		opts.MaxRacesPerLoc = DefaultMaxRaces
 	}
-	a := newAnalyzer(opts)
 
-	// Pre-pass: barrier participant counts per episode. Every
-	// participant emits exactly one OpBarrier per episode before any
-	// of them proceeds, so in log order all arrivals of an episode
-	// precede all post-barrier events of its participants.
+	// Pre-pass: the ranks the log names, and the participant count of
+	// each barrier episode. Every participant emits exactly one
+	// OpBarrier per episode before any of them proceeds, so in log
+	// order all arrivals of an episode precede all post-barrier events
+	// of its participants.
 	n := 0
 	for _, c := range chunks {
 		n += len(c)
+	}
+	var ranks rankTable
+	for _, c := range chunks {
 		for i := range c {
-			if c[i].Op == trace.OpBarrier {
-				a.barrierExpect[c[i].Sync()]++
+			e := &c[i]
+			rs := ranks.of(e.Rank)
+			if rs == nil {
+				rs = ranks.add(e.Rank, n)
+			}
+			if e.Op == trace.OpBarrier {
+				rs.episode(e.SyncSeq).expect++
 			}
 		}
 	}
+	all := ranks.sorted()
 
-	for _, c := range chunks {
-		for i := range c {
-			a.step(&c[i])
+	w := max(1, min(maxWorkers, len(all)))
+	for _, rs := range all {
+		if rs.worker = rs.rank % w; rs.worker < 0 {
+			rs.worker += w
 		}
 	}
-	a.tally.add(&a.st)
+	workers := make([]*analyzer, w)
+	for k := range workers {
+		workers[k] = &analyzer{opts: opts, id: k, ranks: &ranks, locksets: newLocksets()}
+	}
+	runWorkers(workers, chunks)
 
-	rep := a.report()
+	if opts.Stats != nil {
+		flushStats(opts.Stats, n, workers)
+	}
+	rep := report(opts.Mode, all, workers)
 	rep.EventsAnalyzed = n
 	return rep
 }
 
-// thread returns (creating) the state for a (rank, tid) thread.
-func (a *analyzer) thread(rank, tid int) (*threadState, vclock.TID) {
-	gid := sim.GID(rank, tid)
-	st, ok := a.threads[gid]
-	if !ok {
-		st = &threadState{clock: a.space.Clock(gid)}
-		st.clock.Tick()
-		a.threads[gid] = st
+// runWorkers runs every worker's replay over the log, the first on the
+// calling goroutine, and returns once all have finished. A worker's
+// panic is raised again on the caller, whose recover then sees it.
+func runWorkers(workers []*analyzer, chunks [][]trace.Event) {
+	if len(workers) == 1 {
+		workers[0].replay(chunks)
+		return
 	}
-	return st, gid
+	panics := make([]any, len(workers))
+	run := func(k int) {
+		defer func() { panics[k] = recover() }()
+		workers[k].replay(chunks)
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < len(workers); k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			run(k)
+		}(k)
+	}
+	run(0)
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
-// step processes one event.
-func (a *analyzer) step(e *trace.Event) {
-	a.st.events.Inc()
-	st, gid := a.thread(e.Rank, e.TID)
+// replay steps, in log order, the events of the ranks the worker owns.
+func (a *analyzer) replay(chunks [][]trace.Event) {
+	for _, c := range chunks {
+		for i := range c {
+			if rs := a.ranks.of(c[i].Rank); rs.worker == a.id {
+				a.step(rs, &c[i])
+			}
+		}
+	}
+}
+
+// step processes one event of rank rs.
+func (a *analyzer) step(rs *rankState, e *trace.Event) {
+	st := rs.thread(e.TID)
 	ix := st.ix
 	st.ix++
 	switch e.Op {
 	case trace.OpFork:
-		a.forkClocks[e.Sync()] = st.clock.Publish()
+		rs.episode(e.SyncSeq).fork = st.clock.Publish()
 	case trace.OpBegin:
-		if fc, ok := a.forkClocks[e.Sync()]; ok {
+		if ep := rs.syncs[e.SyncSeq]; ep != nil && ep.fork != nil {
 			// The fork snapshot dominates everything the member thread
 			// has seen except its own ticks (the member's last
 			// contribution flowed to the parent through the previous
 			// region's join), so adoption nearly always applies.
-			a.adoptOrJoin(st.clock, fc)
+			a.adoptOrJoin(st.clock, ep.fork)
 		}
 	case trace.OpEnd:
-		acc, ok := a.joinAccs[e.Sync()]
-		if !ok {
+		ep := rs.episode(e.SyncSeq)
+		if ep.join == nil {
 			// The episode's first contribution IS the accumulator:
 			// publishing the member's clock replaces the join into an
 			// empty clock the map-backed detector performs.
-			a.joinAccs[e.Sync()] = st.clock.Publish()
-			a.st.epochHits.Inc()
-			a.st.vcWidth.Observe(int64(st.clock.Components()))
+			ep.join = st.clock.Publish()
+			a.tally.epochHits++
+			a.observeWidth(st.clock)
 			break
 		}
-		a.join(acc, st.clock)
+		a.join(ep.join, st.clock)
 	case trace.OpJoin:
-		if acc, ok := a.joinAccs[e.Sync()]; ok {
-			a.join(st.clock, acc)
+		if ep := rs.syncs[e.SyncSeq]; ep != nil && ep.join != nil {
+			a.join(st.clock, ep.join)
 		}
 	case trace.OpBarrier:
-		a.barrier(e.Sync(), gid, st)
+		a.barrier(rs.syncs[e.SyncSeq], st)
 	case trace.OpAcquire:
 		if !a.opts.IgnoreLocks {
-			if lc, ok := a.lockClocks[e.Lock()]; ok {
+			if lc, ok := rs.locks[e.Name]; ok {
 				a.join(st.clock, lc)
 			}
 			st.ls = a.locksets.move(st.ls, e.Name, true)
 		}
 	case trace.OpRelease:
 		if !a.opts.IgnoreLocks {
-			a.lockClocks[e.Lock()] = st.clock.Publish()
+			rs.locks[e.Name] = st.clock.Publish()
 			st.ls = a.locksets.move(st.ls, e.Name, false)
 		}
 	case trace.OpRead, trace.OpWrite:
-		a.access(e, st, gid, ix)
+		a.access(rs, e, st, ix)
 	case trace.OpMPICall:
 		// Call records are consumed by the spec matcher, not the race
 		// analyses.
@@ -500,13 +678,21 @@ func (a *analyzer) step(e *trace.Event) {
 	st.clock.Tick()
 }
 
+// observeWidth tracks the vector-clock width high-water mark when a
+// registry takes the stats; counting the components is O(width).
+func (a *analyzer) observeWidth(c *vclock.Packed) {
+	if a.opts.Stats != nil {
+		a.tally.vcWidth = max(a.tally.vcWidth, int64(c.Components()))
+	}
+}
+
 // join performs a full-width O(width) clock join — the analyzer's
 // vector-clock hot path — counting it and tracking the width
 // high-water mark for the hotspot profile.
 func (a *analyzer) join(dst, src *vclock.Packed) {
 	dst.Join(src)
-	a.st.vcJoins.Inc()
-	a.st.vcWidth.Observe(int64(dst.Components()))
+	a.tally.vcJoins++
+	a.observeWidth(dst)
 }
 
 // adoptOrJoin takes the O(1) epoch-adoption fast path when it
@@ -516,8 +702,8 @@ func (a *analyzer) join(dst, src *vclock.Packed) {
 // counters stay deterministic.
 func (a *analyzer) adoptOrJoin(dst, src *vclock.Packed) {
 	if dst.Adopt(src) {
-		a.st.epochHits.Inc()
-		a.st.vcWidth.Observe(int64(dst.Components()))
+		a.tally.epochHits++
+		a.observeWidth(dst)
 		return
 	}
 	a.join(dst, src)
@@ -530,23 +716,22 @@ func (a *analyzer) adoptOrJoin(dst, src *vclock.Packed) {
 // adoption: a participant's clock differs from its arrival snapshot
 // only by its own post-arrival tick, which the packed clock keeps
 // out-of-line, so sharing the merge slice is exactly the join result.
-func (a *analyzer) barrier(s trace.SyncID, gid vclock.TID, st *threadState) {
-	merge, ok := a.barrierMerge[s]
-	if !ok {
-		merge = st.clock.Publish()
-		a.barrierMerge[s] = merge
-		a.st.epochHits.Inc()
-		a.st.vcWidth.Observe(int64(merge.Components()))
+// The pre-pass counted every arrival of the episode in the log, so
+// the episode completes once, at its last arrival.
+func (a *analyzer) barrier(ep *episode, st *threadState) {
+	if ep.merge == nil {
+		ep.merge = st.clock.Publish()
+		a.tally.epochHits++
+		a.observeWidth(ep.merge)
 	} else {
-		a.join(merge, st.clock)
+		a.join(ep.merge, st.clock)
 	}
-	a.barrierArrived[s] = append(a.barrierArrived[s], gid)
-	if len(a.barrierArrived[s]) >= a.barrierExpect[s] {
-		for _, g := range a.barrierArrived[s] {
-			a.adoptOrJoin(a.threads[g].clock, merge)
+	ep.arrived = append(ep.arrived, st)
+	if len(ep.arrived) >= ep.expect {
+		for _, p := range ep.arrived {
+			a.adoptOrJoin(p.clock, ep.merge)
 		}
-		delete(a.barrierArrived, s)
-		delete(a.barrierMerge, s)
+		ep.arrived, ep.merge = nil, nil
 	}
 }
 
@@ -554,19 +739,17 @@ func (a *analyzer) barrier(s trace.SyncID, gid vclock.TID, st *threadState) {
 // window and, while the window has room, enters it. The thread's live
 // clock is exactly the clock the access observed: nothing happens
 // between the access and its check.
-func (a *analyzer) access(e *trace.Event, st *threadState, gid vclock.TID, ix uint64) {
-	a.st.locksetSize.Observe(int64(len(a.locksets.names[st.ls])))
-	loc := e.Loc()
-	l := a.locs[loc]
+func (a *analyzer) access(rs *rankState, e *trace.Event, st *threadState, ix uint64) {
+	a.locksets.accesses[st.ls]++
+	l := rs.locs[e.Name]
 	if l == nil {
 		l = &locState{}
-		a.locs[loc] = l
+		rs.locs[e.Name] = l
 	}
 	rec := accessRec{
 		ev:    e,
 		epoch: st.clock.OwnV(),
 		ix:    ix,
-		gid:   gid,
 		eslot: st.clock.OwnSlot(),
 		ls:    st.ls,
 		op:    e.Op,
@@ -587,18 +770,24 @@ func (a *analyzer) access(e *trace.Event, st *threadState, gid vclock.TID, ix ui
 	}
 }
 
-// pairTally accumulates the pair counters and the window drops
-// locally; they reach the registry once per analysis.
-type pairTally struct {
+// tally accumulates a worker's counters locally; they reach the
+// registry once per analysis, after every worker has finished, so
+// workers never contend on a shared counter.
+type tally struct {
 	vcCompares, lsCandid, hbCandid, confirmed, dropped int64
+	vcJoins, epochHits                                 int64
+	vcWidth                                            int64 // a high-water mark
 }
 
-func (t *pairTally) add(st *analyzerStats) {
-	st.vcCompares.Add(t.vcCompares)
-	st.lsCandid.Add(t.lsCandid)
-	st.hbCandid.Add(t.hbCandid)
-	st.confirmed.Add(t.confirmed)
-	st.dropped.Add(t.dropped)
+func (t *tally) add(o *tally) {
+	t.vcCompares += o.vcCompares
+	t.lsCandid += o.lsCandid
+	t.hbCandid += o.hbCandid
+	t.confirmed += o.confirmed
+	t.dropped += o.dropped
+	t.vcJoins += o.vcJoins
+	t.epochHits += o.epochHits
+	t.vcWidth = max(t.vcWidth, o.vcWidth)
 }
 
 // epochClass is the part of a location's history window one thread
@@ -606,8 +795,7 @@ func (t *pairTally) add(st *analyzerStats) {
 // in arrival order, which is sorted order: a thread's own clock
 // component never decreases.
 type epochClass struct {
-	gid   vclock.TID
-	slot  vclock.Slot
+	slot  vclock.Slot // the contributing thread's
 	write bool
 	ls    lsID
 	evs   []uint64
@@ -618,13 +806,13 @@ func (l *locState) addToClass(r *accessRec) {
 	write := r.op == trace.OpWrite
 	for i := range l.classes {
 		c := &l.classes[i]
-		if c.gid == r.gid && c.write == write && c.ls == r.ls {
+		if c.slot == r.eslot && c.write == write && c.ls == r.ls {
 			c.evs = append(c.evs, r.epoch)
 			return
 		}
 	}
 	l.classes = append(l.classes, epochClass{
-		gid: r.gid, slot: r.eslot, write: write, ls: r.ls, evs: []uint64{r.epoch},
+		slot: r.eslot, write: write, ls: r.ls, evs: []uint64{r.epoch},
 	})
 }
 
@@ -635,19 +823,19 @@ func (l *locState) addToClass(r *accessRec) {
 // epoch the clock has not observed — a suffix of the sorted epochs.
 func (a *analyzer) countPairs(l *locState, rec *accessRec, clock *vclock.Packed) (reportable bool) {
 	write := rec.op == trace.OpWrite
-	tally := &a.tally
+	t := &a.tally
 	for i := range l.classes {
 		c := &l.classes[i]
-		if c.gid == rec.gid || (!c.write && !write) {
+		if c.slot == rec.eslot || (!c.write && !write) {
 			continue
 		}
 		n := int64(len(c.evs))
 		hb := n - int64(upperBound(c.evs, clock.AtSlot(c.slot)))
 		ls := a.locksets.disjoint(c.ls, rec.ls)
-		tally.vcCompares += n
-		tally.hbCandid += hb
+		t.vcCompares += n
+		t.hbCandid += hb
 		if ls {
-			tally.lsCandid += n
+			t.lsCandid += n
 		}
 		var confirmed int64
 		if a.reports(ls, true) {
@@ -656,7 +844,7 @@ func (a *analyzer) countPairs(l *locState, rec *accessRec, clock *vclock.Packed)
 		if a.reports(ls, false) {
 			confirmed += n - hb
 		}
-		tally.confirmed += confirmed
+		t.confirmed += confirmed
 		reportable = reportable || confirmed > 0
 	}
 	return reportable
@@ -699,7 +887,7 @@ func (a *analyzer) reportPairs(l *locState, rec *accessRec, clock *vclock.Packed
 			break
 		}
 		prev := &l.window[i]
-		if prev.gid == rec.gid || (prev.op != trace.OpWrite && rec.op != trace.OpWrite) {
+		if prev.eslot == rec.eslot || (prev.op != trace.OpWrite && rec.op != trace.OpWrite) {
 			continue
 		}
 		lsRace := a.locksets.disjoint(prev.ls, rec.ls)
@@ -759,9 +947,12 @@ type lsID int32
 // is never nil, so an empty lockset renders as [].
 type locksets struct {
 	names [][]string // sorted lock names per id
-	ids   map[string]lsID
-	moves map[lsMove]lsID
-	disj  map[[2]lsID]bool
+	// accesses counts the accesses made under each set, for
+	// detect.lockset_size
+	accesses []int64
+	ids      map[string]lsID
+	moves    map[lsMove]lsID
+	disj     map[[2]lsID]bool
 }
 
 type lsMove struct {
@@ -772,10 +963,11 @@ type lsMove struct {
 
 func newLocksets() locksets {
 	return locksets{
-		names: [][]string{{}},
-		ids:   map[string]lsID{"": 0},
-		moves: make(map[lsMove]lsID),
-		disj:  make(map[[2]lsID]bool),
+		names:    [][]string{{}},
+		accesses: []int64{0},
+		ids:      map[string]lsID{"": 0},
+		moves:    make(map[lsMove]lsID),
+		disj:     make(map[[2]lsID]bool),
 	}
 }
 
@@ -806,6 +998,7 @@ func (s *locksets) move(from lsID, name string, acquire bool) lsID {
 		to = lsID(len(s.names))
 		s.ids[key.String()] = to
 		s.names = append(s.names, next)
+		s.accesses = append(s.accesses, 0)
 	}
 	s.moves[k] = to
 	return to

@@ -399,6 +399,41 @@ func TestMultiRankAnalysisIndependent(t *testing.T) {
 	}
 }
 
+// TestRanksAndThreadsOutsideTables pins that rank and thread numbers a
+// hand-written log may carry — negative, or past the log's length or
+// any team's size — replay like any other, on any worker count: each
+// rank's three unordered writes race pairwise, and the barrier orders
+// the write after it.
+func TestRanksAndThreadsOutsideTables(t *testing.T) {
+	b := &eb{}
+	ranks := []int{-1, 0, 1 << 40}
+	tids := []int{-3, 0, 1 << 20}
+	for _, rank := range ranks {
+		for _, tid := range tids {
+			b.write(rank, tid, "x")
+		}
+		s := b.newSync(rank)
+		for _, tid := range tids {
+			b.op(rank, tid, trace.OpBarrier, s)
+		}
+		b.write(rank, 0, "x")
+	}
+	for _, w := range []int{1, 2, 3} {
+		rep := analyzeChunks([][]trace.Event{b.events}, Options{}, w)
+		if len(rep.Races) != 9 {
+			t.Fatalf("%d workers: %d races, want 9: %v", w, len(rep.Races), rep.Races)
+		}
+		for i, r := range rep.Races {
+			if r.Loc.Rank != ranks[i/3] {
+				t.Errorf("%d workers: race %d is on rank %d, want %d", w, i, r.Loc.Rank, ranks[i/3])
+			}
+			if r.First.Ix != 0 || r.Second.Ix != 0 {
+				t.Errorf("%d workers: %v names an access after the barrier", w, r)
+			}
+		}
+	}
+}
+
 // TestRaceOutputIndependentOfInterleaving analyzes two global
 // interleavings of one racy trace. Both keep every lane's program
 // order and the same fork causality; only the global order of the
@@ -480,12 +515,12 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
-// TestAccessRecSize pins the history-window record at no more than 56
+// TestAccessRecSize pins the history-window record at no more than 48
 // bytes: ITC's all-access runs keep up to MaxHistoryPerLoc of them per
 // location.
 func TestAccessRecSize(t *testing.T) {
-	if got := unsafe.Sizeof(accessRec{}); got > 56 {
-		t.Fatalf("accessRec is %d bytes, want at most 56", got)
+	if got := unsafe.Sizeof(accessRec{}); got > 48 {
+		t.Fatalf("accessRec is %d bytes, want at most 48", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"home/internal/detect"
@@ -104,10 +105,12 @@ func matchReference(t testing.TB, name string, events []trace.Event, opts detect
 	diff("stats", got.stats, want.stats)
 }
 
-// TestAnalyzeMatchesReference proves the epoch-class pair scan is
-// invisible: for every corpus cell and randomized trace, under every
-// option of referenceConfigs, the report, violations, witnesses,
-// timeline export and stats equal the exhaustive per-pair scan's.
+// TestAnalyzeMatchesReference proves the epoch-class pair scan and the
+// rank-parallel replay invisible: for every corpus cell and randomized
+// trace, under every option of referenceConfigs, the report,
+// violations, witnesses, timeline export and stats equal the
+// exhaustive per-pair scan's, which replays every rank on one
+// goroutine in one clock space.
 func TestAnalyzeMatchesReference(t *testing.T) {
 	configs := referenceConfigs()
 	for _, c := range corpus(t) {
@@ -119,10 +122,20 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		data := make([]byte, 2*(50+rng.Intn(400)))
 		rng.Read(data)
-		events := randomTrace(data)
+		events := randomTrace(data, 2)
 		for _, opts := range configs {
 			matchReference(t, fmt.Sprintf("random-%d", i), events, opts)
 		}
+	}
+	// AnalyzeChunks starts a worker per 4,096 events, up to GOMAXPROCS
+	// and the rank count: a trace of 8 ranks and 8,193 to 10,192
+	// events at GOMAXPROCS 4 runs on 3 workers, whatever the host has.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	data := make([]byte, 2*(8193+rng.Intn(2000)))
+	rng.Read(data)
+	events := randomTrace(data, 8)
+	for _, opts := range configs {
+		matchReference(t, "random-parallel", events, opts)
 	}
 }
 
@@ -141,23 +154,24 @@ func FuzzAnalyzeMatchesReference(f *testing.F) {
 			data = data[:1+2*1024]
 		}
 		configs := referenceConfigs()
-		matchReference(t, "fuzz", randomTrace(data[1:]), configs[int(data[0])%len(configs)])
+		matchReference(t, "fuzz", randomTrace(data[1:], 2), configs[int(data[0])%len(configs)])
 	})
 }
 
 // randomTrace decodes bytes into an event log, two bytes an event,
-// over two ranks of three threads: accesses to three locations
-// (some inside an MPI call), acquires and releases of two locks, and
-// fork/begin/end/join and barrier events over four sync episodes per
-// rank. Nothing keeps the synchronization well nested — the analyzer
-// takes any log.
-func randomTrace(data []byte) []trace.Event {
+// over the given number of ranks (up to 8; bits 2, 6 and 7 of an
+// event's first byte pick its rank) of three threads each: accesses
+// to three locations (some inside an MPI call), acquires and releases
+// of two locks, and fork/begin/end/join and barrier events over four
+// sync episodes per rank. Nothing keeps the synchronization well
+// nested — the analyzer takes any log.
+func randomTrace(data []byte, ranks int) []trace.Event {
 	var events []trace.Event
 	for i := 0; i+1 < len(data); i += 2 {
 		x, y := data[i], data[i+1]
 		e := trace.Event{
 			Seq:  uint64(len(events)),
-			Rank: int(x>>2) & 1,
+			Rank: (int(x>>2)&1 | int(x>>5)&6) % ranks,
 			TID:  int(x&3) % 3,
 			Time: int64(10 * len(events)),
 		}

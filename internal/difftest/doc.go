@@ -25,7 +25,11 @@
 // stats. A change to the replay in detect.go is therefore made in
 // reference_test.go too. The oracle's independence lies elsewhere:
 // in its exhaustive pair scan and its plain-set locksets, not in the
-// clock replay.
+// clock replay. It also replays every rank on one goroutine in one
+// clock space, where detect gives each rank its own space and replays
+// the ranks on parallel workers; the random traces long enough for
+// several workers run at GOMAXPROCS 4, so that path is compared on
+// every host.
 //
 // The clock equivalence test runs under a GOMAXPROCS 1/2/4 matrix,
 // and CI runs the package with -race. The corpus is built once per

@@ -97,8 +97,12 @@ type Histogram struct {
 }
 
 // Observe records one value. Negative values clamp to zero.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of v at once, as n calls of Observe
+// would; n <= 0 records nothing.
+func (h *Histogram) ObserveN(v, n int64) {
+	if h == nil || n <= 0 {
 		return
 	}
 	if v < 0 {
@@ -111,9 +115,9 @@ func (h *Histogram) Observe(v int64) {
 	if v > h.max {
 		h.max = v
 	}
-	h.count++
-	h.sum += v
-	h.buckets[bits.Len64(uint64(v))]++
+	h.count += n
+	h.sum += v * n
+	h.buckets[bits.Len64(uint64(v))] += n
 	h.mu.Unlock()
 }
 

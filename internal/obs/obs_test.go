@@ -6,6 +6,21 @@ import (
 	"testing"
 )
 
+// TestHistogramObserveN pins that ObserveN(v, n) records what n calls
+// of Observe(v) record, and nothing for n <= 0.
+func TestHistogramObserveN(t *testing.T) {
+	var one, bulk Histogram
+	for _, o := range []struct{ v, n int64 }{{3, 4}, {0, 2}, {9, 0}, {17, 1}, {5, -1}, {-2, 3}} {
+		for i := int64(0); i < o.n; i++ {
+			one.Observe(o.v)
+		}
+		bulk.ObserveN(o.v, o.n)
+	}
+	if got, want := bulk.Stat(), one.Stat(); got != want {
+		t.Fatalf("ObserveN stat %+v, want %+v", got, want)
+	}
+}
+
 func TestCounterGaugeHistogram(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("x.count")

@@ -9,9 +9,11 @@
 // clocks differ. Two clocks neither of which happens-before the other
 // are concurrent; that is the condition the race detectors test.
 //
-// Thread identities are opaque int64 values so a single clock space can
-// span MPI ranks and OpenMP threads: callers typically encode
-// (rank, tid) pairs via a scheme of their choosing.
+// Thread identities are opaque int64 values so a clock space can span
+// MPI ranks and OpenMP threads: callers typically encode (rank, tid)
+// pairs via a scheme of their choosing. The detector interns such
+// global identities into one space per rank, so its clocks render
+// the same threads by the same names in every rank.
 //
 // Packed is the one clock type. It is dense and slice-backed, built
 // to make the detector's hot operations cheap (internal/difftest
@@ -61,10 +63,12 @@ type Slot int32
 // NoSlot marks a clock with no owning thread (accumulators).
 const NoSlot Slot = -1
 
-// Space interns sparse TIDs to dense slots. One Space is shared by
-// every clock of one analysis; it is not safe for concurrent
-// interning (the analyzers intern during the single-threaded replay
-// phase), but read-only lookups after interning are safe to share.
+// Space interns sparse TIDs to dense slots. The detector keeps one
+// Space per rank, shared by every clock of that rank's replay: no
+// happens-before edge crosses ranks, so a clock is only as wide as
+// its rank's team. A Space is not safe for concurrent interning (each
+// rank's replay interns on the one worker that owns the rank), but
+// read-only lookups after interning are safe to share.
 type Space struct {
 	slots map[TID]Slot
 	tids  []TID
