@@ -44,6 +44,27 @@ func FuzzCheck(f *testing.F) {
   { omp_set_lock(); }
   return 0;
 }`, int64(4))
+	// A request copied, passed through a parameter and waited twice.
+	requests := `int finish(int req) { MPI_Wait(&req); return 0; }
+int main() {
+  int provided;
+  MPI_Init_thread(MPI_THREAD_MULTIPLE, &provided);
+  int rank = MPI_Comm_rank(MPI_COMM_WORLD);
+  double a[2];
+  double b[2];
+  MPI_Request s;
+  MPI_Request r;
+  MPI_Isend(b, 2, 1 - rank, 3, MPI_COMM_WORLD, &s);
+  MPI_Irecv(a, 2, 1 - rank, 3, MPI_COMM_WORLD, &r);
+  MPI_Request q = r;
+  finish(q);
+  MPI_Wait(&r);
+  MPI_Wait(&s);
+  MPI_Finalize();
+  return 0;
+}`
+	f.Add(requests, int64(0))
+	f.Add(requests, int64(6))
 
 	f.Fuzz(func(t *testing.T, src string, seed int64) {
 		opts := Options{

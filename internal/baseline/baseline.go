@@ -74,16 +74,9 @@ func (t Tool) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
 
 // Options configures a baseline run (mirrors home.Options).
 type Options struct {
-	Procs    int
-	Threads  int
-	Seed     int64
-	Costs    sim.CostModel
-	MaxSteps int64
-
-	// MarmotOverlapNs is the temporal window within which two
-	// accesses count as "actually concurrent" for the manifest-only
-	// filter (0 = DefaultMarmotOverlapNs).
-	MarmotOverlapNs int64
+	Procs   int
+	Threads int
+	Seed    int64
 }
 
 // DefaultMarmotOverlapNs is the manifest-concurrency window: accesses
@@ -136,7 +129,7 @@ type Result struct {
 func RunMarmot(prog *minic.Program, opts Options) *Result {
 	log := trace.NewLog()
 	run := interp.Run(prog, marmotConfig(opts, log))
-	rep, violations := checkMarmot(log.Chunks(), opts)
+	rep, violations := checkMarmot(log.Chunks())
 	return &Result{
 		Tool:       ToolMarmot,
 		Violations: violations,
@@ -151,19 +144,15 @@ func RunMarmot(prog *minic.Program, opts Options) *Result {
 // marmotConfig is the Marmot model's run: every MPI call is hooked
 // and makes the manager round trip.
 func marmotConfig(opts Options, sink trace.Sink) interp.Config {
-	costs := opts.Costs
-	if costs == (sim.CostModel{}) {
-		costs = sim.DefaultCostModel()
-	}
+	costs := sim.DefaultCostModel()
 	costs.EmitNs = marmotEmitNs
 	costs.AnalysisNsPerEvent = marmotAnalysisNs
 	managerCost := marmotCallNs(opts.Procs)
 	return interp.Config{
-		Procs:    opts.Procs,
-		Threads:  opts.Threads,
-		Seed:     opts.Seed,
-		Costs:    costs,
-		MaxSteps: opts.MaxSteps,
+		Procs:   opts.Procs,
+		Threads: opts.Threads,
+		Seed:    opts.Seed,
+		Costs:   costs,
 		// PMPI layer: every MPI call is intercepted and its record
 		// makes the manager round trip.
 		Instrument: func(int) bool { return true },
@@ -173,14 +162,10 @@ func marmotConfig(opts Options, sink trace.Sink) interp.Config {
 }
 
 // checkMarmot analyzes a Marmot log in place and keeps the races that
-// manifested.
-func checkMarmot(chunks [][]trace.Event, opts Options) (*detect.Report, []spec.Violation) {
+// manifested within DefaultMarmotOverlapNs.
+func checkMarmot(chunks [][]trace.Event) (*detect.Report, []spec.Violation) {
 	rep := detect.AnalyzeChunks(chunks, detect.Options{Mode: detect.ModeCombined})
-	window := opts.MarmotOverlapNs
-	if window <= 0 {
-		window = DefaultMarmotOverlapNs
-	}
-	manifested := filterManifest(rep, window)
+	manifested := filterManifest(rep, DefaultMarmotOverlapNs)
 	return manifested, spec.MatchChunks(chunks, manifested)
 }
 
@@ -235,10 +220,7 @@ func RunITC(prog *minic.Program, opts Options) *Result {
 // itcConfig is the ITC model's run: binary rewriting instruments every
 // call site and every memory access, and probes reach sink blind.
 func itcConfig(opts Options, sink trace.Sink) interp.Config {
-	costs := opts.Costs
-	if costs == (sim.CostModel{}) {
-		costs = sim.DefaultCostModel()
-	}
+	costs := sim.DefaultCostModel()
 	costs.EmitNs = itcEmitNs
 	costs.AnalysisNsPerEvent = itcAnalysisNs(opts.Procs, opts.Threads)
 	return interp.Config{
@@ -246,7 +228,6 @@ func itcConfig(opts Options, sink trace.Sink) interp.Config {
 		Threads:            opts.Threads,
 		Seed:               opts.Seed,
 		Costs:              costs,
-		MaxSteps:           opts.MaxSteps,
 		Instrument:         func(int) bool { return true },
 		Sink:               probeBlindSink{inner: sink},
 		MonitorAllAccesses: true,
@@ -266,11 +247,9 @@ func checkITC(chunks [][]trace.Event) (*detect.Report, []spec.Violation) {
 // RunBase executes the program uninstrumented (the "Base" series).
 func RunBase(prog *minic.Program, opts Options) *Result {
 	run := interp.Run(prog, interp.Config{
-		Procs:    opts.Procs,
-		Threads:  opts.Threads,
-		Seed:     opts.Seed,
-		Costs:    opts.Costs,
-		MaxSteps: opts.MaxSteps,
+		Procs:   opts.Procs,
+		Threads: opts.Threads,
+		Seed:    opts.Seed,
 	})
 	return &Result{
 		Tool:       ToolBase,

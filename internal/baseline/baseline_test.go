@@ -3,10 +3,13 @@ package baseline
 import (
 	"testing"
 
+	"home/internal/detect"
 	"home/internal/faults"
+	"home/internal/interp"
 	"home/internal/minic"
 	"home/internal/npb"
 	"home/internal/spec"
+	"home/internal/trace"
 )
 
 func parse(t *testing.T, src string) *minic.Program {
@@ -54,8 +57,10 @@ func TestMarmotMissesScheduleSkewedViolation(t *testing.T) {
 	}
 	// Sanity: Marmot's underlying analysis (unfiltered) would have
 	// seen it — i.e. the filter, not the instrumentation, drops it.
-	res2 := RunMarmot(prog, Options{Procs: 2, Seed: 1, MarmotOverlapNs: 1 << 60})
-	if !hasKind(res2.Violations, spec.ConcurrentRecvViolation) {
+	log := trace.NewLog()
+	interp.Run(prog, marmotConfig(Options{Procs: 2, Seed: 1}, log))
+	rep := detect.AnalyzeChunks(log.Chunks(), detect.Options{Mode: detect.ModeCombined})
+	if !hasKind(spec.MatchChunks(log.Chunks(), filterManifest(rep, 1<<60)), spec.ConcurrentRecvViolation) {
 		t.Fatal("with an infinite window the violation should be visible")
 	}
 }

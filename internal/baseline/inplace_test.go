@@ -36,8 +36,7 @@ func TestInPlaceCheckMatchesCopy(t *testing.T) {
 		check  func([][]trace.Event) (*detect.Report, []spec.Violation)
 		copied func([]trace.Event) *detect.Report
 	}{
-		{"Marmot", marmotConfig,
-			func(c [][]trace.Event) (*detect.Report, []spec.Violation) { return checkMarmot(c, opts) },
+		{"Marmot", marmotConfig, checkMarmot,
 			func(events []trace.Event) *detect.Report {
 				return filterManifest(detect.Analyze(events, detect.Options{Mode: detect.ModeCombined}), DefaultMarmotOverlapNs)
 			}},

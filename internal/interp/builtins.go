@@ -91,7 +91,7 @@ func (l *lowerer) call(c *minic.Call) expr {
 			vals[i] = v
 		}
 		return tc.callFunction(fn, vals, line)
-	}, true)
+	})
 }
 
 // counted lowers a runtime-library routine: each call first tallies
@@ -105,7 +105,7 @@ func counted(lower func(l *lowerer, c *minic.Call) valFn) builtin {
 				st.Counter(key).Inc()
 			}
 			return f(tc)
-		}, true)
+		})
 	}
 }
 
@@ -137,7 +137,7 @@ func (l *lowerer) assignArg(c *minic.Call, i int) func(*threadCtx, Value) error 
 			return func(tc *threadCtx, v Value) error {
 				if cl := tc.cell(r); cl != nil {
 					tc.monitorAccess(trace.OpWrite, name)
-					cl.store(v)
+					cl.storeNum(v.Num)
 				}
 				return nil
 			}
@@ -181,7 +181,7 @@ func (b *buffer) read(count int) []float64 {
 func (b *buffer) write(data []float64) {
 	mpi.StoreElems(b.data, data)
 	if b.scalarCell != nil && len(data) > 0 {
-		b.scalarCell.store(floatVal(data[0]))
+		b.scalarCell.storeNum(data[0])
 	}
 }
 
@@ -200,12 +200,11 @@ func (l *lowerer) bufferArg(c *minic.Call, i int) func(*threadCtx) (*buffer, err
 			if cl == nil {
 				return nil, runtimeError(a.Line, "undefined variable %q", a.Name)
 			}
-			v := cl.load()
-			if v.Arr != nil {
-				return &buffer{data: v.Arr}, nil
+			if cl.arr != nil {
+				return &buffer{data: cl.arr}, nil
 			}
 			// Scalar window.
-			return &buffer{data: []float64{v.Num}, scalarCell: cl}, nil
+			return &buffer{data: []float64{cl.loadNum()}, scalarCell: cl}, nil
 		}
 	case *minic.Index:
 		idx := l.expr(a.Idx).num
@@ -236,26 +235,28 @@ func (l *lowerer) bufferArg(c *minic.Call, i int) func(*threadCtx) (*buffer, err
 	}
 }
 
-// requestArg lowers argument i as a request lvalue cell.
-func requestArg(c *minic.Call, i int) func(*threadCtx) (*cell, *mpi.Request, error) {
+// requestArg lowers argument i as a request variable: it reads the
+// request id the variable holds and returns the rank's entry for it,
+// nil for a null request.
+func requestArg(c *minic.Call, i int) func(*threadCtx) (*request, error) {
 	line, name := c.Line, c.Name
 	if i >= len(c.Args) {
-		return func(*threadCtx) (*cell, *mpi.Request, error) {
-			return nil, nil, runtimeError(line, "%s: missing request argument", name)
+		return func(*threadCtx) (*request, error) {
+			return nil, runtimeError(line, "%s: missing request argument", name)
 		}
 	}
 	id, ok := c.Args[i].(*minic.Ident)
 	if !ok {
-		return func(*threadCtx) (*cell, *mpi.Request, error) {
-			return nil, nil, runtimeError(line, "%s: request argument must be a variable", name)
+		return func(*threadCtx) (*request, error) {
+			return nil, runtimeError(line, "%s: request argument must be a variable", name)
 		}
 	}
-	return func(tc *threadCtx) (*cell, *mpi.Request, error) {
+	return func(tc *threadCtx) (*request, error) {
 		cl := tc.cell(id.Ref)
 		if cl == nil {
-			return nil, nil, runtimeError(line, "undefined request variable %q", id.Name)
+			return nil, runtimeError(line, "undefined request variable %q", id.Name)
 		}
-		return cl, cl.load().Req, nil
+		return tc.in.request(int(cl.loadNum())), nil
 	}
 }
 
@@ -547,42 +548,51 @@ func lowerOmpLock(set bool) func(*lowerer, *minic.Call) valFn {
 	}
 }
 
-// ---- Irecv completion buffers ----
+// ---- the request table ----
 
-// noteIrecvBuffer remembers where a pending Irecv deposits its
-// payload once Wait/Test completes it.
-func (in *Instance) noteIrecvBuffer(req *mpi.Request, tgt irecvTarget) {
-	in.irecvMu.Lock()
-	if in.irecvBufs == nil {
-		in.irecvBufs = make(map[*mpi.Request]irecvTarget)
-	}
-	in.irecvBufs[req] = tgt
-	in.irecvMu.Unlock()
+// request is one entry of a rank's request table. buf and count are a
+// pending Irecv's destination window, cut at count; buf is nil for a
+// send and once the payload is delivered.
+type request struct {
+	req   *mpi.Request
+	buf   *buffer
+	count int
 }
 
-// completeIrecv deposits a completed Irecv's payload.
-func (in *Instance) completeIrecv(req *mpi.Request) {
-	in.irecvMu.Lock()
-	tgt, ok := in.irecvBufs[req]
-	if ok {
-		delete(in.irecvBufs, req)
+// addRequest enters a request the rank started. Its id is what the
+// program's request variable holds.
+func (in *Instance) addRequest(req *mpi.Request, buf *buffer, count int) {
+	in.reqMu.Lock()
+	if in.reqs == nil {
+		in.reqs = make(map[int]*request)
 	}
-	in.irecvMu.Unlock()
-	if !ok {
+	in.reqs[req.ID] = &request{req: req, buf: buf, count: count}
+	in.reqMu.Unlock()
+}
+
+// request returns the entry of id: nil for 0 or any id the rank never
+// allocated (a null request). A completed request keeps its entry.
+func (in *Instance) request(id int) *request {
+	in.reqMu.Lock()
+	defer in.reqMu.Unlock()
+	return in.reqs[id]
+}
+
+// completeIrecv deposits a completed Irecv's payload, once.
+func (in *Instance) completeIrecv(r *request) {
+	in.reqMu.Lock()
+	buf := r.buf
+	r.buf = nil
+	in.reqMu.Unlock()
+	if buf == nil {
 		return
 	}
-	data := req.Data()
+	data := r.req.Data()
 	if data == nil {
 		return
 	}
-	if tgt.count < len(data) {
-		data = data[:tgt.count]
+	if r.count < len(data) {
+		data = data[:r.count]
 	}
-	tgt.buf.write(data)
-}
-
-// irecvTarget pairs a pending Irecv with its destination window.
-type irecvTarget struct {
-	buf   *buffer
-	count int
+	buf.write(data)
 }

@@ -42,9 +42,6 @@ type expr struct {
 	num  numFn
 	val  valFn
 	kind kind
-	// handle: the value may be an array or a request rather than a
-	// plain number.
-	handle bool
 	// konst: the expression is the constant cv, with no effect.
 	konst bool
 	cv    Value
@@ -64,9 +61,9 @@ func number(k kind, num numFn) expr {
 }
 
 // dynamic is an expression whose float-ness is known only at run
-// time; its number is derived from val.
-func dynamic(val valFn, handle bool) expr {
-	return expr{kind: kindDyn, handle: handle, val: val, num: func(tc *threadCtx) (float64, error) {
+// time, such as a call; its number is derived from val.
+func dynamic(val valFn) expr {
+	return expr{kind: kindDyn, val: val, num: func(tc *threadCtx) (float64, error) {
 		v, err := val(tc)
 		return v.Num, err
 	}}
@@ -91,7 +88,7 @@ func constant(v Value) expr {
 func failing(line int, format string, args ...any) expr {
 	return dynamic(func(*threadCtx) (Value, error) {
 		return Value{}, runtimeError(line, format, args...)
-	}, false)
+	})
 }
 
 // expr lowers an expression.
@@ -208,9 +205,8 @@ func (l *lowerer) ident(id *minic.Ident) expr {
 		}
 		return Value{}, runtimeError(line, "undefined variable %q", name)
 	}
-	k := l.slotKind(r)
 	return expr{
-		kind: k, handle: k != kindFloat,
+		kind: l.slotKind(r),
 		num: func(tc *threadCtx) (float64, error) {
 			c := tc.cell(r)
 			if c == nil {
@@ -237,8 +233,8 @@ func (tc *threadCtx) array(id *minic.Ident) ([]float64, error) {
 	if c == nil {
 		return nil, runtimeError(id.Line, "undefined array %q", id.Name)
 	}
-	if p := c.ref.Load(); p != nil && p.Arr != nil {
-		return p.Arr, nil
+	if c.arr != nil {
+		return c.arr, nil
 	}
 	return nil, runtimeError(id.Line, "%q is not an array", id.Name)
 }
@@ -293,9 +289,9 @@ func unaryOf(v *minic.Unary, x expr) expr {
 	xn, xv := x.num, x.val
 	switch v.Op {
 	case minic.TMinus:
-		// Negation keeps the rest of the value, a handle included.
+		// Negation keeps the rest of the value, an array included.
 		return expr{
-			kind: x.kind, handle: x.handle,
+			kind: x.kind,
 			num: func(tc *threadCtx) (float64, error) {
 				n, err := xn(tc)
 				return -n, err
@@ -318,11 +314,12 @@ func unaryOf(v *minic.Unary, x expr) expr {
 			return Value{}, err
 		}
 		return Value{}, runtimeError(line, "unsupported unary operator")
-	}, false)
+	})
 }
 
 // binary lowers x op y. Arithmetic over operands whose float-ness is
-// static computes on raw numbers; the rest goes through applyBinary.
+// static computes on raw numbers; an operand whose float-ness is
+// decided at run time (a call) makes the result's too.
 // An operation on two constants that raises no error is folded.
 func binary(line int, op minic.Kind, x, y expr) expr {
 	e := binaryOf(line, op, x, y)
@@ -381,7 +378,7 @@ func binaryOf(line int, op minic.Kind, x, y expr) expr {
 				return Value{}, err
 			}
 			return Value{}, runtimeError(line, "unsupported binary operator")
-		}, false)
+		})
 	case x.kind == kindDyn || y.kind == kindDyn:
 		xv, yv := x.val, y.val
 		return dynamic(func(tc *threadCtx) (Value, error) {
@@ -393,8 +390,13 @@ func binaryOf(line int, op minic.Kind, x, y expr) expr {
 			if err != nil {
 				return Value{}, err
 			}
-			return applyBinary(line, op, a, b)
-		}, false)
+			isFloat := a.IsFloat || b.IsFloat
+			n, ok := arithNum(op, a.Num, b.Num, isFloat)
+			if !ok {
+				return Value{}, runtimeError(line, "division by zero")
+			}
+			return Value{Num: n, IsFloat: isFloat}, nil
+		})
 	}
 	isFloat := x.kind == kindFloat || y.kind == kindFloat
 	k := kindInt
@@ -459,17 +461,6 @@ func arithNum(op minic.Kind, a, b float64, isFloat bool) (n float64, ok bool) {
 	return n, true
 }
 
-// applyBinary is arithNum on whole values: the result is a double if
-// either operand is.
-func applyBinary(line int, op minic.Kind, x, y Value) (Value, error) {
-	isFloat := x.IsFloat || y.IsFloat
-	n, ok := arithNum(op, x.Num, y.Num, isFloat)
-	if !ok {
-		return Value{}, runtimeError(line, "division by zero")
-	}
-	return Value{Num: n, IsFloat: isFloat}, nil
-}
-
 // compoundOp maps a compound assignment (+=, -=, *=, /=) to its
 // binary operator.
 func compoundOp(op minic.Kind) (minic.Kind, bool) {
@@ -502,7 +493,7 @@ func (l *lowerer) assign(line int, op minic.Kind, lhs minic.Expr, rhs expr) expr
 			return Value{}, err
 		}
 		return Value{}, runtimeError(line, "assignment target must be a variable or array element")
-	}, false)
+	})
 }
 
 // assignElem lowers a store to an array element. The element is a
@@ -550,14 +541,13 @@ func (l *lowerer) assignElem(line int, op minic.Kind, ix *minic.Index, rhs expr)
 
 // assignVar lowers a store to a variable. The store coerces to the
 // variable's declared type, and the expression's value is the variable
-// read back.
+// read back. A compound assignment computes in double if either the
+// variable or the right-hand side is one.
 func (l *lowerer) assignVar(line int, op minic.Kind, id *minic.Ident, rhs expr) expr {
 	r, name, idLine := id.Ref, id.Name, id.Line
-	k := l.slotKind(r)
 	bop, compound := compoundOp(op)
 	var do func(tc *threadCtx) (*cell, error)
-	switch {
-	case op != minic.TAssign && !compound:
+	if op != minic.TAssign && !compound {
 		rv := rhs.val
 		do = func(tc *threadCtx) (*cell, error) {
 			if _, err := rv(tc); err != nil {
@@ -570,13 +560,22 @@ func (l *lowerer) assignVar(line int, op minic.Kind, id *minic.Ident, rhs expr) 
 			tc.monitorAccess(trace.OpRead, name)
 			return nil, runtimeError(line, "unsupported assignment operator")
 		}
-	case !rhs.handle && rhs.kind != kindDyn && (op == minic.TAssign || k != kindDyn):
-		// Raw numbers: the rhs and, for a compound, the variable have
-		// a static float-ness.
-		rn, rFloat := rhs.num, rhs.kind == kindFloat
-		isFloat := rFloat || k == kindFloat
+	} else {
+		// Only a compound reads the float-ness of a right-hand side
+		// whose kind is decided at run time.
+		rn, rv, rk := rhs.num, rhs.val, rhs.kind
+		rVal := compound && rk == kindDyn
 		do = func(tc *threadCtx) (*cell, error) {
-			n, err := rn(tc)
+			var n float64
+			var err error
+			rFloat := rk == kindFloat
+			if rVal {
+				var v Value
+				v, err = rv(tc)
+				n, rFloat = v.Num, v.IsFloat
+			} else {
+				n, err = rn(tc)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -587,41 +586,17 @@ func (l *lowerer) assignVar(line int, op minic.Kind, id *minic.Ident, rhs expr) 
 			if compound {
 				tc.monitorAccess(trace.OpRead, name)
 				var ok bool
-				if n, ok = arithNum(bop, c.loadNum(), n, isFloat); !ok {
+				if n, ok = arithNum(bop, c.loadNum(), n, rFloat || c.isFloat); !ok {
 					return nil, runtimeError(line, "division by zero")
 				}
-				tc.monitorAccess(trace.OpWrite, name)
-				c.storeNum(n, isFloat)
-				return c, nil
 			}
 			tc.monitorAccess(trace.OpWrite, name)
-			c.storeNum(n, rFloat)
-			return c, nil
-		}
-	default:
-		rv := rhs.val
-		do = func(tc *threadCtx) (*cell, error) {
-			v, err := rv(tc)
-			if err != nil {
-				return nil, err
-			}
-			c := tc.cell(r)
-			if c == nil {
-				return nil, runtimeError(idLine, "undefined variable %q", name)
-			}
-			if compound {
-				tc.monitorAccess(trace.OpRead, name)
-				if v, err = applyBinary(line, bop, c.load(), v); err != nil {
-					return nil, err
-				}
-			}
-			tc.monitorAccess(trace.OpWrite, name)
-			c.store(v)
+			c.storeNum(n)
 			return c, nil
 		}
 	}
 	return expr{
-		kind: k, handle: k != kindFloat,
+		kind: l.slotKind(r),
 		num: func(tc *threadCtx) (float64, error) {
 			c, err := do(tc)
 			if err != nil {

@@ -165,10 +165,10 @@ type Instance struct {
 	maxStep int64
 	chaosOn bool
 
-	// irecvBufs tracks pending Irecv destination buffers until
-	// Wait/Test completes them.
-	irecvMu   sync.Mutex
-	irecvBufs map[*mpi.Request]irecvTarget
+	// reqs is the request table: every request the rank's threads
+	// started, by id, for the rest of the run.
+	reqMu sync.Mutex
+	reqs  map[int]*request
 
 	// pt holds the explicit-thread (pthread_*) registry, created on
 	// first use.
@@ -251,7 +251,7 @@ func Run(prog *minic.Program, conf Config) *Result {
 		if err != nil {
 			return err
 		}
-		exitCodes[p.Rank()] = code.Int()
+		exitCodes[p.Rank()] = int(code.Num)
 		return nil
 	})
 
@@ -311,15 +311,6 @@ func (tc *threadCtx) cell(r minic.Ref) *cell {
 		return nil
 	}
 	return tc.frame[r.Slot]
-}
-
-// bind makes r name c.
-func (tc *threadCtx) bind(r minic.Ref, c *cell) {
-	if r.Global {
-		tc.in.globals[r.Slot] = c
-		return
-	}
-	tc.frame[r.Slot] = c
 }
 
 // bumpStep enforces the global statement budget and charges the
@@ -390,14 +381,10 @@ func (tc *threadCtx) callFunction(fn *function, args []Value, line int) (Value, 
 	frame := make([]*cell, decl.Frame)
 	for i, p := range decl.Params {
 		v := args[i]
-		if p.IsArray {
-			if v.Arr == nil {
-				return Value{}, runtimeError(line, "argument %d of %s must be an array", i+1, decl.Name)
-			}
-			frame[i] = newCell(true, true, v)
-			continue
+		if p.IsArray && v.Arr == nil {
+			return Value{}, runtimeError(line, "argument %d of %s must be an array", i+1, decl.Name)
 		}
-		frame[i] = newCell(p.Type == minic.TypeDouble, false, v)
+		frame[i] = newCell(declKind(p.Type, p.IsArray) == kindFloat, v)
 	}
 	caller := tc.frame
 	tc.frame = frame

@@ -47,14 +47,15 @@ func lowered(prog *minic.Program) *program {
 // lowerer carries the lowering state of one program.
 type lowerer struct {
 	funcs map[string]*function // the first definition of each name
-	// kinds is the float-ness of the current function's local slots
-	// (nil at file scope, where every name is global).
-	kinds []kind
+	// globals and kinds are the float-ness of reads of the global
+	// slots and of the current function's local slots (kinds is nil at
+	// file scope, where every name is global).
+	globals, kinds []kind
 }
 
 func lower(prog *minic.Program) *program {
 	lowerCount.Add(1)
-	l := &lowerer{funcs: make(map[string]*function, len(prog.Funcs))}
+	l := &lowerer{funcs: make(map[string]*function, len(prog.Funcs)), globals: globalKinds(prog)}
 	fns := make([]*function, len(prog.Funcs))
 	for i, f := range prog.Funcs {
 		fns[i] = &function{decl: f}
@@ -73,94 +74,106 @@ func lower(prog *minic.Program) *program {
 	return out
 }
 
-// slotKinds decides which local slots of f have a static float-ness.
-// A scalar int (or request, communicator, status) local never holds a
-// double, and a boxed array or request reads as an int, so its reads
-// are kindInt. A scalar double local is kindFloat unless a handle can
-// be stored in it (an assignment or initializer that may carry one, an
-// MPI_Isend or MPI_Irecv request argument), an omp loop rebinds it to
-// an int, or its name is a runtime constant, which an unbound read
-// falls back to. Parameters of type double, arrays, private copies and
-// loop copies stay kindDyn.
-func slotKinds(f *minic.FuncDecl) []kind {
-	kinds := make([]kind, f.Frame)
-	for i, p := range f.Params {
-		if !p.IsArray && p.Type != minic.TypeDouble {
-			kinds[i] = kindInt
-		}
+// declKind is the float-ness of a declared variable. An array read as
+// a scalar is an int.
+func declKind(t minic.TypeKind, isArray bool) kind {
+	if t == minic.TypeDouble && !isArray {
+		return kindFloat
 	}
-	boxed := make([]bool, f.Frame)
-	mark := func(r minic.Ref) {
-		if !r.Global && r.Bound() {
-			boxed[r.Slot] = true
-		}
-	}
-	minic.Walk(f.Body, func(n minic.Node) bool {
-		switch v := n.(type) {
-		case *minic.DeclStmt:
-			for _, d := range v.Decls {
-				if d.Ref.Global || !d.Ref.Bound() || d.ArraySize != nil {
-					continue
-				}
-				if v.Type != minic.TypeDouble {
-					kinds[d.Ref.Slot] = kindInt
-					continue
-				}
-				kinds[d.Ref.Slot] = kindFloat
-				if _, ok := constants[d.Name]; ok || (d.Init != nil && mayCarry(d.Init)) {
-					mark(d.Ref)
-				}
+	return kindInt
+}
+
+// globalKinds is the float-ness of each global slot: its declared
+// type. Two exceptions are kindDyn: a name declared again with another
+// type, and a double that shares its name with a runtime constant,
+// which a read before the declaration runs falls back to.
+func globalKinds(prog *minic.Program) []kind {
+	kinds := make([]kind, prog.NumGlobals)
+	seen := make([]bool, prog.NumGlobals)
+	for _, g := range prog.Globals {
+		for _, d := range g.Decls {
+			if !d.Ref.Global || !d.Ref.Bound() {
+				continue
 			}
-		case *minic.Assign:
-			if id, ok := v.LHS.(*minic.Ident); ok && v.Op == minic.TAssign && mayCarry(v.RHS) {
-				mark(id.Ref)
+			s, k := d.Ref.Slot, declKind(g.Type, d.ArraySize != nil)
+			if _, ok := constants[d.Name]; (ok && k != kindInt) || (seen[s] && kinds[s] != k) {
+				k = kindDyn
 			}
-		case *minic.Call:
-			if v.Name == "MPI_Isend" || v.Name == "MPI_Irecv" {
-				for _, a := range v.Args {
-					if id, ok := a.(*minic.Ident); ok {
-						mark(id.Ref)
-					}
-				}
-			}
-		case *minic.OmpStmt:
-			mark(v.LoopRef)
-		}
-		return true
-	})
-	for s, b := range boxed {
-		if b && kinds[s] == kindFloat {
-			kinds[s] = kindDyn
+			kinds[s], seen[s] = k, true
 		}
 	}
 	return kinds
 }
 
-// mayCarry reports whether e's value may be an array or a request
-// rather than a plain number.
-func mayCarry(e minic.Expr) bool {
-	switch v := e.(type) {
-	case *minic.Ident:
-		return true
-	case *minic.Call:
-		_, builtin := builtinTable[v.Name]
-		return !builtin || v.Name == "MPI_Isend" || v.Name == "MPI_Irecv"
-	case *minic.Unary:
-		return v.Op == minic.TMinus && mayCarry(v.X)
-	case *minic.Assign:
-		_, ok := v.LHS.(*minic.Ident)
-		return ok
-	case *minic.IncDec:
-		_, ok := v.LHS.(*minic.Ident)
-		return ok
+// slotKinds is the float-ness of each local slot of f: its declared
+// type, and for a construct's private copy or reduction accumulator
+// the type of the variable it copies. The loop variable of an omp for
+// is kindDyn unless it is an int: a team runs the loop on an int
+// copy, while a thread alone runs it on the declared or assigned
+// variable.
+func slotKinds(f *minic.FuncDecl) []kind {
+	kinds := make([]kind, f.Frame)
+	for i, p := range f.Params {
+		kinds[i] = declKind(p.Type, p.IsArray)
 	}
-	return false
+	minic.Walk(f.Body, func(n minic.Node) bool {
+		if ds, ok := n.(*minic.DeclStmt); ok {
+			for _, d := range ds.Decls {
+				if !d.Ref.Global && d.Ref.Bound() {
+					kinds[d.Ref.Slot] = declKind(ds.Type, d.ArraySize != nil)
+				}
+			}
+		}
+		return true
+	})
+	// Constructs in source order, so a copy of an enclosing construct's
+	// copy finds its kind decided. A copy of a global is kindDyn: a
+	// function that a global initializer calls may fork before the
+	// global is declared, and the copy then takes the type of no
+	// variable.
+	kindOf := func(r minic.Ref, unbound kind) kind {
+		switch {
+		case !r.Bound():
+			return unbound
+		case r.Global:
+			return kindDyn
+		}
+		return kinds[r.Slot]
+	}
+	minic.Walk(f.Body, func(n minic.Node) bool {
+		o, ok := n.(*minic.OmpStmt)
+		if !ok {
+			return true
+		}
+		for i, r := range o.PrivRefs {
+			kinds[r.Slot] = kindOf(o.PrivOuter[i], kindInt)
+		}
+		for i, r := range o.RedRefs {
+			kinds[r.Slot] = kindOf(o.RedOuter[i], kindFloat)
+		}
+		if r := o.LoopRef; r.Bound() {
+			seq := kinds[r.Slot]
+			if o.LoopOuter.Bound() {
+				seq = kindOf(o.LoopOuter, kindDyn)
+			}
+			if o.Kind == minic.PragmaFor && seq != kindInt {
+				kinds[r.Slot] = kindDyn
+			} else {
+				kinds[r.Slot] = kindInt
+			}
+		}
+		return true
+	})
+	return kinds
 }
 
 // slotKind is the static float-ness of reads of the variable r names.
 func (l *lowerer) slotKind(r minic.Ref) kind {
-	if r.Global || !r.Bound() || int(r.Slot) >= len(l.kinds) {
+	switch {
+	case !r.Bound():
 		return kindDyn
+	case r.Global:
+		return l.globals[r.Slot]
 	}
 	return l.kinds[r.Slot]
 }
@@ -263,9 +276,9 @@ func (l *lowerer) declStmt(ds *minic.DeclStmt, inits []expr) stmtFn {
 }
 
 // declare lowers one declarator: it makes a fresh cell and binds the
-// declarator's slot to it.
+// declarator's slot to it. A scalar starts at its initializer's number,
+// or 0.
 func (l *lowerer) declare(ds *minic.DeclStmt, d minic.Declarator, init *expr) func(*threadCtx) error {
-	isFloat := ds.Type == minic.TypeDouble
 	bind := binder(d.Ref)
 	if d.ArraySize != nil {
 		size := l.expr(d.ArraySize).num
@@ -283,42 +296,25 @@ func (l *lowerer) declare(ds *minic.DeclStmt, d minic.Declarator, init *expr) fu
 			if n < 0 || n > limit {
 				return runtimeError(line, "bad array size %d for %s", n, name)
 			}
-			bind(tc, newCell(isFloat, true, Value{Arr: make([]float64, n)}))
+			bind(tc, &cell{arr: make([]float64, n)})
 			return nil
 		}
 	}
-	if d.Init == nil {
-		return func(tc *threadCtx) error {
-			bind(tc, newCell(isFloat, false, Value{}))
-			return nil
-		}
-	}
-	var e expr
+	e := constant(intVal(0))
 	if init != nil {
 		e = *init
-	} else {
+	} else if d.Init != nil {
 		e = l.expr(d.Init)
 	}
-	if !e.handle && e.kind != kindDyn {
-		num, initFloat := e.num, e.kind == kindFloat
-		return func(tc *threadCtx) error {
-			n, err := num(tc)
-			if err != nil {
-				return err
-			}
-			c := &cell{isFloat: isFloat}
-			c.storeNum(n, initFloat)
-			bind(tc, c)
-			return nil
-		}
-	}
-	val := e.val
+	num, isFloat := e.num, ds.Type == minic.TypeDouble
 	return func(tc *threadCtx) error {
-		v, err := val(tc)
+		n, err := num(tc)
 		if err != nil {
 			return err
 		}
-		bind(tc, newCell(isFloat, false, v))
+		c := &cell{isFloat: isFloat}
+		c.storeNum(n)
+		bind(tc, c)
 		return nil
 	}
 }

@@ -150,6 +150,24 @@ func TestRuntimeErrorTexts(t *testing.T) {
 			t.Errorf("%s: error %q, want %q", c.name, got, c.want)
 		}
 	}
+
+	// Ill-typed array uses that raise no error. A cell's array is fixed
+	// when the cell is created: a scalar parameter bound to an array
+	// argument indexes the caller's array, and assigning a number to
+	// an array variable sets the number it reads as a scalar.
+	fine := []struct {
+		name, src string
+		want      int
+	}{
+		{"array through a double parameter", "int set(double x) {\n  x[0] = 7;\n  return 0;\n}\nint main() {\n  double a[2];\n  set(a);\n  return a[0];\n}", 7},
+		{"number assigned to an array", "int main() {\n  double a[2];\n  a = 3;\n  a[0] = 1;\n  return a[0] + a;\n}", 4},
+	}
+	for _, c := range fine {
+		res := run(t, c.src, Config{})
+		if err := res.FirstError(); err != nil || res.ExitCodes[0] != c.want {
+			t.Errorf("%s: exit %d, error %v; want exit %d", c.name, res.ExitCodes[0], err, c.want)
+		}
+	}
 }
 
 // TestMonitoredAccessLog pins the whole-program access log (the ITC
@@ -300,5 +318,46 @@ int main() {
 		if !reflect.DeepEqual(res, results[0]) {
 			t.Errorf("run %d: %+v, want %+v", i, res, results[0])
 		}
+	}
+}
+
+// TestStaticKindsFollowDeclaredTypes pins the float-ness a variable's
+// reads carry: globals, double parameters, private copies and
+// reduction accumulators read with the declared type, and a team runs
+// an omp for on an int copy of its loop variable while a thread alone
+// runs it on the declared double.
+func TestStaticKindsFollowDeclaredTypes(t *testing.T) {
+	res := mustRun(t, `
+double g = 1.5;
+int h = 7;
+double half(double x) { return x / 2; }
+int main() {
+  double d = 0.0;
+  int n = 0;
+  double s = 0.0;
+  double t = 0.0;
+  #pragma omp parallel private(d, n) num_threads(2)
+  {
+    d = 2.5; n = 5;
+    d = d / 2; n = n / 2;
+    #pragma omp critical
+    { s += d + n; }
+    #pragma omp for
+    for (double x = 0; x < 2; x += 1) {
+      #pragma omp critical
+      { t += x / 2; }
+    }
+  }
+  #pragma omp parallel for reduction(+:s) num_threads(2)
+  for (int i = 0; i < 4; i++) { s += i / 4; }
+  #pragma omp for
+  for (double x = 1; x < 2; x += 1) { t += x / 2; }
+  print(s, t, g / 2, h / 2, half(3));
+  g += 1; h += 1.7;
+  print(g, h);
+  return 0;
+}`, Config{Procs: 1})
+	if want := "6.5 0.5 0.75 3 1.5\n2.5 8\n"; res.Output != want {
+		t.Errorf("output %q, want %q", res.Output, want)
 	}
 }

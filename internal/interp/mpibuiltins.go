@@ -225,7 +225,8 @@ func lowerSend(nonblocking bool) func(*lowerer, *minic.Call) valFn {
 				return Value{}, err
 			}
 			tc.tagSend(rec)
-			v := Value{Req: req}
+			tc.in.addRequest(req, nil, 0)
+			v := intVal(float64(req.ID))
 			return v, out(tc, v)
 		}
 	}
@@ -257,7 +258,8 @@ func lowerRecv(l *lowerer, c *minic.Call) valFn {
 
 // lowerIrecv lowers MPI_Irecv(buf, count, source, tag, comm, &req).
 // Every argument is evaluated once, left to right, before the call;
-// the data lands in that buffer, cut at that count, at Wait/Test.
+// the data lands in that buffer, cut at that count, at the first
+// Wait/Test that completes the request.
 func lowerIrecv(l *lowerer, c *minic.Call) valFn {
 	args, out := l.args(c, "biiii"), l.outArg(c, 5)
 	return func(tc *threadCtx) (Value, error) {
@@ -271,12 +273,9 @@ func lowerIrecv(l *lowerer, c *minic.Call) valFn {
 		if err != nil {
 			return Value{}, err
 		}
-		v := Value{Req: req}
-		if err := out(tc, v); err != nil {
-			return Value{}, err
-		}
-		tc.in.noteIrecvBuffer(req, irecvTarget{buf: a.b[0], count: a.n[1]})
-		return v, nil
+		tc.in.addRequest(req, a.b[0], a.n[1])
+		v := intVal(float64(req.ID))
+		return v, out(tc, v)
 	}
 }
 
@@ -289,20 +288,20 @@ func lowerCompletion(test bool) func(*lowerer, *minic.Call) valFn {
 			kind = trace.CallTest
 		}
 		return func(tc *threadCtx) (Value, error) {
-			_, req, err := reqArg(tc)
+			r, err := reqArg(tc)
 			if err != nil {
 				return Value{}, err
 			}
-			if req == nil {
+			if r == nil {
 				return Value{}, runtimeError(c.Line, "%s on a null request", c.Name)
 			}
-			rec := tc.wrapMPI(c, kind, -1, -1, -1, req.ID, -1)
+			rec := tc.wrapMPI(c, kind, -1, -1, -1, r.req.ID, -1)
 			p := tc.in.proc
 			ok, st := true, mpi.Status{}
 			if test {
-				ok, st, err = p.Test(tc.ctx, req)
+				ok, st, err = p.Test(tc.ctx, r.req)
 			} else {
-				st, err = p.Wait(tc.ctx, req)
+				st, err = p.Wait(tc.ctx, r.req)
 			}
 			if err != nil {
 				return Value{}, err
@@ -310,7 +309,7 @@ func lowerCompletion(test bool) func(*lowerer, *minic.Call) valFn {
 			if ok {
 				tc.tagMatch(rec, st)
 				tc.status = st
-				tc.in.completeIrecv(req)
+				tc.in.completeIrecv(r)
 			}
 			if test {
 				return boolVal(ok), nil

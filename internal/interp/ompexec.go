@@ -165,7 +165,7 @@ func (tc *threadCtx) privatize(v *minic.OmpStmt) {
 		if outer := tc.shadowed(ref, v.PrivOuter[i]); outer != nil {
 			isFloat = outer.isFloat
 		}
-		tc.frame[ref.Slot] = newCell(isFloat, false, Value{})
+		tc.frame[ref.Slot] = &cell{isFloat: isFloat}
 	}
 }
 
@@ -193,7 +193,7 @@ func (tc *threadCtx) initReduction(v *minic.OmpStmt) ([]*cell, error) {
 		if outer := tc.shadowed(ref, v.RedOuter[i]); outer != nil {
 			isFloat = outer.isFloat
 		}
-		tc.frame[ref.Slot] = newCell(isFloat, false, floatVal(identity))
+		tc.frame[ref.Slot] = newCell(isFloat, floatVal(identity))
 	}
 	// Collected after binding: a name listed twice has one copy.
 	cells := make([]*cell, len(v.RedRefs))
@@ -212,27 +212,27 @@ func (tc *threadCtx) combineReduction(v *minic.OmpStmt, cells []*cell, m *omp.Me
 	}
 	return m.Critical("$omp_reduction", func() error {
 		for i, name := range v.RedVars {
-			priv := cells[i].load().Num
+			priv := cells[i].loadNum()
 			outer := tc.cell(v.RedOuter[i])
 			if outer == nil {
 				return runtimeError(v.Line, "reduction variable %q is not declared in the enclosing scope", name)
 			}
-			cur := outer.load()
+			cur := outer.loadNum()
 			switch v.Reduction {
 			case "+":
-				cur.Num += priv
+				cur += priv
 			case "*":
-				cur.Num *= priv
+				cur *= priv
 			case "max":
-				if priv > cur.Num {
-					cur.Num = priv
+				if priv > cur {
+					cur = priv
 				}
 			case "min":
-				if priv < cur.Num {
-					cur.Num = priv
+				if priv < cur {
+					cur = priv
 				}
 			}
-			outer.set(cur)
+			outer.storeNum(cur)
 		}
 		return nil
 	})
@@ -502,10 +502,10 @@ func (a *loopShape) shared(o *minic.OmpStmt, l *lowerer, body stmtFn) func(*thre
 			chunk = int64(int(cv))
 		}
 		// The loop variable is implicitly private.
-		ivar := newCell(false, false, Value{})
+		ivar := &cell{}
 		tc.frame[slot] = ivar
 		return m.For(0, b.count, sched, chunk, func(k int64) error {
-			ivar.storeNum(b.lo+float64(k)*b.step, false)
+			ivar.storeNum(b.lo + float64(k)*b.step)
 			c, err := body(tc)
 			if err != nil {
 				return err
